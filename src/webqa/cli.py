@@ -9,6 +9,7 @@ configuration, 2 too many failed questions, 3 cache miss in offline mode.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -18,14 +19,13 @@ from .cache import OfflineCacheMiss, RequestCache
 from .corpus import CorpusError
 from .lmbackend import CachedBackend, HTTPBackend, LMBackend, MockBackend
 from .pipeline import (
-    DEFAULT_COST_POINTS,
     EVIDENCE_MODES,
     ConfigError,
     PartialFailure,
     Pipeline,
     PipelineConfig,
 )
-from .rerank import DEFAULT_WEIGHTS, POE, SCORERS, WEIGHT_NAMES
+from .rerank import SCORERS, WEIGHT_NAMES
 from .websearch import FixtureSearchClient, GoogleCustomSearchClient, SearchError
 
 logger = logging.getLogger(__name__)
@@ -33,31 +33,24 @@ logger = logging.getLogger(__name__)
 GOOGLE_API_KEY_VAR = "WEBQA_GOOGLE_API_KEY"
 GOOGLE_CSE_ID_VAR = "WEBQA_GOOGLE_CSE_ID"
 
+# config keys that differ from the PipelineConfig field they set
+_CONFIG_KEYS = {"dataset_path": "dataset", "poe_weights": "weights"}
+
+
+def _config_key(field: dataclasses.Field) -> str:
+    return _CONFIG_KEYS.get(field.name, field.name)
+
+
 DEFAULTS = {
-    "evidence": "search",
-    "scorer": POE,
-    "weights": None,
+    **{
+        _config_key(f): f.default
+        for f in dataclasses.fields(PipelineConfig)
+        if f.default is not dataclasses.MISSING
+    },
+    "dataset_id": None,
     "search_endpoint": "google",
     "backend": "mock",
     "param_count": 1_000_000,
-    "num_urls": 20,
-    "chunk_sentences": 6,
-    "top_paragraphs": 50,
-    "samples_per_paragraph": 4,
-    "closed_book_samples": 200,
-    "nucleus_p": 0.8,
-    "temperature": 1.0,
-    "max_new_tokens": 64,
-    "stop": ["\n"],
-    "heldout_fraction": 0.1,
-    "seed": 0,
-    "offline": False,
-    "max_workers": 8,
-    "cost_points": list(DEFAULT_COST_POINTS),
-    "context_tokens": None,
-    "recall_ks": [1, 5, 10, 20, 50],
-    "banks_dir": None,
-    "dataset_id": None,
 }
 
 COMMANDS = ("retrieve", "answer", "tune-weights", "rerank", "eval", "cost", "run")
@@ -219,29 +212,7 @@ def make_search_client(config: dict):
 
 def make_pipeline(config: dict) -> Pipeline:
     pipeline_config = PipelineConfig(
-        dataset_path=config["dataset"],
-        dataset_id=config["dataset_id"],
-        workdir=config["workdir"],
-        evidence=config["evidence"],
-        scorer=config["scorer"],
-        poe_weights=config["weights"],
-        num_urls=config["num_urls"],
-        chunk_sentences=config["chunk_sentences"],
-        top_paragraphs=config["top_paragraphs"],
-        samples_per_paragraph=config["samples_per_paragraph"],
-        closed_book_samples=config["closed_book_samples"],
-        nucleus_p=config["nucleus_p"],
-        temperature=config["temperature"],
-        max_new_tokens=config["max_new_tokens"],
-        stop=config["stop"],
-        heldout_fraction=config["heldout_fraction"],
-        seed=config["seed"],
-        offline=config["offline"],
-        max_workers=config["max_workers"],
-        cost_points=config["cost_points"],
-        context_tokens=config["context_tokens"],
-        recall_ks=config["recall_ks"],
-        banks_dir=config["banks_dir"],
+        **{f.name: config[_config_key(f)] for f in dataclasses.fields(PipelineConfig)}
     )
     return Pipeline(pipeline_config, make_backend(config), make_search_client(config))
 

@@ -2,9 +2,10 @@
 
 The pipeline talks to one interface: sample completions for a prompt, score
 an exact continuation string, count tokens.  Besides the HTTP client for a
-real completion server, the module ships a deterministic hash-driven model
-for offline runs and tests.  Continuations are scored verbatim; callers are
-responsible for any leading separator they want included.
+real completion server, the module ships a deterministic mock backend with
+a hash-driven scorer for offline runs and tests.  Continuations are scored
+verbatim; callers are responsible for any leading separator they want
+included.
 """
 from __future__ import annotations
 
@@ -114,139 +115,35 @@ def flops_for_tokens(param_count: int, n_tokens: int) -> int:
     return 2 * param_count * n_tokens
 
 
-# --- deterministic hash-driven model ---------------------------------------
+# --- deterministic hash-driven scorer --------------------------------------
 
 HASHLM_ALPHABET = "abcdefghijklmnopqrstuvwxyz 0123456789.\n"
 
 
-class HashLM(LMBackend):
-    """A fake but internally consistent character-level language model.
-
-    The next-character distribution is derived from the SHA-256 state of the
-    full preceding text, so scoring obeys the chain rule exactly:
-    score(p, xy) == score(p, x) + score(p + x, y).  Sampling applies
-    temperature and nucleus filtering on top of the same distributions.
-    Tokens for counting purposes are whitespace words.
-    """
-
-    def __init__(
-        self,
-        name: str = "hashlm",
-        param_count: int = 1_000_000,
-        context_tokens: int = 2048,
-        alphabet: str = HASHLM_ALPHABET,
-        sharpness: int = 4,
-    ):
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet must not repeat characters")
-        self._descriptor = BackendDescriptor(
-            name=name, param_count=param_count, context_tokens=context_tokens
-        )
-        self.alphabet = alphabet
-        self.sharpness = sharpness
-
-    def describe(self) -> BackendDescriptor:
-        return self._descriptor
-
-    def count_tokens(self, text: str) -> int:
-        return len(text.split())
-
-    def _hasher(self, text: str):
-        h = hashlib.sha256()
-        h.update(text.encode("utf-8"))
-        return h
-
-    def _distribution(self, hasher) -> list[float]:
-        rng = random.Random(hasher.digest())
-        weights = [rng.random() ** self.sharpness + 1e-9 for _ in self.alphabet]
-        total = sum(weights)
-        return [w / total for w in weights]
-
-    def score(self, prompt: str, continuation: str) -> float:
-        h = self._hasher(prompt)
-        logprob = 0.0
-        for ch in continuation:
-            probs = self._distribution(h)
-            try:
-                idx = self.alphabet.index(ch)
-            except ValueError:
-                raise ValueError(f"character {ch!r} is outside the model alphabet") from None
-            logprob += math.log(probs[idx])
-            h.update(ch.encode("utf-8"))
-        return logprob
-
-    def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
-        base = self._hasher(prompt).hexdigest()
-        samples = []
-        for i in range(params.n_samples):
-            rng = random.Random(f"{base}:{seed}:{i}")
-            h = self._hasher(prompt)
-            chars: list[str] = []
-            for _ in range(params.max_new_tokens):
-                probs = self._distribution(h)
-                probs = _nucleus_filter(_temper(probs, params.temperature), params.nucleus_p)
-                ch = self._draw(rng, probs)
-                chars.append(ch)
-                h.update(ch.encode("utf-8"))
-                if _hit_stop(chars, params.stop):
-                    break
-            text = _strip_stop("".join(chars), params.stop)
-            samples.append(Sample(text=text, logprob=self.score(prompt, text)))
-        return samples
-
-    def _draw(self, rng: random.Random, probs: list[float]) -> str:
-        x = rng.random()
-        acc = 0.0
-        for ch, p in zip(self.alphabet, probs):
-            acc += p
-            if x <= acc:
-                return ch
-        return self.alphabet[-1]
-
-
-def _temper(probs: list[float], temperature: float) -> list[float]:
-    if temperature == 1.0:
-        return probs
-    powered = [p ** (1.0 / temperature) for p in probs]
-    total = sum(powered)
-    return [p / total for p in powered]
-
-
-def _nucleus_filter(probs: list[float], p: float) -> list[float]:
-    """Keep the smallest probability mass >= p, zero the rest, renormalize."""
-    if p >= 1.0:
-        return probs
-    order = sorted(range(len(probs)), key=lambda i: -probs[i])
-    keep = []
-    acc = 0.0
-    for i in order:
-        keep.append(i)
-        acc += probs[i]
-        if acc >= p:
-            break
-    kept = set(keep)
-    filtered = [probs[i] if i in kept else 0.0 for i in range(len(probs))]
-    total = sum(filtered)
-    return [v / total for v in filtered]
-
-
-def _hit_stop(chars: list[str], stop: tuple[str, ...]) -> bool:
-    tail = "".join(chars[-max((len(s) for s in stop), default=0):]) if stop else ""
-    return any(s and tail.endswith(s) for s in stop)
-
-
-def _strip_stop(text: str, stop: tuple[str, ...]) -> str:
-    for s in sorted(stop, key=len, reverse=True):
-        if s and text.endswith(s):
-            return text[: -len(s)]
-    return text
-
-
-# --- configurable test double ----------------------------------------------
-
 def _to_alphabet(text: str) -> str:
     return "".join(ch if ch in HASHLM_ALPHABET else " " for ch in text.lower())
 
+
+def hash_score(prompt: str, continuation: str) -> float:
+    """log p(continuation | prompt) under a fake character-level model.
+
+    Text is lower-cased and every character outside ``HASHLM_ALPHABET``
+    becomes a space.  The next-character distribution is derived from the
+    SHA-256 state of the full preceding text, and the per-character
+    normalization commutes with concatenation, so the score obeys the chain
+    rule exactly: hash_score(p, xy) == hash_score(p, x) + hash_score(p + x, y).
+    """
+    h = hashlib.sha256(_to_alphabet(prompt).encode("utf-8"))
+    logprob = 0.0
+    for ch in _to_alphabet(continuation):
+        rng = random.Random(h.digest())
+        weights = [rng.random() ** 4 + 1e-9 for _ in HASHLM_ALPHABET]
+        logprob += math.log(weights[HASHLM_ALPHABET.index(ch)] / sum(weights))
+        h.update(ch.encode("utf-8"))
+    return logprob
+
+
+# --- configurable test double ----------------------------------------------
 
 def extractive_completion(prompt: str, seed: int, index: int) -> str:
     """Pick a short word span from the prompt's final evidence line.
@@ -275,7 +172,7 @@ class MockBackend(LMBackend):
     """Deterministic backend for tests and offline pipeline runs.
 
     Generation produces extractive-looking spans via ``completion_fn`` while
-    scores come from an internal :class:`HashLM` (chain-rule consistent), so
+    scores come from :func:`hash_score` (chain-rule consistent), so
     reranking math behaves like it would against a real model.  Explicit
     ``score_table``/``sample_table`` entries override both, letting unit
     tests pin exact numbers.  Records every call for assertions.
@@ -295,7 +192,6 @@ class MockBackend(LMBackend):
             name=name, param_count=param_count,
             context_tokens=context_tokens, can_score=can_score,
         )
-        self._hash = HashLM(name=name, param_count=param_count, context_tokens=context_tokens)
         self.completion_fn = completion_fn
         self.score_table = dict(score_table or {})
         self.sample_table = dict(sample_table or {})
@@ -332,10 +228,7 @@ class MockBackend(LMBackend):
         key = (prompt, continuation)
         if key in self.score_table:
             return self.score_table[key]
-        # per-character normalization keeps arbitrary bytes inside the hash
-        # model's alphabet and commutes with concatenation, so the chain rule
-        # carries over from HashLM
-        return self._hash.score(_to_alphabet(prompt), _to_alphabet(continuation))
+        return hash_score(prompt, continuation)
 
 
 class HTTPBackend(LMBackend):

@@ -20,13 +20,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import chunkrank, rerank, websearch
-from .cache import RequestCache, canonical_json, read_json_record, write_json_record, atomic_write_text
+from .cache import (
+    OfflineCacheMiss,
+    RequestCache,
+    atomic_write_text,
+    canonical_json,
+    read_json_record,
+    write_json_record,
+)
 from .corpus import (
     CLASSIFICATION,
     GENERATION,
@@ -46,7 +52,16 @@ from .evaluation import (
     label_match,
     load_stopwords,
 )
-from .lmbackend import GenerationParams, LMBackend, ScoringUnsupported, flops_for_tokens, softmax_scores
+from .lmbackend import (
+    DEFAULT_MAX_NEW_TOKENS,
+    DEFAULT_NUCLEUS_P,
+    DEFAULT_STOP,
+    DEFAULT_TEMPERATURE,
+    GenerationParams,
+    LMBackend,
+    flops_for_tokens,
+    softmax_scores,
+)
 from .prompting import RenderedPrompt, fit_to_context, render_closed_book_prompt, render_prompt, render_qa_prompt
 
 logger = logging.getLogger(__name__)
@@ -58,6 +73,8 @@ EVIDENCE_MODES = (SEARCH, GOLD, CLOSED)
 
 DEFAULT_COST_POINTS = (0, 1, 5, 10, 20, 50)
 CLOSED_PARAGRAPH_INDEX = -1
+# closed-book pools carry only lp_a_qp, so they are always ranked by it
+CLOSED_RERANK = rerank.RerankConfig(scorer=rerank.ANSWER_PROB)
 
 
 class ConfigError(ValueError):
@@ -73,10 +90,6 @@ class PartialFailure(RuntimeError):
         super().__init__(f"{len(failed)}/{total} questions failed")
 
 
-def _log(p: float) -> float:
-    return math.log(max(p, rerank.PRIOR_FLOOR))
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     dataset_path: str
@@ -90,10 +103,10 @@ class PipelineConfig:
     top_paragraphs: int = chunkrank.DEFAULT_TOP_PARAGRAPHS
     samples_per_paragraph: int = 4
     closed_book_samples: int = 200
-    nucleus_p: float = 0.8
-    temperature: float = 1.0
-    max_new_tokens: int = 64
-    stop: tuple[str, ...] = ("\n",)
+    nucleus_p: float = DEFAULT_NUCLEUS_P
+    temperature: float = DEFAULT_TEMPERATURE
+    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
+    stop: tuple[str, ...] = DEFAULT_STOP
     heldout_fraction: float = 0.1
     seed: int = 0
     offline: bool = False
@@ -114,6 +127,20 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
+
+
+def _pool_row(text: str, paragraph_index: int, lp_a_qp: float, lp_q_ap: float = 0.0,
+              lp_a_p: float = 0.0, lp_q_p: float = 0.0, lp_prior: float = 0.0) -> dict:
+    """One candidates/ entry; closed-book rows score only lp_a_qp."""
+    return {
+        "text": text,
+        "paragraph_index": paragraph_index,
+        "lp_a_qp": lp_a_qp,
+        "lp_q_ap": lp_q_ap,
+        "lp_a_p": lp_a_p,
+        "lp_q_p": lp_q_p,
+        "lp_prior": lp_prior,
+    }
 
 
 def stable_seed(*parts) -> int:
@@ -200,6 +227,8 @@ class Pipeline:
         def guarded(record):
             try:
                 worker(record)
+            except OfflineCacheMiss:
+                raise
             except Exception as exc:
                 logger.warning("%s failed for %s: %s", stage, record.id, exc)
                 return record.id, f"{stage}: {exc}"
@@ -221,29 +250,63 @@ class Pipeline:
 
     # --- model call helpers -------------------------------------------------
 
-    def _sample(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
-                prompt_text: str, params: GenerationParams, seed: int):
-        samples = self.backend.sample(prompt_text, params, seed)
+    def _log_call(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
+                  prompt_text: str, generated: list[str]) -> None:
+        """Append one calls/ row; cost and FLOPs are recomputed from these rows."""
         log.append({
             "question_id": qid,
             "purpose": purpose,
             "paragraph_index": paragraph_index,
             "prompt_tokens": self.backend.count_tokens(prompt_text),
-            "generated_tokens": sum(self.backend.count_tokens(s.text) for s in samples),
+            "generated_tokens": sum(self.backend.count_tokens(text) for text in generated),
         })
-        return samples
 
     def _score(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
                prompt_text: str, continuation: str) -> float:
         value = self.backend.score(prompt_text, continuation)
-        log.append({
-            "question_id": qid,
-            "purpose": purpose,
-            "paragraph_index": paragraph_index,
-            "prompt_tokens": self.backend.count_tokens(prompt_text),
-            "generated_tokens": self.backend.count_tokens(continuation),
-        })
+        self._log_call(log, qid, purpose, paragraph_index, prompt_text, [continuation])
         return value
+
+    def _label_log_probs(self, log: list, record: QuestionRecord, purpose: str,
+                         paragraph_index: int | None, prompt_text: str) -> list[tuple[str, float]]:
+        """(label, log p(label)) with p the softmax over the label set's scores."""
+        scores = {
+            label: self._score(log, record.id, purpose, paragraph_index, prompt_text, " " + label)
+            for label in record.label_set
+        }
+        dist = softmax_scores(scores)
+        return [(label, rerank.log_prior(dist[label])) for label in record.label_set]
+
+    def _candidates(self, record: QuestionRecord, log: list, kind: str, paragraph_index: int | None,
+                    prompt_text: str, n_samples: int, seed: int) -> list[tuple[str, float]]:
+        """(answer, log p(answer | prompt)) pairs answering ``prompt_text``.
+
+        Generation records sample ``n_samples`` answers and keep, per
+        whitespace-normalized answer, the most probable non-empty one;
+        classification records take the label softmax.  ``kind`` names the
+        call-log purposes: ``sample_<kind>`` or ``label_<kind>``.
+        """
+        if record.task == CLASSIFICATION:
+            return self._label_log_probs(log, record, f"label_{kind}", paragraph_index, prompt_text)
+        params = GenerationParams(
+            nucleus_p=self.config.nucleus_p,
+            temperature=self.config.temperature,
+            max_new_tokens=self.config.max_new_tokens,
+            stop=self.config.stop,
+            n_samples=n_samples,
+        )
+        samples = self.backend.sample(prompt_text, params, seed)
+        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, prompt_text,
+                       [s.text for s in samples])
+        by_canon: dict[str, tuple[str, float]] = {}
+        for s in samples:
+            stripped = s.text.strip()
+            if not stripped:
+                continue
+            canon = " ".join(stripped.split())
+            if canon not in by_canon or s.logprob > by_canon[canon][1]:
+                by_canon[canon] = (stripped, s.logprob)
+        return list(by_canon.values())
 
     def _fit(self, prompt: RenderedPrompt, reserved_tokens: int) -> RenderedPrompt:
         return fit_to_context(
@@ -315,15 +378,6 @@ class Pipeline:
 
     # --- answer (candidate generation and scoring) --------------------------
 
-    def _generation_params(self, n_samples: int) -> GenerationParams:
-        return GenerationParams(
-            nucleus_p=self.config.nucleus_p,
-            temperature=self.config.temperature,
-            max_new_tokens=self.config.max_new_tokens,
-            stop=self.config.stop,
-            n_samples=n_samples,
-        )
-
     def _open_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
         """Sample candidates per paragraph and attach all rerank scores."""
         paragraphs = self.load_paragraphs(record.id)
@@ -339,31 +393,10 @@ class Pipeline:
             qa_prompt = self._fit(
                 render_qa_prompt(qa_bank, question, text), self.config.max_new_tokens
             )
-            if record.task == GENERATION:
-                params = self._generation_params(self.config.samples_per_paragraph)
-                samples = self._sample(
-                    log, record.id, "sample_answer", i, qa_prompt.text,
-                    params, stable_seed(self.config.seed, record.id, "answer", i),
-                )
-                by_canon: dict[str, tuple[str, float]] = {}
-                for s in samples:
-                    stripped = s.text.strip()
-                    if not stripped:
-                        continue
-                    canon = " ".join(stripped.split())
-                    if canon not in by_canon or s.logprob > by_canon[canon][1]:
-                        by_canon[canon] = (stripped, s.logprob)
-                candidates = [(text_, lp) for text_, lp in by_canon.values()]
-            else:
-                scores = {
-                    label: self._score(
-                        log, record.id, "label_answer", i, qa_prompt.text, " " + label
-                    )
-                    for label in record.label_set
-                }
-                dist = softmax_scores(scores)
-                candidates = [(label, _log(dist[label])) for label in record.label_set]
-
+            candidates = self._candidates(
+                record, log, "answer", i, qa_prompt.text, self.config.samples_per_paragraph,
+                stable_seed(self.config.seed, record.id, "answer", i),
+            )
             if not candidates:
                 continue
 
@@ -372,16 +405,14 @@ class Pipeline:
             )
             lp_q_p = self._score(log, record.id, "score_q_given_p", i, q_p_prompt.text, q_cont)
 
-            a_p_dist = None
+            label_lp_a_p = None
             if record.task == CLASSIFICATION:
-                a_p_prompt_cls = self._fit(render_prompt(a_p_bank, evidence=text), self.config.max_new_tokens)
-                a_p_scores = {
-                    label: self._score(
-                        log, record.id, "label_a_given_p", i, a_p_prompt_cls.text, " " + label
-                    )
-                    for label in record.label_set
-                }
-                a_p_dist = softmax_scores(a_p_scores)
+                a_p_prompt = self._fit(
+                    render_prompt(a_p_bank, evidence=text), self.config.max_new_tokens
+                )
+                label_lp_a_p = dict(
+                    self._label_log_probs(log, record, "label_a_given_p", i, a_p_prompt.text)
+                )
 
             for answer_text, lp_a_qp in candidates:
                 q_ap_prompt = self._fit_for_continuation(
@@ -390,8 +421,8 @@ class Pipeline:
                 lp_q_ap = self._score(
                     log, record.id, "score_q_given_ap", i, q_ap_prompt.text, q_cont
                 )
-                if a_p_dist is not None:
-                    lp_a_p = _log(a_p_dist[answer_text])
+                if label_lp_a_p is not None:
+                    lp_a_p = label_lp_a_p[answer_text]
                 else:
                     a_cont = " " + answer_text
                     a_p_prompt = self._fit_for_continuation(
@@ -400,58 +431,20 @@ class Pipeline:
                     lp_a_p = self._score(
                         log, record.id, "score_a_given_p", i, a_p_prompt.text, a_cont
                     )
-                pool.append({
-                    "text": answer_text,
-                    "paragraph_index": i,
-                    "lp_a_qp": lp_a_qp,
-                    "lp_q_ap": lp_q_ap,
-                    "lp_a_p": lp_a_p,
-                    "lp_q_p": lp_q_p,
-                    "lp_prior": rerank.log_prior(para["prior"]),
-                })
+                pool.append(_pool_row(
+                    answer_text, i, lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"])
+                ))
         return pool
 
     def _closed_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
-        qa_bank = self.bank("qa")
         prompt = self._fit(
-            render_closed_book_prompt(qa_bank, record.question), self.config.max_new_tokens
+            render_closed_book_prompt(self.bank("qa"), record.question), self.config.max_new_tokens
         )
-        pool: list[dict] = []
-        if record.task == GENERATION:
-            params = self._generation_params(self.config.closed_book_samples)
-            samples = self._sample(
-                log, record.id, "sample_closed", None, prompt.text,
-                params, stable_seed(self.config.seed, record.id, "closed"),
-            )
-            by_canon: dict[str, tuple[str, float]] = {}
-            for s in samples:
-                stripped = s.text.strip()
-                if not stripped:
-                    continue
-                canon = " ".join(stripped.split())
-                if canon not in by_canon or s.logprob > by_canon[canon][1]:
-                    by_canon[canon] = (stripped, s.logprob)
-            entries = by_canon.values()
-        else:
-            scores = {
-                label: self._score(
-                    log, record.id, "label_closed", None, prompt.text, " " + label
-                )
-                for label in record.label_set
-            }
-            dist = softmax_scores(scores)
-            entries = [(label, _log(dist[label])) for label in record.label_set]
-        for answer_text, lp in entries:
-            pool.append({
-                "text": answer_text,
-                "paragraph_index": CLOSED_PARAGRAPH_INDEX,
-                "lp_a_qp": lp,
-                "lp_q_ap": 0.0,
-                "lp_a_p": 0.0,
-                "lp_q_p": 0.0,
-                "lp_prior": 0.0,
-            })
-        return pool
+        candidates = self._candidates(
+            record, log, "closed", None, prompt.text, self.config.closed_book_samples,
+            stable_seed(self.config.seed, record.id, "closed"),
+        )
+        return [_pool_row(answer_text, CLOSED_PARAGRAPH_INDEX, lp) for answer_text, lp in candidates]
 
     def _write_pool(self, source: str, record: QuestionRecord, build) -> None:
         log: list[dict] = []
@@ -540,49 +533,59 @@ class Pipeline:
             return tuple(float(w) for w in stored["weights"])
         return rerank.DEFAULT_WEIGHTS
 
-    def _paragraph_text(self, qid: str, paragraph_index: int) -> str | None:
-        if paragraph_index == CLOSED_PARAGRAPH_INDEX:
-            return None
-        return self.load_paragraphs(qid)[paragraph_index]["text"]
+    def _rerank_config(self) -> rerank.RerankConfig:
+        if self.config.evidence == CLOSED:
+            return CLOSED_RERANK
+        scorer = self.config.scorer
+        return rerank.RerankConfig(
+            scorer=scorer,
+            poe_weights=self.resolve_weights() if scorer == rerank.POE else rerank.DEFAULT_WEIGHTS,
+        )
+
+    def _select(self, record: QuestionRecord, config: rerank.RerankConfig,
+                max_paragraphs: int | None) -> rerank.SelectionResult:
+        """Best answer from the first ``max_paragraphs`` paragraphs (all if None).
+
+        Questions whose open-book pairs are out of reach (closed evidence, no
+        usable evidence, or ``max_paragraphs == 0``) get the closed-book answer.
+        """
+        pool: rerank.Pool = []
+        if self.config.evidence != CLOSED and max_paragraphs != 0:
+            pool = [
+                (answer, bundle) for answer, bundle in self.load_pool(self.config.evidence, record.id)
+                if max_paragraphs is None or answer.paragraph_index < max_paragraphs
+            ]
+        if pool:
+            return rerank.select_answer(pool, config)
+        pool = self.load_pool(CLOSED, record.id)
+        if not pool:
+            raise ConfigError(
+                f"no candidate answers for {record.id}: its closed-book samples were all empty"
+            )
+        return rerank.select_answer(pool, CLOSED_RERANK)
 
     def stage_rerank(self) -> Path:
         """Select one answer per question and write the predictions artifact."""
-        if self.config.evidence == CLOSED:
-            source, scorer = CLOSED, rerank.ANSWER_PROB
-            config = rerank.RerankConfig(scorer=scorer)
-        else:
-            source, scorer = self.config.evidence, self.config.scorer
-            config = rerank.RerankConfig(
-                scorer=scorer,
-                poe_weights=self.resolve_weights() if scorer == rerank.POE else rerank.DEFAULT_WEIGHTS,
-            )
+        config = self._rerank_config()
         predictions: dict[str, dict] = {}
         for record in self._active(self.records):
-            pool = self.load_pool(source, record.id)
-            if not pool and source != CLOSED:
-                # no usable evidence; fall back to the closed-book answer
-                pool = self.load_pool(CLOSED, record.id)
-                selection = rerank.select_answer(pool, rerank.RerankConfig(scorer=rerank.ANSWER_PROB))
-            elif not pool:
-                raise ConfigError(f"empty candidate pool for {record.id}")
-            else:
-                selection = rerank.select_answer(pool, config)
+            selection = self._select(record, config, None)
+            paragraph_index = selection.answer.paragraph_index
             predictions[record.id] = {
                 "answer": selection.answer.text,
-                "paragraph_index": selection.answer.paragraph_index,
-                "paragraph_text": self._paragraph_text(record.id, selection.answer.paragraph_index)
-                if source != CLOSED else None,
+                "paragraph_index": paragraph_index,
+                "paragraph_text": None if paragraph_index == CLOSED_PARAGRAPH_INDEX
+                else self.load_paragraphs(record.id)[paragraph_index]["text"],
                 "score": selection.score,
                 "n_pairs": selection.n_pairs,
                 "n_answers": selection.n_answers,
             }
-        name = self.prediction_name(scorer)
-        path = self.workdir / "predictions" / f"{name}.json"
+        path = self.workdir / "predictions" / f"{self.prediction_name(config.scorer)}.json"
         write_json_record(path, {
             "dataset_id": self.config.dataset_id,
-            "evidence": source,
-            "scorer": scorer,
-            "poe_weights": list(config.poe_weights) if scorer == rerank.POE else None,
+            "evidence": self.config.evidence,
+            "scorer": config.scorer,
+            "poe_weights": list(config.poe_weights) if config.scorer == rerank.POE else None,
             "predictions": predictions,
         })
         return path
@@ -614,27 +617,24 @@ class Pipeline:
 
     # --- cost ---------------------------------------------------------------
 
-    def _log_entries(self, source: str, qid: str) -> list[dict]:
+    def _tokens_for(self, source: str, qid: str, max_paragraphs: int | None) -> tuple[int, int]:
+        """(prompt, generated) tokens logged for ``qid`` under ``source``,
+        counting only paragraphs below ``max_paragraphs`` unless it is None."""
         path = self._qpath("calls", source, qid, ext="jsonl")
         if not path.exists():
-            return []
-        entries = []
-        with open(path, encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
-        return entries
-
-    def _tokens_for(self, entries: list[dict], max_paragraphs: int | None) -> tuple[int, int]:
+            return 0, 0
         prompt = 0
         generated = 0
-        for entry in entries:
-            idx = entry["paragraph_index"]
-            if max_paragraphs is not None and (idx is None or idx >= max_paragraphs):
-                continue
-            prompt += int(entry["prompt_tokens"])
-            generated += int(entry["generated_tokens"])
+        with open(path, encoding="utf-8") as fp:
+            for line in fp:
+                if not line.strip():
+                    continue
+                entry = json.loads(line)
+                idx = entry["paragraph_index"]
+                if max_paragraphs is not None and (idx is None or idx >= max_paragraphs):
+                    continue
+                prompt += int(entry["prompt_tokens"])
+                generated += int(entry["generated_tokens"])
         return prompt, generated
 
     def stage_cost(self) -> list[dict]:
@@ -646,41 +646,21 @@ class Pipeline:
         eval_records = self._active(self.main_records)
         if not eval_records:
             raise ConfigError("no questions left for the cost sweep")
-        scorer = rerank.ANSWER_PROB if self.config.evidence == CLOSED else self.config.scorer
-        config = rerank.RerankConfig(
-            scorer=scorer,
-            poe_weights=self.resolve_weights() if scorer == rerank.POE else rerank.DEFAULT_WEIGHTS,
-        )
-        points = sorted({m for m in self.config.cost_points if 0 <= m <= self.config.top_paragraphs})
+        config = self._rerank_config()
         if self.config.evidence == CLOSED:
             points = [0]
+        else:
+            points = sorted({m for m in self.config.cost_points if 0 <= m <= self.config.top_paragraphs})
         rows = []
         for m in points:
             correct = []
             prompt_tokens = 0
             generated_tokens = 0
             for record in eval_records:
-                reward = self._reward_fn(record)
-                if m == 0:
-                    pool = self.load_pool(CLOSED, record.id)
-                    selection = rerank.select_answer(
-                        pool, rerank.RerankConfig(scorer=rerank.ANSWER_PROB)
-                    )
-                    entries = self._log_entries(CLOSED, record.id)
-                    p_tok, g_tok = self._tokens_for(entries, None)
-                else:
-                    full = self.load_pool(self.config.evidence, record.id)
-                    pool = [(a, b) for a, b in full if a.paragraph_index < m]
-                    if pool:
-                        selection = rerank.select_answer(pool, config)
-                    else:
-                        selection = rerank.select_answer(
-                            self.load_pool(CLOSED, record.id),
-                            rerank.RerankConfig(scorer=rerank.ANSWER_PROB),
-                        )
-                    entries = self._log_entries(self.config.evidence, record.id)
-                    p_tok, g_tok = self._tokens_for(entries, m)
-                correct.append(reward(selection.answer))
+                selection = self._select(record, config, m)
+                correct.append(self._reward_fn(record)(selection.answer))
+                source = CLOSED if m == 0 else self.config.evidence
+                p_tok, g_tok = self._tokens_for(source, record.id, m or None)
                 prompt_tokens += p_tok
                 generated_tokens += g_tok
             total = prompt_tokens + generated_tokens
@@ -692,11 +672,10 @@ class Pipeline:
                 "flops": flops_for_tokens(self.param_count, total),
                 "metric": sum(correct) / len(correct),
             })
-        name = self.prediction_name(scorer)
-        write_json_record(self.workdir / "cost" / f"{name}.json", {
+        write_json_record(self.workdir / "cost" / f"{self.prediction_name(config.scorer)}.json", {
             "dataset_id": self.config.dataset_id,
             "evidence": self.config.evidence,
-            "scorer": scorer,
+            "scorer": config.scorer,
             "param_count": self.param_count,
             "n_questions": len(eval_records),
             "rows": rows,

@@ -42,10 +42,6 @@ class WebDocument:
     rank: int
     clean_text: str
 
-    @property
-    def word_count(self) -> int:
-        return len(self.clean_text.split())
-
 
 class SearchError(RuntimeError):
     """The search provider failed or returned an unusable response."""

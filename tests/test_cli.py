@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -147,6 +148,32 @@ class TestMainExitCodes:
                        "--banks-dir", str(banks_dir),
                        "--offline"])
         assert rc == 3
+
+    def test_offline_miss_inside_a_question_is_3(self, tmp_path, qa_dataset_path,
+                                                 banks_dir, web_root, capsys):
+        """A miss raised inside one question's worker aborts the run; it is
+        not counted among the tolerated per-question failures."""
+        workdir = tmp_path / "w"
+        with FixtureServer(web_root) as server:
+            common = ["run", "--dataset", str(qa_dataset_path),
+                      "--workdir", str(workdir),
+                      "--search-endpoint", server.base_url,
+                      "--banks-dir", str(banks_dir),
+                      "--top-urls", "3",
+                      "--paragraphs", "3",
+                      "--samples-per-paragraph", "2",
+                      "--closed-book-samples", "4",
+                      "--max-new-tokens", "16",
+                      "--cost-points", "0,1"]
+            assert cli.main(common) == 0
+            for entry in workdir.iterdir():
+                if entry.name != "cache":
+                    shutil.rmtree(entry) if entry.is_dir() else entry.unlink()
+            min((workdir / "cache" / "fetch").glob("*.json")).unlink()
+            capsys.readouterr()
+            rc = cli.main(common + ["--offline"])
+        assert rc == 3
+        assert "offline cache miss" in capsys.readouterr().err
 
     def test_gold_run_exits_0(self, tmp_path, qa_dataset_path, banks_dir,
                               capsys):

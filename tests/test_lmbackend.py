@@ -4,10 +4,8 @@ import pytest
 
 from webqa.cache import RequestCache
 from webqa.lmbackend import (
-    HASHLM_ALPHABET,
     CachedBackend,
     GenerationParams,
-    HashLM,
     MockBackend,
     Sample,
     ScoringUnsupported,
@@ -64,10 +62,12 @@ def test_flops_is_two_params_tokens_exact_int():
 
 
 class TestHashLM:
+    """The hash-driven scorer behind MockBackend."""
+
     def test_chain_rule_exact(self):
         """log p(c1 c2 | prompt) must equal log p(c1|prompt) +
         log p(c2|prompt c1) to float precision."""
-        lm = HashLM()
+        lm = MockBackend()
         prompt = "evidence. the answer is"
         cont = " 42 ok"
         whole = lm.score(prompt, cont)
@@ -76,37 +76,12 @@ class TestHashLM:
         assert whole == pytest.approx(split, abs=1e-12)
 
     def test_score_is_negative_and_finite(self):
-        lm = HashLM()
+        lm = MockBackend()
         lp = lm.score("a prompt", " continuation")
         assert math.isfinite(lp) and lp < 0.0
 
-    def test_sampling_deterministic_in_seed(self):
-        lm = HashLM()
-        params = GenerationParams(n_samples=3, max_new_tokens=8)
-        a = lm.sample("the question is", params, seed=5)
-        b = lm.sample("the question is", params, seed=5)
-        c = lm.sample("the question is", params, seed=6)
-        assert a == b
-        assert len(a) == 3
-        assert a != c
-
-    def test_samples_respect_stop_and_budget(self):
-        lm = HashLM()
-        params = GenerationParams(n_samples=4, max_new_tokens=6, stop=("\n",))
-        for s in lm.sample("q", params, seed=0):
-            assert "\n" not in s.text
-            assert len(s.text) <= 6
-            assert set(s.text) <= set(HASHLM_ALPHABET)
-
-    def test_sample_logprob_matches_score(self):
-        lm = HashLM()
-        params = GenerationParams(n_samples=2, max_new_tokens=5, stop=())
-        for s in lm.sample("prompt here", params, seed=1):
-            assert s.logprob == pytest.approx(
-                lm.score("prompt here", s.text), abs=1e-12)
-
     def test_count_tokens_is_whitespace_words(self):
-        lm = HashLM()
+        lm = MockBackend()
         assert lm.count_tokens("a b  c\nd") == 4
         assert lm.count_tokens("") == 0
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from webqa.lmbackend import MockBackend
+from webqa.lmbackend import MockBackend, extractive_completion
 from webqa.pipeline import (
     CLOSED,
     GOLD,
@@ -270,3 +270,88 @@ class TestResolveWeights:
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
         pipeline = Pipeline(config, MockBackend())
         assert pipeline.resolve_weights() == DEFAULT_WEIGHTS
+
+
+def _call_rows(workdir, source, qid):
+    path = workdir / "calls" / source / f"{qid}.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert {r["question_id"] for r in rows} == {qid}
+    return [(r["purpose"], r["paragraph_index"]) for r in rows]
+
+
+def _build_pools(pipeline):
+    pipeline.stage_retrieve()
+    pipeline.stage_answer()
+    pipeline.stage_closed()
+    assert not pipeline.failed
+
+
+class TestCallLogSequence:
+    """calls/ rows follow the order in which the pools are built."""
+
+    def test_generation_record(self, tmp_path, qa_dataset_path, banks_dir):
+        samples = ["alpha", " alpha ", "", "beta  gamma"]
+        backend = MockBackend(completion_fn=lambda prompt, seed, index: samples[index])
+        config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir),
+                         samples_per_paragraph=len(samples),
+                         closed_book_samples=len(samples))
+        pipeline = Pipeline(config, backend)
+        _build_pools(pipeline)
+        # empty samples are dropped and "alpha"/" alpha " share one answer
+        distinct_answers = 2
+        for record in pipeline.records:
+            n_paragraphs = len(pipeline.load_paragraphs(record.id))
+            assert n_paragraphs
+            expected = []
+            for i in range(n_paragraphs):
+                expected += [("sample_answer", i), ("score_q_given_p", i)]
+                expected += [("score_q_given_ap", i), ("score_a_given_p", i)] * distinct_answers
+            assert _call_rows(tmp_path, GOLD, record.id) == expected
+            assert _call_rows(tmp_path, CLOSED, record.id) == [("sample_closed", None)]
+
+    def test_classification_record(self, tmp_path, cls_dataset_path, banks_dir):
+        config = _config(cls_dataset_path, tmp_path, dataset_id="fixturecls",
+                         banks_dir=str(banks_dir))
+        pipeline = Pipeline(config, MockBackend())
+        _build_pools(pipeline)
+        for record in pipeline.records:
+            n_labels = len(record.label_set)
+            n_paragraphs = len(pipeline.load_paragraphs(record.id))
+            assert n_paragraphs
+            expected = []
+            for i in range(n_paragraphs):
+                expected += [("label_answer", i)] * n_labels + [("score_q_given_p", i)]
+                expected += [("label_a_given_p", i)] * n_labels
+                expected += [("score_q_given_ap", i)] * n_labels
+            assert _call_rows(tmp_path, GOLD, record.id) == expected
+            assert _call_rows(tmp_path, CLOSED, record.id) == [("label_closed", None)] * n_labels
+
+
+class TestEmptyClosedPool:
+    """A model that answers nothing without evidence leaves closed pools empty."""
+
+    @staticmethod
+    def _backend():
+        def completion(prompt, seed, index):
+            # closed-book prompts carry no Evidence line anywhere
+            return extractive_completion(prompt, seed, index) if "Evidence:" in prompt else ""
+        return MockBackend(completion_fn=completion)
+
+    def test_open_book_cost_names_question(self, tmp_path, qa_dataset_path, banks_dir):
+        config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
+        pipeline = Pipeline(config, self._backend())
+        _build_pools(pipeline)
+        pipeline.stage_rerank()
+        with pytest.raises(ConfigError, match=pipeline.main_records[0].id):
+            pipeline.stage_cost()
+
+    def test_closed_book_rerank_and_cost_name_question(self, tmp_path, qa_dataset_path,
+                                                       banks_dir):
+        config = _config(qa_dataset_path, tmp_path, evidence=CLOSED,
+                         scorer="answer_prob", banks_dir=str(banks_dir))
+        pipeline = Pipeline(config, self._backend())
+        _build_pools(pipeline)
+        with pytest.raises(ConfigError, match=pipeline.records[0].id):
+            pipeline.stage_rerank()
+        with pytest.raises(ConfigError, match=pipeline.main_records[0].id):
+            pipeline.stage_cost()
