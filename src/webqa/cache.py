@@ -62,9 +62,6 @@ class RequestCache:
     def _path(self, key: CacheKey) -> Path:
         return self.root / key.namespace / f"{key.digest}.json"
 
-    def contains(self, key: CacheKey) -> bool:
-        return self._path(key).exists()
-
     def get(self, key: CacheKey):
         path = self._path(key)
         try:

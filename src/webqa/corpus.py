@@ -149,19 +149,6 @@ def load_dataset(path: str | Path) -> list[QuestionRecord]:
     return records
 
 
-def serialize_dataset(records: list[QuestionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for r in records:
-            obj: dict = {"id": r.id, "question": r.question, "task": r.task}
-            if r.task == GENERATION:
-                obj["answers"] = list(r.answers)
-            else:
-                obj["gold_label"] = r.gold_label
-                obj["label_set"] = list(r.label_set)
-            obj["gold_evidence"] = list(r.gold_evidence)
-            fp.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
 def split_heldout(
     records: list[QuestionRecord], fraction: float, seed: int
 ) -> tuple[list[QuestionRecord], list[QuestionRecord]]:

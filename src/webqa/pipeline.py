@@ -26,7 +26,6 @@ from pathlib import Path
 
 from . import chunkrank, rerank, websearch
 from .cache import (
-    OfflineCacheMiss,
     RequestCache,
     atomic_write_text,
     canonical_json,
@@ -224,12 +223,12 @@ class Pipeline:
         return [r for r in records if r.id not in self.failed]
 
     def _map_questions(self, records: list[QuestionRecord], worker, stage: str) -> None:
+        # only I/O (requests errors are OSErrors), bad input (ConfigError, CorpusError,
+        # PromptBudgetError, bad JSON) and search errors fail one question; bugs propagate
         def guarded(record):
             try:
                 worker(record)
-            except OfflineCacheMiss:
-                raise
-            except Exception as exc:
+            except (OSError, ValueError, websearch.SearchError) as exc:
                 logger.warning("%s failed for %s: %s", stage, record.id, exc)
                 return record.id, f"{stage}: {exc}"
             return None
@@ -251,35 +250,49 @@ class Pipeline:
     # --- model call helpers -------------------------------------------------
 
     def _log_call(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
-                  prompt_text: str, generated: list[str]) -> None:
+                  prompt_tokens: int, generated_tokens: int) -> None:
         """Append one calls/ row; cost and FLOPs are recomputed from these rows."""
         log.append({
             "question_id": qid,
             "purpose": purpose,
             "paragraph_index": paragraph_index,
-            "prompt_tokens": self.backend.count_tokens(prompt_text),
-            "generated_tokens": sum(self.backend.count_tokens(text) for text in generated),
+            "prompt_tokens": prompt_tokens,
+            "generated_tokens": generated_tokens,
         })
 
+    def _fit(self, prompt: RenderedPrompt, reserved_tokens: int) -> RenderedPrompt:
+        return fit_to_context(
+            prompt, self.backend.count_tokens,
+            context_tokens=self.context_tokens, reserved_tokens=reserved_tokens,
+        )
+
     def _score(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
-               prompt_text: str, continuation: str) -> float:
-        value = self.backend.score(prompt_text, continuation)
-        self._log_call(log, qid, purpose, paragraph_index, prompt_text, [continuation])
+               prompt: RenderedPrompt, continuation: str) -> float:
+        """log p(continuation | prompt), with the prompt fitted around the continuation."""
+        continuation_tokens = self.backend.count_tokens(continuation)
+        fitted = self._fit(prompt, continuation_tokens)
+        value = self.backend.score(fitted.text, continuation)
+        self._log_call(log, qid, purpose, paragraph_index, fitted.tokens, continuation_tokens)
         return value
 
     def _label_log_probs(self, log: list, record: QuestionRecord, purpose: str,
-                         paragraph_index: int | None, prompt_text: str) -> list[tuple[str, float]]:
-        """(label, log p(label)) with p the softmax over the label set's scores."""
-        scores = {
-            label: self._score(log, record.id, purpose, paragraph_index, prompt_text, " " + label)
-            for label in record.label_set
-        }
+                         paragraph_index: int | None,
+                         prompt: RenderedPrompt) -> list[tuple[str, float]]:
+        """(label, log p(label)) with p the softmax over the label set's scores,
+        all made against one fit of ``prompt``."""
+        fitted = self._fit(prompt, self.config.max_new_tokens)
+        scores = {}
+        for label in record.label_set:
+            continuation = " " + label
+            scores[label] = self.backend.score(fitted.text, continuation)
+            self._log_call(log, record.id, purpose, paragraph_index, fitted.tokens,
+                           self.backend.count_tokens(continuation))
         dist = softmax_scores(scores)
         return [(label, rerank.log_prior(dist[label])) for label in record.label_set]
 
     def _candidates(self, record: QuestionRecord, log: list, kind: str, paragraph_index: int | None,
-                    prompt_text: str, n_samples: int, seed: int) -> list[tuple[str, float]]:
-        """(answer, log p(answer | prompt)) pairs answering ``prompt_text``.
+                    prompt: RenderedPrompt, n_samples: int, seed: int) -> list[tuple[str, float]]:
+        """(answer, log p(answer | prompt)) pairs answering ``prompt``.
 
         Generation records sample ``n_samples`` answers and keep, per
         whitespace-normalized answer, the most probable non-empty one;
@@ -287,7 +300,7 @@ class Pipeline:
         call-log purposes: ``sample_<kind>`` or ``label_<kind>``.
         """
         if record.task == CLASSIFICATION:
-            return self._label_log_probs(log, record, f"label_{kind}", paragraph_index, prompt_text)
+            return self._label_log_probs(log, record, f"label_{kind}", paragraph_index, prompt)
         params = GenerationParams(
             nucleus_p=self.config.nucleus_p,
             temperature=self.config.temperature,
@@ -295,9 +308,10 @@ class Pipeline:
             stop=self.config.stop,
             n_samples=n_samples,
         )
-        samples = self.backend.sample(prompt_text, params, seed)
-        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, prompt_text,
-                       [s.text for s in samples])
+        fitted = self._fit(prompt, self.config.max_new_tokens)
+        samples = self.backend.sample(fitted.text, params, seed)
+        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, fitted.tokens,
+                       sum(self.backend.count_tokens(s.text) for s in samples))
         by_canon: dict[str, tuple[str, float]] = {}
         for s in samples:
             stripped = s.text.strip()
@@ -307,15 +321,6 @@ class Pipeline:
             if canon not in by_canon or s.logprob > by_canon[canon][1]:
                 by_canon[canon] = (stripped, s.logprob)
         return list(by_canon.values())
-
-    def _fit(self, prompt: RenderedPrompt, reserved_tokens: int) -> RenderedPrompt:
-        return fit_to_context(
-            prompt, self.backend.count_tokens,
-            context_tokens=self.context_tokens, reserved_tokens=reserved_tokens,
-        )
-
-    def _fit_for_continuation(self, prompt: RenderedPrompt, continuation: str) -> RenderedPrompt:
-        return self._fit(prompt, self.backend.count_tokens(continuation))
 
     # --- retrieve -----------------------------------------------------------
 
@@ -390,58 +395,42 @@ class Pipeline:
         pool: list[dict] = []
         for i, para in enumerate(paragraphs):
             text = para["text"]
-            qa_prompt = self._fit(
-                render_qa_prompt(qa_bank, question, text), self.config.max_new_tokens
-            )
             candidates = self._candidates(
-                record, log, "answer", i, qa_prompt.text, self.config.samples_per_paragraph,
+                record, log, "answer", i, render_qa_prompt(qa_bank, question, text),
+                self.config.samples_per_paragraph,
                 stable_seed(self.config.seed, record.id, "answer", i),
             )
             if not candidates:
                 continue
 
-            q_p_prompt = self._fit_for_continuation(
-                render_prompt(q_p_bank, evidence=text), q_cont
-            )
-            lp_q_p = self._score(log, record.id, "score_q_given_p", i, q_p_prompt.text, q_cont)
+            lp_q_p = self._score(log, record.id, "score_q_given_p", i,
+                                 render_prompt(q_p_bank, evidence=text), q_cont)
 
             label_lp_a_p = None
             if record.task == CLASSIFICATION:
-                a_p_prompt = self._fit(
-                    render_prompt(a_p_bank, evidence=text), self.config.max_new_tokens
-                )
-                label_lp_a_p = dict(
-                    self._label_log_probs(log, record, "label_a_given_p", i, a_p_prompt.text)
-                )
+                label_lp_a_p = dict(self._label_log_probs(
+                    log, record, "label_a_given_p", i, render_prompt(a_p_bank, evidence=text)
+                ))
 
             for answer_text, lp_a_qp in candidates:
-                q_ap_prompt = self._fit_for_continuation(
-                    render_prompt(q_ap_bank, evidence=text, answer=answer_text), q_cont
-                )
                 lp_q_ap = self._score(
-                    log, record.id, "score_q_given_ap", i, q_ap_prompt.text, q_cont
+                    log, record.id, "score_q_given_ap", i,
+                    render_prompt(q_ap_bank, evidence=text, answer=answer_text), q_cont,
                 )
                 if label_lp_a_p is not None:
                     lp_a_p = label_lp_a_p[answer_text]
                 else:
-                    a_cont = " " + answer_text
-                    a_p_prompt = self._fit_for_continuation(
-                        render_prompt(a_p_bank, evidence=text), a_cont
-                    )
-                    lp_a_p = self._score(
-                        log, record.id, "score_a_given_p", i, a_p_prompt.text, a_cont
-                    )
+                    lp_a_p = self._score(log, record.id, "score_a_given_p", i,
+                                         render_prompt(a_p_bank, evidence=text), " " + answer_text)
                 pool.append(_pool_row(
                     answer_text, i, lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"])
                 ))
         return pool
 
     def _closed_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
-        prompt = self._fit(
-            render_closed_book_prompt(self.bank("qa"), record.question), self.config.max_new_tokens
-        )
+        prompt = render_closed_book_prompt(self.bank("qa"), record.question)
         candidates = self._candidates(
-            record, log, "closed", None, prompt.text, self.config.closed_book_samples,
+            record, log, "closed", None, prompt, self.config.closed_book_samples,
             stable_seed(self.config.seed, record.id, "closed"),
         )
         return [_pool_row(answer_text, CLOSED_PARAGRAPH_INDEX, lp) for answer_text, lp in candidates]
@@ -530,6 +519,11 @@ class Pipeline:
         path = self.workdir / "weights.json"
         if path.exists():
             stored = read_json_record(path)
+            if stored["evidence"] != self.config.evidence:
+                raise ConfigError(
+                    f"{path} holds weights tuned under {stored['evidence']!r} evidence, "
+                    f"not {self.config.evidence!r}; re-run tune-weights or pass --weights"
+                )
             return tuple(float(w) for w in stored["weights"])
         return rerank.DEFAULT_WEIGHTS
 

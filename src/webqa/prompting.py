@@ -22,7 +22,11 @@ class PromptBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """A prompt plus everything needed to re-render it under a tighter budget."""
+    """A prompt plus everything needed to re-render it under a tighter budget.
+
+    ``tokens`` is the token count of ``text``; :func:`fit_to_context` sets it,
+    and it is ``None`` on a prompt that has not been fitted.
+    """
 
     text: str
     dataset_id: str
@@ -34,15 +38,7 @@ class RenderedPrompt:
     examples: tuple[FewShotExample, ...]
     dropped_examples: int = 0
     evidence_truncated: bool = False
-
-    @property
-    def n_examples(self) -> int:
-        return len(self.examples)
-
-    @property
-    def cue(self) -> str:
-        """The bare label the prompt ends with."""
-        return FIELD_LABELS[_cue_field(self.kind, self.closed_book)]
+    tokens: int | None = None
 
 
 def _fields_for(kind: str, closed_book: bool) -> tuple[str, ...]:
@@ -50,10 +46,6 @@ def _fields_for(kind: str, closed_book: bool) -> tuple[str, ...]:
     if closed_book:
         fields = tuple(f for f in fields if f != "evidence")
     return fields
-
-
-def _cue_field(kind: str, closed_book: bool) -> str:
-    return _fields_for(kind, closed_book)[-1]
 
 
 def _block(values: dict[str, str], fields: tuple[str, ...], cue: bool) -> str:
@@ -141,6 +133,7 @@ def _refit(prompt: RenderedPrompt, examples: tuple[FewShotExample, ...], evidenc
         examples=examples,
         dropped_examples=prompt.dropped_examples + (len(prompt.examples) - len(examples)),
         evidence_truncated=evidence != prompt.evidence or prompt.evidence_truncated,
+        tokens=None,
     )
 
 
@@ -155,16 +148,18 @@ def fit_to_context(
     Examples are dropped from the front only as far as needed for the prompt
     to fit with no evidence text at all; the whole remaining budget then goes
     to the longest whitespace-word prefix of the evidence (found by binary
-    search, rejoined with single spaces).  Raises :class:`PromptBudgetError`
-    when even the bare target block overflows the budget.
+    search, rejoined with single spaces).  The returned prompt carries the
+    token count of its text.  Raises :class:`PromptBudgetError` when even the
+    bare target block overflows the budget.
     """
     budget = context_tokens - reserved_tokens
     if budget <= 0:
         raise PromptBudgetError(
             f"no room to generate: context {context_tokens} minus reserved {reserved_tokens}"
         )
-    if count_tokens(prompt.text) <= budget:
-        return prompt
+    tokens = count_tokens(prompt.text)
+    if tokens <= budget:
+        return replace(prompt, tokens=tokens)
 
     has_evidence = "evidence" in _fields_for(prompt.kind, prompt.closed_book)[:-1]
     for dropped in range(len(prompt.examples) + 1):
@@ -172,26 +167,31 @@ def fit_to_context(
         # the empty-evidence scaffold keeps its bare "Evidence: " line, so the
         # search below only ever adds evidence words to a fitting base
         scaffold = _refit(prompt, examples, "" if has_evidence else prompt.evidence)
-        if count_tokens(scaffold.text) <= budget:
+        tokens = count_tokens(scaffold.text)
+        if tokens <= budget:
             break
     else:
         raise PromptBudgetError(
             f"target block alone exceeds the budget of {budget} tokens"
         )
-
+    best = replace(scaffold, tokens=tokens)
     if not has_evidence:
-        return scaffold
+        return best
 
     words = prompt.evidence.split()
     lo, hi = 0, len(words)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         fitted = _refit(prompt, examples, " ".join(words[:mid]))
-        if count_tokens(fitted.text) <= budget:
-            lo = mid
+        tokens = count_tokens(fitted.text)
+        if tokens <= budget:
+            lo, best = mid, replace(fitted, tokens=tokens)
         else:
             hi = mid - 1
-    if lo == len(words) and count_tokens(_refit(prompt, examples, prompt.evidence).text) <= budget:
+    if lo == len(words):
         # all words fit; prefer the original spacing when it also fits
-        return _refit(prompt, examples, prompt.evidence)
-    return _refit(prompt, examples, " ".join(words[:lo]))
+        original = _refit(prompt, examples, prompt.evidence)
+        tokens = count_tokens(original.text)
+        if tokens <= budget:
+            return replace(original, tokens=tokens)
+    return best

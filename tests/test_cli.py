@@ -4,10 +4,11 @@ import shutil
 import pytest
 
 from webqa import cli
+from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend
 from webqa.pipeline import ConfigError
-from webqa.websearch import FixtureSearchClient, GoogleCustomSearchClient
+from webqa.websearch import FixtureSearchClient, GoogleCustomSearchClient, SearchError
 
 
 def _args(*argv):
@@ -213,3 +214,52 @@ class TestMainExitCodes:
             (workdir / "reports" / "search_answer_prob.json").read_text(
                 encoding="utf-8"))
         assert report["n_questions"] == 9
+
+
+class TestFailureTolerance:
+    """Up to 10% of the questions may fail with an expected per-question
+    error; more exits 2, and any other exception is a bug that propagates."""
+
+    @staticmethod
+    def _run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+             n_failing, error):
+        failing = {r.question for r in load_dataset(qa_dataset_path)[:n_failing]}
+        with FixtureServer(web_root) as server:
+            class FailingSearch(FixtureSearchClient):
+                def search(self, query, num):
+                    if query in failing:
+                        raise error
+                    return super().search(query, num)
+
+            monkeypatch.setattr(cli, "make_search_client",
+                                lambda config: FailingSearch(server.base_url))
+            return cli.main(["run", "--dataset", str(qa_dataset_path),
+                             "--workdir", str(tmp_path / "w"),
+                             "--search-endpoint", server.base_url,
+                             "--banks-dir", str(banks_dir),
+                             "--top-urls", "3",
+                             "--paragraphs", "2",
+                             "--samples-per-paragraph", "2",
+                             "--closed-book-samples", "4",
+                             "--max-new-tokens", "16",
+                             "--cost-points", "0,1"])
+
+    def test_one_search_error_in_ten_exits_0(self, tmp_path, qa_dataset_path, banks_dir,
+                                             web_root, monkeypatch, caplog):
+        rc = self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+                       1, SearchError("provider down"))
+        assert rc == 0
+        assert "continuing despite 1/10 failed questions" in caplog.text
+
+    def test_two_search_errors_in_ten_exit_2(self, tmp_path, qa_dataset_path, banks_dir,
+                                             web_root, monkeypatch, capsys):
+        rc = self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+                       2, SearchError("provider down"))
+        assert rc == 2
+        assert "2/10 questions failed" in capsys.readouterr().err
+
+    def test_worker_type_error_is_raised(self, tmp_path, qa_dataset_path, banks_dir,
+                                         web_root, monkeypatch):
+        with pytest.raises(TypeError, match="a bug"):
+            self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+                      1, TypeError("a bug"))

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -14,7 +15,6 @@ from webqa.corpus import (
     load_dataset,
     load_prompt_bank,
     parse_prompt_bank,
-    serialize_dataset,
     serialize_prompt_bank,
     split_heldout,
 )
@@ -55,29 +55,33 @@ class TestQuestionRecord:
                            label_set=("true", "false"))
 
 
+_GEN_ROW = ('{"id": "a", "question": "q", "task": "generation", '
+            '"answers": ["a"], "gold_evidence": []}\n')
+
+
 class TestLoadDataset:
     def test_roundtrip(self, tmp_path, qa_dataset_path):
         records = load_dataset(qa_dataset_path)
         assert len(records) == 10
         assert records[0].id == "q01"
+        # re-encoded JSON (other spacing, blank lines dropped) loads the same
         out = tmp_path / "copy.jsonl"
-        serialize_dataset(records, out)
+        out.write_text("".join(
+            json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+            for line in qa_dataset_path.read_text(encoding="utf-8").splitlines() if line.strip()
+        ), encoding="utf-8")
         assert load_dataset(out) == records
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
-        serialize_dataset([_gen("a"), _gen("b")], path)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text(lines[0] + lines[0], encoding="utf-8")
+        path.write_text(_GEN_ROW + _GEN_ROW, encoding="utf-8")
         with pytest.raises(CorpusError) as err:
             load_dataset(path)
         assert "duplicate" in str(err.value)
 
     def test_bad_json_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        serialize_dataset([_gen("a")], path)
-        path.write_text(path.read_text(encoding="utf-8") + "{not json\n",
-                        encoding="utf-8")
+        path.write_text(_GEN_ROW + "{not json\n", encoding="utf-8")
         with pytest.raises(CorpusError) as err:
             load_dataset(path)
         assert ":2:" in str(err.value)

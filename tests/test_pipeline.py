@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from webqa.lmbackend import MockBackend, extractive_completion
 from webqa.pipeline import (
     CLOSED,
     GOLD,
+    SEARCH,
     ConfigError,
     Pipeline,
     PipelineConfig,
@@ -271,6 +273,16 @@ class TestResolveWeights:
         pipeline = Pipeline(config, MockBackend())
         assert pipeline.resolve_weights() == DEFAULT_WEIGHTS
 
+    def test_weights_tuned_under_other_evidence_refused(self, gold_run,
+                                                        qa_dataset_path, banks_dir):
+        _, _, workdir = gold_run
+        weights = json.loads((workdir / "weights.json").read_text(encoding="utf-8"))
+        assert weights["evidence"] == GOLD
+        config = _config(qa_dataset_path, workdir, evidence=SEARCH, banks_dir=str(banks_dir))
+        pipeline = Pipeline(config, MockBackend())
+        with pytest.raises(ConfigError, match="'gold'.*'search'"):
+            pipeline.resolve_weights()
+
 
 def _call_rows(workdir, source, qid):
     path = workdir / "calls" / source / f"{qid}.jsonl"
@@ -325,6 +337,62 @@ class TestCallLogSequence:
                 expected += [("score_q_given_ap", i)] * n_labels
             assert _call_rows(tmp_path, GOLD, record.id) == expected
             assert _call_rows(tmp_path, CLOSED, record.id) == [("label_closed", None)] * n_labels
+
+
+class _CountingMock(MockBackend):
+    """Records every request: ("count", text), ("sample", prompt, texts),
+    ("score", prompt, continuation)."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def count_tokens(self, text):
+        self.requests.append(("count", text))
+        return super().count_tokens(text)
+
+    def sample(self, prompt, params, seed):
+        samples = super().sample(prompt, params, seed)
+        self.requests.append(("sample", prompt, [s.text for s in samples]))
+        return samples
+
+    def score(self, prompt, continuation):
+        self.requests.append(("score", prompt, continuation))
+        return super().score(prompt, continuation)
+
+
+class TestTokenCountTraffic:
+    """Fitting counts each prompt once per request and the call log reuses
+    that count; each continuation and sampled text is counted once."""
+
+    @pytest.mark.parametrize("dataset, dataset_id", [
+        ("fixtureqa.jsonl", "fixtureqa"), ("fixturecls.jsonl", "fixturecls"),
+    ])
+    def test_each_text_counted_once_per_request(self, tmp_path, fixtures_dir, banks_dir,
+                                                dataset, dataset_id):
+        backend = _CountingMock()
+        config = _config(fixtures_dir / dataset, tmp_path, dataset_id=dataset_id,
+                         banks_dir=str(banks_dir), max_workers=1)
+        pipeline = Pipeline(config, backend)
+        _build_pools(pipeline)
+        counted = Counter(r[1] for r in backend.requests if r[0] == "count")
+        expected = Counter()
+        previous = None
+        for request in backend.requests:
+            if request[0] == "sample":
+                _, prompt, texts = request
+                expected.update([prompt, *texts])
+            elif request[0] == "score":
+                _, prompt, continuation = request
+                expected[continuation] += 1
+                # consecutive scores of one prompt are a label set sharing one fit
+                if previous is None or previous[:2] != ("score", prompt):
+                    expected[prompt] += 1
+            if request[0] != "count":
+                previous = request
+        assert any(r[0] == "score" for r in backend.requests)
+        # the fixture prompts fit untruncated, so fitting counts only the prompt itself
+        assert counted == expected
 
 
 class TestEmptyClosedPool:
