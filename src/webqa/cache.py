@@ -1,9 +1,9 @@
 """Content-addressed request/response cache backing all network-facing stages.
 
 Every cacheable request (search query, page fetch, LM call) is canonicalized
-to JSON, hashed, and stored as one file under ``<root>/<namespace>/``.  A warm
-cache makes every pipeline stage replayable offline and byte-identical across
-runs.
+to JSON and hashed; its response is stored as one file under
+``<root>/<namespace>/`` named by that digest.  A warm cache makes every
+pipeline stage replayable offline and byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -51,30 +51,28 @@ class CacheKey:
 class RequestCache:
     """File-per-request cache with atomic writes and concurrent readers.
 
-    Writers stage content in a temp file and ``os.replace`` it into place, so
-    a key is either absent or complete; duplicate concurrent misses are safe
-    (identical content, last write wins).
+    An entry ``<namespace>/<digest>.response.json`` holds only the canonical
+    JSON of the response, never the request.  Writers stage content in a temp
+    file and ``os.replace`` it into place, so a key is either absent or
+    complete; duplicate concurrent misses are safe (identical content, last
+    write wins).
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
 
     def _path(self, key: CacheKey) -> Path:
-        return self.root / key.namespace / f"{key.digest}.json"
+        return self.root / key.namespace / f"{key.digest}.response.json"
 
     def get(self, key: CacheKey):
-        path = self._path(key)
         try:
-            with open(path, encoding="utf-8") as fp:
-                entry = json.load(fp)
+            with open(self._path(key), encoding="utf-8") as fp:
+                return json.load(fp)
         except FileNotFoundError:
             raise CacheMiss(f"{key.namespace}/{key.digest}") from None
-        return entry["response"]
 
-    def put(self, key: CacheKey, request: dict, response) -> None:
-        path = self._path(key)
-        payload = {"request": request, "response": response}
-        atomic_write_text(path, canonical_json(payload) + "\n")
+    def put(self, key: CacheKey, response) -> None:
+        atomic_write_text(self._path(key), canonical_json(response) + "\n")
 
     def get_or_fetch(self, namespace: str, request: dict, fetch, offline: bool = False):
         """Return the cached response for ``request``, calling ``fetch()`` on a miss.
@@ -92,7 +90,7 @@ class RequestCache:
                     f"{canonical_json(request)[:200]}"
                 ) from None
         response = fetch()
-        self.put(key, request, response)
+        self.put(key, response)
         return response
 
 

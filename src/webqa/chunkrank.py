@@ -29,14 +29,18 @@ _ABBREVIATIONS = {
 }
 
 _TERMINATOR = re.compile(r"[.!?]+[\"')\]]*")
-_TRAILING_WORD = re.compile(r"([A-Za-z]+)$")
 
 
 def _ends_with_abbreviation(text: str, punct_start: int) -> bool:
-    m = _TRAILING_WORD.search(text, 0, punct_start)
-    if m is None:
-        return False
-    word = m.group(1)
+    """Whether the ASCII letters before ``punct_start``, or before one newline
+    there ("Dr\\n. Smith"), form an abbreviation; only that word is scanned."""
+    end = punct_start
+    if end and text[end - 1] == "\n":
+        end -= 1
+    start = end
+    while start and text[start - 1].isascii() and text[start - 1].isalpha():
+        start -= 1
+    word = text[start:end]
     return len(word) > 1 and word.lower() in _ABBREVIATIONS
 
 

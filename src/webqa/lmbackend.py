@@ -172,10 +172,9 @@ class MockBackend(LMBackend):
     """Deterministic backend for tests and offline pipeline runs.
 
     Generation produces extractive-looking spans via ``completion_fn`` while
-    scores come from :func:`hash_score` (chain-rule consistent), so
-    reranking math behaves like it would against a real model.  Explicit
-    ``score_table``/``sample_table`` entries override both, letting unit
-    tests pin exact numbers.  Records every call for assertions.
+    scores, including each sample's log-probability, come from
+    :func:`hash_score` (chain-rule consistent), so reranking math behaves
+    like it would against a real model.  Records every call for assertions.
     """
 
     def __init__(
@@ -184,8 +183,6 @@ class MockBackend(LMBackend):
         param_count: int = 1_000_000,
         context_tokens: int = 2048,
         completion_fn=extractive_completion,
-        score_table: dict[tuple[str, str], float] | None = None,
-        sample_table: dict[str, list[Sample]] | None = None,
         can_score: bool = True,
     ):
         self._descriptor = BackendDescriptor(
@@ -193,8 +190,6 @@ class MockBackend(LMBackend):
             context_tokens=context_tokens, can_score=can_score,
         )
         self.completion_fn = completion_fn
-        self.score_table = dict(score_table or {})
-        self.sample_table = dict(sample_table or {})
         self.calls: list[dict] = []
         self._lock = threading.Lock()
 
@@ -210,24 +205,16 @@ class MockBackend(LMBackend):
 
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
         self._record({"method": "sample", "prompt": prompt, "params": params.to_json(), "seed": seed})
-        if prompt in self.sample_table:
-            return list(self.sample_table[prompt])[: params.n_samples]
         samples = []
         for i in range(params.n_samples):
             text = self.completion_fn(prompt, seed, i)
-            samples.append(Sample(text=text, logprob=self.score_quiet(prompt, text)))
+            samples.append(Sample(text=text, logprob=hash_score(prompt, text)))
         return samples
 
     def score(self, prompt: str, continuation: str) -> float:
         if not self._descriptor.can_score:
             raise ScoringUnsupported(f"backend {self._descriptor.name!r} cannot score")
         self._record({"method": "score", "prompt": prompt, "continuation": continuation})
-        return self.score_quiet(prompt, continuation)
-
-    def score_quiet(self, prompt: str, continuation: str) -> float:
-        key = (prompt, continuation)
-        if key in self.score_table:
-            return self.score_table[key]
         return hash_score(prompt, continuation)
 
 
@@ -286,6 +273,10 @@ class HTTPBackend(LMBackend):
 
 class CachedBackend(LMBackend):
     """Content-addressed cache in front of any backend (namespace ``lm``).
+
+    Each request (operation, ``identity`` and arguments) is hashed into the
+    cache key, and only the response is stored: a sample list, a score, a
+    token count or the model descriptor.
 
     ``identity`` distinguishes cache entries of different models behind the
     same client class; pass something stable like the server URL or model

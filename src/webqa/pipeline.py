@@ -14,6 +14,7 @@ offline run works entirely from cache.  Stage outputs:
     predictions/<name>.json     selected answer per question
     reports/<name>.json         metrics
     cost/<name>.json            compute/accuracy sweep over paragraph counts
+    failures.json               questions that failed a stage, with the reason
 """
 from __future__ import annotations
 
@@ -240,6 +241,8 @@ class Pipeline:
                     self.failed[qid] = message
 
     def check_failures(self) -> None:
+        """Write ``failures.json``, then raise :class:`PartialFailure` above 10%."""
+        write_json_record(self.workdir / "failures.json", self.failed)
         if not self.failed:
             return
         rate = len(self.failed) / len(self.records)

@@ -1,8 +1,10 @@
 import json
+import shutil
 import threading
 
 import pytest
 
+from webqa import cli
 from webqa.cache import (
     CacheKey,
     CacheMiss,
@@ -14,6 +16,7 @@ from webqa.cache import (
     request_digest,
     write_json_record,
 )
+from webqa.fixtures import FixtureServer
 
 
 def test_canonical_json_is_order_insensitive():
@@ -41,7 +44,7 @@ def test_cache_roundtrip(tmp_path):
     key = CacheKey.for_request("fetch", req)
     with pytest.raises(CacheMiss):
         cache.get(key)
-    cache.put(key, req, {"status": 200, "body": "hi"})
+    cache.put(key, {"status": 200, "body": "hi"})
     assert cache.get(key) == {"status": 200, "body": "hi"}
 
 
@@ -80,7 +83,7 @@ def test_offline_miss_names_the_request(tmp_path):
 def test_offline_hit_serves_from_cache(tmp_path):
     cache = RequestCache(tmp_path)
     req = {"op": "fetch", "url": "http://x"}
-    cache.put(CacheKey.for_request("fetch", req), req, {"body": "cached"})
+    cache.put(CacheKey.for_request("fetch", req), {"body": "cached"})
     out = cache.get_or_fetch(
         "fetch", req, lambda: pytest.fail("should not fetch"), offline=True)
     assert out == {"body": "cached"}
@@ -112,7 +115,7 @@ def test_concurrent_put_same_key(tmp_path):
 
     def work():
         for _ in range(20):
-            cache.put(key, req, {"body": "same"})
+            cache.put(key, {"body": "same"})
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:
@@ -120,3 +123,91 @@ def test_concurrent_put_same_key(tmp_path):
     for t in threads:
         t.join()
     assert cache.get(key) == {"body": "same"}
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory, qa_dataset_path, banks_dir, web_root):
+    """One fixture run with every (namespace, request, response) that passed
+    through the cache recorded; the fixture web stays served for the module."""
+    workdir = tmp_path_factory.mktemp("recorded") / "w"
+    seen = []
+    original = RequestCache.get_or_fetch
+
+    def recording(self, namespace, request, fetch, offline=False):
+        response = original(self, namespace, request, fetch, offline)
+        seen.append((namespace, request, response))
+        return response
+
+    with FixtureServer(web_root) as server:
+        def flags(workdir, *extra):
+            return ["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                    "--search-endpoint", server.base_url, "--banks-dir", str(banks_dir),
+                    "--top-urls", "3", "--paragraphs", "2", "--samples-per-paragraph", "2",
+                    "--closed-book-samples", "4", "--max-new-tokens", "16",
+                    "--cost-points", "0,1", *extra]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RequestCache, "get_or_fetch", recording)
+            assert cli.main(flags(workdir)) == 0
+        yield {"workdir": workdir, "seen": seen, "flags": flags}
+
+
+def test_cache_files_hold_only_canonical_responses(recorded_run):
+    cache_root = recorded_run["workdir"] / "cache"
+    files = {p for p in cache_root.rglob("*") if p.is_file()}
+    expected = {}
+    for namespace, request, response in recorded_run["seen"]:
+        key = CacheKey.for_request(namespace, request)
+        expected[cache_root / namespace / f"{key.digest}.response.json"] = response
+    assert {ns for ns, _, _ in recorded_run["seen"]} == {"search", "fetch", "lm"}
+    assert files == set(expected)
+    for path, response in expected.items():
+        assert path.read_bytes() == (canonical_json(response) + "\n").encode("utf-8")
+
+
+def test_lm_entries_hold_no_prompt(recorded_run):
+    cache_root = recorded_run["workdir"] / "cache"
+    prompts = [(CacheKey.for_request("lm", request), request["prompt"])
+               for namespace, request, _ in recorded_run["seen"]
+               if namespace == "lm" and "prompt" in request]
+    assert prompts
+    for key, prompt in prompts:
+        text = (cache_root / "lm" / f"{key.digest}.response.json").read_text(encoding="utf-8")
+        assert canonical_json(prompt)[1:-1] not in text
+
+
+def _write_old_entry(cache_root, namespace, request, response):
+    """An entry of the older layout: request and response at ``<digest>.json``."""
+    key = CacheKey.for_request(namespace, request)
+    path = cache_root / namespace / f"{key.digest}.json"
+    atomic_write_text(path, canonical_json({"request": request, "response": response}) + "\n")
+    return path
+
+
+def test_old_layout_entry_is_fetched_again(tmp_path):
+    cache = RequestCache(tmp_path)
+    req = {"op": "fetch", "url": "http://x"}
+    old = _write_old_entry(tmp_path, "fetch", req, {"body": "old"})
+    calls = []
+
+    def fetch():
+        calls.append(1)
+        return {"body": "new"}
+
+    assert cache.get_or_fetch("fetch", req, fetch) == {"body": "new"}
+    assert cache.get_or_fetch("fetch", req, fetch) == {"body": "new"}
+    assert len(calls) == 1
+    assert json.loads(old.read_text(encoding="utf-8"))["response"] == {"body": "old"}
+
+
+def test_offline_run_over_old_layout_cache_exits_3(recorded_run, tmp_path, capsys):
+    workdir = tmp_path / "w"
+    shutil.copytree(recorded_run["workdir"], workdir)
+    offline = recorded_run["flags"](workdir, "--offline")
+    assert cli.main(offline) == 0
+    cache_root = workdir / "cache"
+    shutil.rmtree(cache_root)
+    for namespace, request, response in recorded_run["seen"]:
+        _write_old_entry(cache_root, namespace, request, response)
+    assert cli.main(offline) == 3
+    assert "offline cache miss" in capsys.readouterr().err

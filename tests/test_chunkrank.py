@@ -1,8 +1,11 @@
 import logging
 import random
+import re
+import time
 
 import pytest
 
+from webqa import chunkrank
 from webqa.chunkrank import (
     EvidenceParagraph,
     chunk,
@@ -10,6 +13,26 @@ from webqa.chunkrank import (
     split_sentences,
     tokenize,
 )
+
+
+_TRAILING_WORD = re.compile(r"([A-Za-z]+)$")
+
+
+def _regex_ends_with_abbreviation(text, punct_start):
+    """Reference rule: the letters that ``$`` anchors at ``punct_start``
+    (or before one final newline) form a known abbreviation."""
+    m = _TRAILING_WORD.search(text, 0, punct_start)
+    return m is not None and len(m.group(1)) > 1 and m.group(1).lower() in chunkrank._ABBREVIATIONS
+
+
+def _oracle_split(text, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(chunkrank, "_ends_with_abbreviation", _regex_ends_with_abbreviation)
+        return split_sentences(text)
+
+
+_PIECES = ["Dr", "dr", "etc", "Mr", "no", "St", "x", "A", "Smith", "é", "3",
+           ".", ".", "!", "?", '"', ")", " ", " ", "\n", "\t"]
 
 
 class TestSplitSentences:
@@ -61,6 +84,35 @@ class TestSplitSentences:
     def test_empty_and_whitespace(self):
         assert split_sentences("") == []
         assert split_sentences("   \n  ") == []
+
+    def test_abbreviation_rule_matches_regex_reference(self, monkeypatch):
+        edge = [
+            "Dr\n. Smith went home. He slept.",
+            "Dr\n\n. Smith went home.",
+            "x" * 47 + "etc. Then more.",
+            "éMr. Smith arrived. He sat.",
+            "Mr.\nSmith. No. 5 is here.",
+        ]
+        rng = random.Random(20)
+        texts = edge + ["".join(rng.choice(_PIECES) for _ in range(rng.randrange(1, 30)))
+                        for _ in range(3000)]
+        for text in texts:
+            for i in range(len(text) + 1):
+                assert chunkrank._ends_with_abbreviation(text, i) == \
+                    _regex_ends_with_abbreviation(text, i), (text, i)
+            assert split_sentences(text) == _oracle_split(text, monkeypatch), text
+        assert split_sentences(edge[0]) == ["Dr\n. Smith went home.", "He slept."]
+        assert split_sentences(edge[2]) == ["x" * 47 + "etc.", "Then more."]
+        assert split_sentences(edge[3]) == ["éMr. Smith arrived.", "He sat."]
+
+    def test_long_text_splits_in_linear_time(self):
+        text = " ".join(f"Item {i} is done. Dr. Lee agrees etc. Next!" for i in range(5000))
+        assert len(text) > 200_000
+        started = time.monotonic()
+        out = split_sentences(text)
+        elapsed = time.monotonic() - started
+        assert len(out) == 10_000
+        assert elapsed < 2.0
 
 
 class TestChunk:

@@ -244,12 +244,22 @@ class TestFailureTolerance:
                              "--max-new-tokens", "16",
                              "--cost-points", "0,1"])
 
+    @staticmethod
+    def _failures(tmp_path):
+        return json.loads((tmp_path / "w" / "failures.json").read_text(encoding="utf-8"))
+
     def test_one_search_error_in_ten_exits_0(self, tmp_path, qa_dataset_path, banks_dir,
                                              web_root, monkeypatch, caplog):
         rc = self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
                        1, SearchError("provider down"))
         assert rc == 0
         assert "continuing despite 1/10 failed questions" in caplog.text
+        assert self._failures(tmp_path) == {
+            r.id: "retrieve: provider down" for r in load_dataset(qa_dataset_path)[:1]}
+        # a clean re-run in the same workdir leaves no stale list behind
+        assert self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+                         0, SearchError("unused")) == 0
+        assert self._failures(tmp_path) == {}
 
     def test_two_search_errors_in_ten_exit_2(self, tmp_path, qa_dataset_path, banks_dir,
                                              web_root, monkeypatch, capsys):
@@ -257,6 +267,8 @@ class TestFailureTolerance:
                        2, SearchError("provider down"))
         assert rc == 2
         assert "2/10 questions failed" in capsys.readouterr().err
+        assert self._failures(tmp_path) == {
+            r.id: "retrieve: provider down" for r in load_dataset(qa_dataset_path)[:2]}
 
     def test_worker_type_error_is_raised(self, tmp_path, qa_dataset_path, banks_dir,
                                          web_root, monkeypatch):

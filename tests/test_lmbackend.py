@@ -7,7 +7,6 @@ from webqa.lmbackend import (
     CachedBackend,
     GenerationParams,
     MockBackend,
-    Sample,
     ScoringUnsupported,
     extractive_completion,
     flops_for_tokens,
@@ -123,16 +122,6 @@ class TestMockBackend:
             backend.score(prompt + " forty", " two")
         assert whole == pytest.approx(split, abs=1e-12)
 
-    def test_score_table_overrides(self):
-        backend = MockBackend(score_table={("p", " x"): -0.25})
-        assert backend.score("p", " x") == -0.25
-        assert backend.score("p", " y") != -0.25
-
-    def test_sample_table_overrides(self):
-        fixed = [Sample(text="canned", logprob=-1.0)]
-        backend = MockBackend(sample_table={"p": fixed})
-        assert backend.sample("p", GenerationParams(), seed=9) == fixed
-
     def test_scoring_unsupported(self):
         backend = MockBackend(can_score=False)
         assert not backend.describe().can_score
@@ -199,11 +188,17 @@ class TestCachedBackend:
 
     def test_identity_partitions_cache(self, tmp_path):
         """Two different model identities must not share cached scores."""
+        class FixedScore(MockBackend):
+            def __init__(self, value):
+                super().__init__()
+                self.value = value
+
+            def score(self, prompt, continuation):
+                return self.value
+
         cache = RequestCache(tmp_path)
-        a = CachedBackend(MockBackend(score_table={("p", " c"): -1.0}),
-                          cache, identity="model-a")
-        b = CachedBackend(MockBackend(score_table={("p", " c"): -2.0}),
-                          cache, identity="model-b")
+        a = CachedBackend(FixedScore(-1.0), cache, identity="model-a")
+        b = CachedBackend(FixedScore(-2.0), cache, identity="model-b")
         assert a.score("p", " c") == -1.0
         assert b.score("p", " c") == -2.0
 
