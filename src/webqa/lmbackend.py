@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -174,7 +173,7 @@ class MockBackend(LMBackend):
     Generation produces extractive-looking spans via ``completion_fn`` while
     scores, including each sample's log-probability, come from
     :func:`hash_score` (chain-rule consistent), so reranking math behaves
-    like it would against a real model.  Records every call for assertions.
+    like it would against a real model.
     """
 
     def __init__(
@@ -190,8 +189,6 @@ class MockBackend(LMBackend):
             context_tokens=context_tokens, can_score=can_score,
         )
         self.completion_fn = completion_fn
-        self.calls: list[dict] = []
-        self._lock = threading.Lock()
 
     def describe(self) -> BackendDescriptor:
         return self._descriptor
@@ -199,12 +196,7 @@ class MockBackend(LMBackend):
     def count_tokens(self, text: str) -> int:
         return len(text.split())
 
-    def _record(self, entry: dict) -> None:
-        with self._lock:
-            self.calls.append(entry)
-
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
-        self._record({"method": "sample", "prompt": prompt, "params": params.to_json(), "seed": seed})
         samples = []
         for i in range(params.n_samples):
             text = self.completion_fn(prompt, seed, i)
@@ -214,7 +206,6 @@ class MockBackend(LMBackend):
     def score(self, prompt: str, continuation: str) -> float:
         if not self._descriptor.can_score:
             raise ScoringUnsupported(f"backend {self._descriptor.name!r} cannot score")
-        self._record({"method": "score", "prompt": prompt, "continuation": continuation})
         return hash_score(prompt, continuation)
 
 

@@ -18,11 +18,12 @@ offline run works entirely from cache.  Stage outputs:
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import chunkrank, rerank, websearch
@@ -125,8 +126,15 @@ class PipelineConfig:
                      "samples_per_paragraph", "closed_book_samples", "max_workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.context_tokens is not None and self.context_tokens < 1:
+            raise ConfigError("context_tokens must be >= 1")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
+        if self.poe_weights is not None:
+            try:
+                rerank.RerankConfig(scorer=self.scorer, poe_weights=self.poe_weights)
+            except ValueError as exc:
+                raise ConfigError(f"weights: {exc}") from None
 
 
 def _pool_row(text: str, paragraph_index: int, lp_a_qp: float, lp_q_ap: float = 0.0,
@@ -151,6 +159,15 @@ def stable_seed(*parts) -> int:
 class Pipeline:
     def __init__(self, config: PipelineConfig, backend: LMBackend, search_client=None):
         self.config = config
+        try:
+            self.params = GenerationParams(
+                nucleus_p=config.nucleus_p,
+                temperature=config.temperature,
+                max_new_tokens=config.max_new_tokens,
+                stop=config.stop,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self.backend = backend
         self.search_client = search_client
         self.workdir = Path(config.workdir)
@@ -172,10 +189,12 @@ class Pipeline:
         self._banks: dict[str, PromptBank] = {}
         self.stopwords = load_stopwords()
         descriptor = backend.describe()
-        if not descriptor.can_score and config.evidence != CLOSED:
+        needs_scores = config.evidence != CLOSED or any(
+            r.task == CLASSIFICATION for r in self.records)
+        if not descriptor.can_score and needs_scores:
             raise ConfigError(
-                f"backend {descriptor.name!r} cannot score continuations; "
-                "only closed evidence mode works without scoring"
+                f"backend {descriptor.name!r} cannot score continuations; only closed "
+                "evidence mode on generation records works without scoring"
             )
         self.context_tokens = config.context_tokens or descriptor.context_tokens
         self.param_count = descriptor.param_count
@@ -213,10 +232,10 @@ class Pipeline:
     def _qpath(self, stage: str, sub: str, qid: str, ext: str = "json") -> Path:
         return self.workdir / stage / sub / f"{qid}.{ext}"
 
-    def prediction_name(self, scorer: str | None = None) -> str:
+    def prediction_name(self) -> str:
         if self.config.evidence == CLOSED:
             return f"closed_{rerank.ANSWER_PROB}"
-        return f"{self.config.evidence}_{scorer or self.config.scorer}"
+        return f"{self.config.evidence}_{self.config.scorer}"
 
     # --- bookkeeping --------------------------------------------------------
 
@@ -263,38 +282,38 @@ class Pipeline:
             "generated_tokens": generated_tokens,
         })
 
-    def _fit(self, prompt: RenderedPrompt, reserved_tokens: int) -> RenderedPrompt:
+    def _fit(self, prompt: RenderedPrompt, count, reserved_tokens: int) -> RenderedPrompt:
         return fit_to_context(
-            prompt, self.backend.count_tokens,
-            context_tokens=self.context_tokens, reserved_tokens=reserved_tokens,
+            prompt, count, context_tokens=self.context_tokens, reserved_tokens=reserved_tokens,
         )
 
-    def _score(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
+    def _score(self, log: list, count, qid: str, purpose: str, paragraph_index: int | None,
                prompt: RenderedPrompt, continuation: str) -> float:
         """log p(continuation | prompt), with the prompt fitted around the continuation."""
-        continuation_tokens = self.backend.count_tokens(continuation)
-        fitted = self._fit(prompt, continuation_tokens)
+        continuation_tokens = count(continuation)
+        fitted = self._fit(prompt, count, continuation_tokens)
         value = self.backend.score(fitted.text, continuation)
-        self._log_call(log, qid, purpose, paragraph_index, fitted.tokens, continuation_tokens)
+        self._log_call(log, qid, purpose, paragraph_index, count(fitted.text), continuation_tokens)
         return value
 
-    def _label_log_probs(self, log: list, record: QuestionRecord, purpose: str,
+    def _label_log_probs(self, log: list, count, record: QuestionRecord, purpose: str,
                          paragraph_index: int | None,
                          prompt: RenderedPrompt) -> list[tuple[str, float]]:
         """(label, log p(label)) with p the softmax over the label set's scores,
         all made against one fit of ``prompt``."""
-        fitted = self._fit(prompt, self.config.max_new_tokens)
+        fitted = self._fit(prompt, count, self.config.max_new_tokens)
         scores = {}
         for label in record.label_set:
             continuation = " " + label
             scores[label] = self.backend.score(fitted.text, continuation)
-            self._log_call(log, record.id, purpose, paragraph_index, fitted.tokens,
-                           self.backend.count_tokens(continuation))
+            self._log_call(log, record.id, purpose, paragraph_index, count(fitted.text),
+                           count(continuation))
         dist = softmax_scores(scores)
         return [(label, rerank.log_prior(dist[label])) for label in record.label_set]
 
-    def _candidates(self, record: QuestionRecord, log: list, kind: str, paragraph_index: int | None,
-                    prompt: RenderedPrompt, n_samples: int, seed: int) -> list[tuple[str, float]]:
+    def _candidates(self, record: QuestionRecord, log: list, count, kind: str,
+                    paragraph_index: int | None, prompt: RenderedPrompt, n_samples: int,
+                    seed: int) -> list[tuple[str, float]]:
         """(answer, log p(answer | prompt)) pairs answering ``prompt``.
 
         Generation records sample ``n_samples`` answers and keep, per
@@ -303,18 +322,12 @@ class Pipeline:
         call-log purposes: ``sample_<kind>`` or ``label_<kind>``.
         """
         if record.task == CLASSIFICATION:
-            return self._label_log_probs(log, record, f"label_{kind}", paragraph_index, prompt)
-        params = GenerationParams(
-            nucleus_p=self.config.nucleus_p,
-            temperature=self.config.temperature,
-            max_new_tokens=self.config.max_new_tokens,
-            stop=self.config.stop,
-            n_samples=n_samples,
-        )
-        fitted = self._fit(prompt, self.config.max_new_tokens)
-        samples = self.backend.sample(fitted.text, params, seed)
-        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, fitted.tokens,
-                       sum(self.backend.count_tokens(s.text) for s in samples))
+            return self._label_log_probs(log, count, record, f"label_{kind}", paragraph_index,
+                                         prompt)
+        fitted = self._fit(prompt, count, self.config.max_new_tokens)
+        samples = self.backend.sample(fitted.text, replace(self.params, n_samples=n_samples), seed)
+        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, count(fitted.text),
+                       sum(count(s.text) for s in samples))
         by_canon: dict[str, tuple[str, float]] = {}
         for s in samples:
             stripped = s.text.strip()
@@ -356,12 +369,9 @@ class Pipeline:
                     paragraphs.extend(chunkrank.chunk(
                         doc.clean_text, source_url=doc.url, size=self.config.chunk_sentences,
                     ))
-            if not paragraphs:
-                write_json_record(self._qpath("paragraphs", self.config.evidence, record.id), {
-                    "question_id": record.id, "paragraphs": [],
-                })
-                return
-            ranked = chunkrank.rank_paragraphs(record.question, paragraphs, n=self.config.top_paragraphs)
+            ranked = chunkrank.rank_paragraphs(
+                record.question, paragraphs, n=self.config.top_paragraphs,
+            ) if paragraphs else []
             write_json_record(self._qpath("paragraphs", self.config.evidence, record.id), {
                 "question_id": record.id,
                 "paragraphs": [
@@ -397,33 +407,36 @@ class Pipeline:
         q_cont = " " + question
         pool: list[dict] = []
         for i, para in enumerate(paragraphs):
+            # a paragraph's requests share most texts; a memo per question would
+            # hold every distinct prompt until the question ends
+            count = functools.cache(self.backend.count_tokens)
             text = para["text"]
             candidates = self._candidates(
-                record, log, "answer", i, render_qa_prompt(qa_bank, question, text),
+                record, log, count, "answer", i, render_qa_prompt(qa_bank, question, text),
                 self.config.samples_per_paragraph,
                 stable_seed(self.config.seed, record.id, "answer", i),
             )
             if not candidates:
                 continue
 
-            lp_q_p = self._score(log, record.id, "score_q_given_p", i,
+            lp_q_p = self._score(log, count, record.id, "score_q_given_p", i,
                                  render_prompt(q_p_bank, evidence=text), q_cont)
 
             label_lp_a_p = None
             if record.task == CLASSIFICATION:
                 label_lp_a_p = dict(self._label_log_probs(
-                    log, record, "label_a_given_p", i, render_prompt(a_p_bank, evidence=text)
+                    log, count, record, "label_a_given_p", i, render_prompt(a_p_bank, evidence=text)
                 ))
 
             for answer_text, lp_a_qp in candidates:
                 lp_q_ap = self._score(
-                    log, record.id, "score_q_given_ap", i,
+                    log, count, record.id, "score_q_given_ap", i,
                     render_prompt(q_ap_bank, evidence=text, answer=answer_text), q_cont,
                 )
                 if label_lp_a_p is not None:
                     lp_a_p = label_lp_a_p[answer_text]
                 else:
-                    lp_a_p = self._score(log, record.id, "score_a_given_p", i,
+                    lp_a_p = self._score(log, count, record.id, "score_a_given_p", i,
                                          render_prompt(a_p_bank, evidence=text), " " + answer_text)
                 pool.append(_pool_row(
                     answer_text, i, lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"])
@@ -433,7 +446,8 @@ class Pipeline:
     def _closed_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
         prompt = render_closed_book_prompt(self.bank("qa"), record.question)
         candidates = self._candidates(
-            record, log, "closed", None, prompt, self.config.closed_book_samples,
+            record, log, functools.cache(self.backend.count_tokens), "closed", None, prompt,
+            self.config.closed_book_samples,
             stable_seed(self.config.seed, record.id, "closed"),
         )
         return [_pool_row(answer_text, CLOSED_PARAGRAPH_INDEX, lp) for answer_text, lp in candidates]
@@ -577,7 +591,7 @@ class Pipeline:
                 "n_pairs": selection.n_pairs,
                 "n_answers": selection.n_answers,
             }
-        path = self.workdir / "predictions" / f"{self.prediction_name(config.scorer)}.json"
+        path = self.workdir / "predictions" / f"{self.prediction_name()}.json"
         write_json_record(path, {
             "dataset_id": self.config.dataset_id,
             "evidence": self.config.evidence,
@@ -589,10 +603,10 @@ class Pipeline:
 
     # --- evaluation ---------------------------------------------------------
 
-    def stage_eval(self, predictions_path: Path | None = None) -> EvalReport:
+    def stage_eval(self) -> EvalReport:
         """Score predictions over the non-held-out split and write the report."""
         name = self.prediction_name()
-        path = predictions_path or (self.workdir / "predictions" / f"{name}.json")
+        path = self.workdir / "predictions" / f"{name}.json"
         if not path.exists():
             raise ConfigError(f"no predictions at {path}; run rerank first")
         stored = read_json_record(path)
@@ -609,7 +623,7 @@ class Pipeline:
             self.config.dataset_id, records, predictions, paragraphs,
             self.stopwords, recall_ks=self.config.recall_ks,
         )
-        write_json_record(self.workdir / "reports" / f"{Path(path).stem}.json", report.to_json())
+        write_json_record(self.workdir / "reports" / f"{name}.json", report.to_json())
         return report
 
     # --- cost ---------------------------------------------------------------
@@ -619,7 +633,7 @@ class Pipeline:
         counting only paragraphs below ``max_paragraphs`` unless it is None."""
         path = self._qpath("calls", source, qid, ext="jsonl")
         if not path.exists():
-            return 0, 0
+            raise ConfigError(f"no call log for {qid} under {source!r}; run answer first")
         prompt = 0
         generated = 0
         with open(path, encoding="utf-8") as fp:
@@ -669,7 +683,7 @@ class Pipeline:
                 "flops": flops_for_tokens(self.param_count, total),
                 "metric": sum(correct) / len(correct),
             })
-        write_json_record(self.workdir / "cost" / f"{self.prediction_name(config.scorer)}.json", {
+        write_json_record(self.workdir / "cost" / f"{self.prediction_name()}.json", {
             "dataset_id": self.config.dataset_id,
             "evidence": self.config.evidence,
             "scorer": config.scorer,
@@ -687,8 +701,8 @@ class Pipeline:
         self.stage_answer()
         self.stage_closed()
         self.stage_tune()
-        predictions_path = self.stage_rerank()
-        report = self.stage_eval(predictions_path)
+        self.stage_rerank()
+        report = self.stage_eval()
         self.stage_cost()
         self.check_failures()
         return report

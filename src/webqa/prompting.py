@@ -22,14 +22,9 @@ class PromptBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """A prompt plus everything needed to re-render it under a tighter budget.
-
-    ``tokens`` is the token count of ``text``; :func:`fit_to_context` sets it,
-    and it is ``None`` on a prompt that has not been fitted.
-    """
+    """A prompt plus everything needed to re-render it under a tighter budget."""
 
     text: str
-    dataset_id: str
     kind: str
     closed_book: bool
     evidence: str
@@ -38,7 +33,6 @@ class RenderedPrompt:
     examples: tuple[FewShotExample, ...]
     dropped_examples: int = 0
     evidence_truncated: bool = False
-    tokens: int | None = None
 
 
 def _fields_for(kind: str, closed_book: bool) -> tuple[str, ...]:
@@ -100,7 +94,6 @@ def render_prompt(
         raise ValueError(f"prompt kind {bank.kind!r} takes no target {sorted(extra)}")
     return RenderedPrompt(
         text=_render_text(bank.kind, closed_book, bank.examples, target),
-        dataset_id=bank.dataset_id,
         kind=bank.kind,
         closed_book=closed_book,
         evidence=evidence,
@@ -133,7 +126,6 @@ def _refit(prompt: RenderedPrompt, examples: tuple[FewShotExample, ...], evidenc
         examples=examples,
         dropped_examples=prompt.dropped_examples + (len(prompt.examples) - len(examples)),
         evidence_truncated=evidence != prompt.evidence or prompt.evidence_truncated,
-        tokens=None,
     )
 
 
@@ -148,18 +140,16 @@ def fit_to_context(
     Examples are dropped from the front only as far as needed for the prompt
     to fit with no evidence text at all; the whole remaining budget then goes
     to the longest whitespace-word prefix of the evidence (found by binary
-    search, rejoined with single spaces).  The returned prompt carries the
-    token count of its text.  Raises :class:`PromptBudgetError` when even the
-    bare target block overflows the budget.
+    search, rejoined with single spaces).  Raises :class:`PromptBudgetError`
+    when even the bare target block overflows the budget.
     """
     budget = context_tokens - reserved_tokens
     if budget <= 0:
         raise PromptBudgetError(
             f"no room to generate: context {context_tokens} minus reserved {reserved_tokens}"
         )
-    tokens = count_tokens(prompt.text)
-    if tokens <= budget:
-        return replace(prompt, tokens=tokens)
+    if count_tokens(prompt.text) <= budget:
+        return prompt
 
     has_evidence = "evidence" in _fields_for(prompt.kind, prompt.closed_book)[:-1]
     for dropped in range(len(prompt.examples) + 1):
@@ -167,31 +157,28 @@ def fit_to_context(
         # the empty-evidence scaffold keeps its bare "Evidence: " line, so the
         # search below only ever adds evidence words to a fitting base
         scaffold = _refit(prompt, examples, "" if has_evidence else prompt.evidence)
-        tokens = count_tokens(scaffold.text)
-        if tokens <= budget:
+        if count_tokens(scaffold.text) <= budget:
             break
     else:
         raise PromptBudgetError(
             f"target block alone exceeds the budget of {budget} tokens"
         )
-    best = replace(scaffold, tokens=tokens)
     if not has_evidence:
-        return best
+        return scaffold
 
+    best = scaffold
     words = prompt.evidence.split()
     lo, hi = 0, len(words)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         fitted = _refit(prompt, examples, " ".join(words[:mid]))
-        tokens = count_tokens(fitted.text)
-        if tokens <= budget:
-            lo, best = mid, replace(fitted, tokens=tokens)
+        if count_tokens(fitted.text) <= budget:
+            lo, best = mid, fitted
         else:
             hi = mid - 1
     if lo == len(words):
         # all words fit; prefer the original spacing when it also fits
         original = _refit(prompt, examples, prompt.evidence)
-        tokens = count_tokens(original.text)
-        if tokens <= budget:
-            return replace(original, tokens=tokens)
+        if count_tokens(original.text) <= budget:
+            return original
     return best

@@ -141,6 +141,22 @@ class TestMainExitCodes:
         assert rc == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--temperature", "0", "temperature"),
+        ("--nucleus-p", "1.5", "nucleus_p"),
+        ("--max-new-tokens", "0", "max_new_tokens"),
+        ("--weights", "0,0,0,0,0", "weights"),
+        ("--context-tokens", "0", "context_tokens"),
+    ])
+    def test_bad_setting_is_1_before_any_work(self, tmp_path, qa_dataset_path, banks_dir,
+                                              capsys, flag, value, setting):
+        workdir = tmp_path / "w"
+        rc = cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                       "--evidence", "gold", "--banks-dir", str(banks_dir), flag, value])
+        assert rc == 1
+        assert setting in capsys.readouterr().err
+        assert not (workdir / "paragraphs").exists()
+
     def test_offline_cache_miss_is_3(self, tmp_path, qa_dataset_path,
                                      banks_dir, capsys):
         rc = cli.main(["run", "--dataset", str(qa_dataset_path),

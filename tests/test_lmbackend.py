@@ -128,15 +128,6 @@ class TestMockBackend:
         with pytest.raises(ScoringUnsupported):
             backend.score("p", " c")
 
-    def test_call_log_records_requests(self):
-        backend = MockBackend()
-        params = GenerationParams(n_samples=2)
-        backend.sample("Evidence: a b c\nQuestion: q\nAnswer:", params, seed=0)
-        backend.score("p", " c")
-        kinds = [c["method"] for c in backend.calls]
-        assert kinds == ["sample", "score"]
-        assert backend.calls[0]["params"]["n_samples"] == 2
-
 
 def test_extractive_completion_spans_evidence():
     prompt = "Evidence: one two three four five\nQuestion: q\nAnswer:"
@@ -158,24 +149,40 @@ def test_extractive_completion_without_evidence_uses_question():
     assert set(text.split()) <= set("where is the tall tower".split())
 
 
+class _RecordingMock(MockBackend):
+    """Records the name of every sample and score request it serves."""
+
+    def __init__(self):
+        super().__init__()
+        self.methods = []
+
+    def sample(self, prompt, params, seed):
+        self.methods.append("sample")
+        return super().sample(prompt, params, seed)
+
+    def score(self, prompt, continuation):
+        self.methods.append("score")
+        return super().score(prompt, continuation)
+
+
 class TestCachedBackend:
     def test_sample_cached_once(self, tmp_path):
-        inner = MockBackend()
+        inner = _RecordingMock()
         cached = CachedBackend(inner, RequestCache(tmp_path))
         params = GenerationParams(n_samples=2)
         prompt = "Evidence: a b c\nQuestion: q\nAnswer:"
         first = cached.sample(prompt, params, seed=3)
         second = cached.sample(prompt, params, seed=3)
         assert first == second
-        assert len([c for c in inner.calls if c["method"] == "sample"]) == 1
+        assert inner.methods == ["sample"]
 
     def test_score_cached_once(self, tmp_path):
-        inner = MockBackend()
+        inner = _RecordingMock()
         cached = CachedBackend(inner, RequestCache(tmp_path))
         a = cached.score("p", " c")
         b = cached.score("p", " c")
         assert a == b
-        assert len([c for c in inner.calls if c["method"] == "score"]) == 1
+        assert inner.methods == ["score"]
 
     def test_offline_serves_hits_and_raises_on_miss(self, tmp_path):
         cache = RequestCache(tmp_path)

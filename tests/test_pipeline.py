@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 
 import pytest
 
@@ -13,6 +12,7 @@ from webqa.pipeline import (
     PipelineConfig,
     stable_seed,
 )
+from webqa.prompting import render_closed_book_prompt, render_qa_prompt
 from webqa.rerank import DEFAULT_WEIGHTS
 
 
@@ -104,6 +104,12 @@ class TestConfigValidation:
         config = _config(qa_dataset_path, tmp_path, evidence=CLOSED,
                          scorer="answer_prob", banks_dir=str(banks_dir))
         Pipeline(config, MockBackend(can_score=False))
+
+    def test_closed_book_labels_need_scoring(self, cls_dataset_path, tmp_path, banks_dir):
+        config = _config(cls_dataset_path, tmp_path, dataset_id="fixturecls", evidence=CLOSED,
+                         scorer="answer_prob", banks_dir=str(banks_dir))
+        with pytest.raises(ConfigError, match="cannot score"):
+            Pipeline(config, MockBackend(can_score=False))
 
 
 class TestBanks:
@@ -362,37 +368,67 @@ class _CountingMock(MockBackend):
 
 
 class TestTokenCountTraffic:
-    """Fitting counts each prompt once per request and the call log reuses
-    that count; each continuation and sampled text is counted once."""
+    """Within one paragraph's requests, and within one closed-book request,
+    each distinct text is counted once, and every prompt sent and every
+    continuation and sampled text is among the counted texts."""
+
+    @staticmethod
+    def _segments(pipeline, requests):
+        """The request stream split where a paragraph's or a closed-book pool's
+        requests begin: fitting first counts the answering prompt as rendered."""
+        qa = pipeline.bank("qa")
+        starts = set()
+        for record in pipeline.records:
+            starts.add(render_closed_book_prompt(qa, record.question).text)
+            starts.update(render_qa_prompt(qa, record.question, p["text"]).text
+                          for p in pipeline.load_paragraphs(record.id))
+        segments = []
+        for request in requests:
+            if request[0] == "count" and request[1] in starts:
+                segments.append([])
+            segments[-1].append(request)
+        return segments
+
+    @staticmethod
+    def _counted_and_sent(segment):
+        counted = [r[1] for r in segment if r[0] == "count"]
+        sent = set()
+        for request in segment:
+            if request[0] == "sample":
+                sent.update([request[1], *request[2]])
+            elif request[0] == "score":
+                sent.update(request[1:])
+        return counted, sent
+
+    def _run(self, tmp_path, dataset_path, banks_dir, **kwargs):
+        backend = _CountingMock()
+        config = _config(dataset_path, tmp_path, banks_dir=str(banks_dir), max_workers=1, **kwargs)
+        pipeline = Pipeline(config, backend)
+        _build_pools(pipeline)
+        assert any(r[0] == "score" for r in backend.requests)
+        return self._segments(pipeline, backend.requests)
 
     @pytest.mark.parametrize("dataset, dataset_id", [
         ("fixtureqa.jsonl", "fixtureqa"), ("fixturecls.jsonl", "fixturecls"),
     ])
     def test_each_text_counted_once_per_request(self, tmp_path, fixtures_dir, banks_dir,
                                                 dataset, dataset_id):
-        backend = _CountingMock()
-        config = _config(fixtures_dir / dataset, tmp_path, dataset_id=dataset_id,
-                         banks_dir=str(banks_dir), max_workers=1)
-        pipeline = Pipeline(config, backend)
-        _build_pools(pipeline)
-        counted = Counter(r[1] for r in backend.requests if r[0] == "count")
-        expected = Counter()
-        previous = None
-        for request in backend.requests:
-            if request[0] == "sample":
-                _, prompt, texts = request
-                expected.update([prompt, *texts])
-            elif request[0] == "score":
-                _, prompt, continuation = request
-                expected[continuation] += 1
-                # consecutive scores of one prompt are a label set sharing one fit
-                if previous is None or previous[:2] != ("score", prompt):
-                    expected[prompt] += 1
-            if request[0] != "count":
-                previous = request
-        assert any(r[0] == "score" for r in backend.requests)
-        # the fixture prompts fit untruncated, so fitting counts only the prompt itself
-        assert counted == expected
+        for segment in self._run(tmp_path, fixtures_dir / dataset, banks_dir,
+                                 dataset_id=dataset_id):
+            counted, sent = self._counted_and_sent(segment)
+            assert len(counted) == len(set(counted))
+            # the fixture prompts fit untruncated, so fitting counts only what is sent
+            assert set(counted) == sent
+
+    def test_truncating_fits_count_each_text_once(self, tmp_path, qa_dataset_path, banks_dir):
+        truncated = False
+        for segment in self._run(tmp_path, qa_dataset_path, banks_dir,
+                                 context_tokens=60, max_new_tokens=8):
+            counted, sent = self._counted_and_sent(segment)
+            assert len(counted) == len(set(counted))
+            assert sent <= set(counted)
+            truncated = truncated or len(set(counted)) > len(sent)
+        assert truncated
 
 
 class TestEmptyClosedPool:
@@ -423,3 +459,13 @@ class TestEmptyClosedPool:
             pipeline.stage_rerank()
         with pytest.raises(ConfigError, match=pipeline.main_records[0].id):
             pipeline.stage_cost()
+
+
+def test_cost_without_call_log_is_refused(tmp_path, qa_dataset_path, banks_dir):
+    pipeline = Pipeline(_config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir)), MockBackend())
+    _build_pools(pipeline)
+    pipeline.stage_rerank()
+    qid = pipeline.main_records[0].id
+    (tmp_path / "calls" / GOLD / f"{qid}.jsonl").unlink()
+    with pytest.raises(ConfigError, match=f"{qid}.*run answer first"):
+        pipeline.stage_cost()

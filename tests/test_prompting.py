@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from webqa.corpus import FewShotExample, PromptBank, load_bundled_bank
@@ -77,7 +75,6 @@ class TestRenderPrompt:
                           "Question: q here\n"
                           "Answer:")
         assert len(p.examples) == 1
-        assert p.tokens is None
         assert not p.closed_book
 
     def test_closed_book_drops_evidence_everywhere(self):
@@ -111,29 +108,7 @@ class TestFitToContext:
     def test_untouched_when_within_budget(self):
         p = render_qa_prompt(_bank(k=2), "q here", "short evidence")
         fitted = fit_to_context(p, _word_counter, context_tokens=10_000)
-        assert fitted == replace(p, tokens=_word_counter(p.text))
-
-    def test_fitted_prompt_carries_a_count_it_made(self):
-        evidence = " ".join(f"w{i}" for i in range(200))
-        long_prompt = render_qa_prompt(_bank(k=2), "q here", evidence)
-        total = _word_counter(long_prompt.text)
-        cases = [
-            (long_prompt, 10_000),  # fits as is
-            (long_prompt, total - 100),  # evidence truncated by the search
-            (long_prompt, total - 200),  # no evidence word fits: the scaffold
-            (render_qa_prompt(_bank(k=8), "q here", "ev  here"), 7 + 2 * 14),  # original spacing
-            (render_closed_book_prompt(_bank(k=8), "q here"), 40),  # no evidence to search
-        ]
-        for prompt, context_tokens in cases:
-            counted = []
-
-            def counter(text):
-                counted.append(text)
-                return _word_counter(text)
-
-            fitted = fit_to_context(prompt, counter, context_tokens=context_tokens)
-            assert fitted.tokens == _word_counter(fitted.text)
-            assert fitted.text in counted
+        assert fitted is p
 
     def test_truncates_evidence_first(self):
         evidence = " ".join(f"w{i}" for i in range(200))
