@@ -18,6 +18,7 @@ import sys
 from .cache import OfflineCacheMiss, RequestCache
 from .corpus import CorpusError
 from .lmbackend import CachedBackend, HTTPBackend, LMBackend, MockBackend
+from .net import NetError
 from .pipeline import (
     EVIDENCE_MODES,
     ConfigError,
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
     except PartialFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError, SearchError) as exc:
+    except (ConfigError, CorpusError, SearchError, NetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -241,22 +241,6 @@ def parse_prompt_bank(text: str, where: str = "<string>") -> PromptBank:
     return PromptBank(dataset_id=header["dataset_id"], kind=kind, examples=tuple(examples))
 
 
-def example_block(example: FewShotExample, kind: str) -> str:
-    """Render one example exactly as it appears in both bank files and prompts."""
-    lines = []
-    for name in BANK_FIELDS[kind]:
-        lines.append(f"{FIELD_LABELS[name]} {getattr(example, name)}")
-    return "\n".join(lines)
-
-
-def serialize_prompt_bank(bank: PromptBank, path: str | Path) -> None:
-    """Write ``bank`` in canonical form; load → serialize is byte-identity."""
-    parts = [f"dataset_id: {bank.dataset_id}\nkind: {bank.kind}\nk: {bank.k}"]
-    parts.extend(example_block(ex, bank.kind) for ex in bank.examples)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n\n".join(parts) + "\n", encoding="utf-8")
-
-
 def load_bundled_bank(dataset_id: str, kind: str) -> PromptBank | None:
     """Load a prompt bank shipped with the package, or None if absent."""
     asset = resources.files("webqa").joinpath(f"assets/prompts/{dataset_id}_{kind}.txt")

@@ -1,10 +1,11 @@
-"""Canned search engine and web pages served over loopback.
+"""Canned search engine, web pages and LM served over loopback.
 
 Points the retrieval stack at a directory instead of the live web: a
 ``search.json`` file maps each query string to an ordered list of page
-paths, and the pages themselves live beside it as files.  Run standalone
-with ``python -m webqa.fixtures --root DIR`` or embed :class:`FixtureServer`
-in a test.
+paths, and the pages themselves live beside it as files.  The LM routes
+serve a ``MockBackend``, so one URL is both ``--search-endpoint`` and
+``--backend``.  Run standalone with ``python -m webqa.fixtures --root DIR``
+or embed :class:`FixtureServer` in a test.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
+
+from .lmbackend import GenerationParams, LMBackend, MockBackend
 
 logger = logging.getLogger(__name__)
 
@@ -29,9 +32,23 @@ _CONTENT_TYPES = {
 }
 
 
+def _complete(backend: LMBackend, r: dict) -> dict:
+    params = GenerationParams(r["nucleus_p"], r["temperature"], r["max_new_tokens"], tuple(r["stop"]), r["n"])
+    samples = backend.sample(r["prompt"], params, r["seed"])
+    return {"samples": [{"text": s.text, "logprob": s.logprob} for s in samples]}
+
+
+_LM_POSTS = {
+    "/v1/complete": _complete,
+    "/v1/score": lambda backend, r: {"logprob": backend.score(r["prompt"], r["continuation"])},
+    "/v1/count_tokens": lambda backend, r: {"tokens": backend.count_tokens(r["text"])},
+}
+
+
 class _FixtureHandler(BaseHTTPRequestHandler):
     root: Path
     index: dict[str, list[str]]
+    backend: LMBackend = MockBackend()  # stateless, so servers can share it
 
     def log_message(self, format, *args):
         logger.debug("fixture server: " + format, *args)
@@ -56,6 +73,9 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             paths = self.index.get(q, [])[:num]
             self._send_json({"results": [f"http://{host}/{p.lstrip('/')}" for p in paths]})
             return
+        if parsed.path == "/v1/model":
+            self._send_json(self.backend.describe().to_json())
+            return
         relative = parsed.path.lstrip("/")
         target = (self.root / relative).resolve()
         if not str(target).startswith(str(self.root.resolve())) or not target.is_file():
@@ -64,9 +84,17 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         content_type = _CONTENT_TYPES.get(target.suffix.lower(), "application/octet-stream")
         self._send(200, content_type, target.read_bytes())
 
+    def do_POST(self):
+        route = _LM_POSTS.get(urlparse(self.path).path)
+        if route is None:
+            self._send(404, "text/plain; charset=utf-8", b"not found")
+            return
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self._send_json(route(self.backend, request))
+
 
 class FixtureServer:
-    """Loopback HTTP server over a fixture directory; usable as a context manager."""
+    """Loopback HTTP server over a fixture directory and a mock LM; a context manager."""
 
     def __init__(self, root: str | Path, port: int = 0):
         self.root = Path(root)

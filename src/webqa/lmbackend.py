@@ -15,14 +15,14 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import requests
-
+from . import net
 from .cache import RequestCache
 
 DEFAULT_NUCLEUS_P = 0.8
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_NEW_TOKENS = 64
 DEFAULT_STOP = ("\n",)
+LM_TIMEOUT_SECONDS = 60.0
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,11 @@ class BackendDescriptor:
             "context_tokens": self.context_tokens,
             "can_score": self.can_score,
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "BackendDescriptor":
+        return cls(name=obj["name"], param_count=int(obj["param_count"]),
+                   context_tokens=int(obj["context_tokens"]), can_score=bool(obj.get("can_score", True)))
 
 
 class ScoringUnsupported(RuntimeError):
@@ -215,32 +220,20 @@ class HTTPBackend(LMBackend):
     Endpoints: POST /v1/complete, /v1/score, /v1/count_tokens; GET /v1/model.
     """
 
-    def __init__(self, base_url: str, timeout: float = 60.0, session: requests.Session | None = None):
+    def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.session = session or requests.Session()
         self._descriptor: BackendDescriptor | None = None
+
+    def _request(self, path: str, payload: dict | None = None):
+        return net.request_json(f"{self.base_url}{path}", payload, timeout=LM_TIMEOUT_SECONDS)
 
     def describe(self) -> BackendDescriptor:
         if self._descriptor is None:
-            resp = self.session.get(f"{self.base_url}/v1/model", timeout=self.timeout)
-            resp.raise_for_status()
-            obj = resp.json()
-            self._descriptor = BackendDescriptor(
-                name=obj["name"],
-                param_count=int(obj["param_count"]),
-                context_tokens=int(obj["context_tokens"]),
-                can_score=bool(obj.get("can_score", True)),
-            )
+            self._descriptor = BackendDescriptor.from_json(self._request("/v1/model"))
         return self._descriptor
 
-    def _post(self, path: str, payload: dict) -> dict:
-        resp = self.session.post(f"{self.base_url}{path}", json=payload, timeout=self.timeout)
-        resp.raise_for_status()
-        return resp.json()
-
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
-        obj = self._post("/v1/complete", {
+        obj = self._request("/v1/complete", {
             "prompt": prompt,
             "n": params.n_samples,
             "nucleus_p": params.nucleus_p,
@@ -254,11 +247,11 @@ class HTTPBackend(LMBackend):
     def score(self, prompt: str, continuation: str) -> float:
         if not self.describe().can_score:
             raise ScoringUnsupported(f"backend {self.describe().name!r} cannot score")
-        obj = self._post("/v1/score", {"prompt": prompt, "continuation": continuation})
+        obj = self._request("/v1/score", {"prompt": prompt, "continuation": continuation})
         return float(obj["logprob"])
 
     def count_tokens(self, text: str) -> int:
-        obj = self._post("/v1/count_tokens", {"text": text})
+        obj = self._request("/v1/count_tokens", {"text": text})
         return int(obj["tokens"])
 
 
@@ -286,12 +279,7 @@ class CachedBackend(LMBackend):
         response = self.cache.get_or_fetch(
             "lm", request, lambda: self.inner.describe().to_json(), offline=self.offline
         )
-        return BackendDescriptor(
-            name=response["name"],
-            param_count=int(response["param_count"]),
-            context_tokens=int(response["context_tokens"]),
-            can_score=bool(response["can_score"]),
-        )
+        return BackendDescriptor.from_json(response)
 
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
         request = {

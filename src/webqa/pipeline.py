@@ -243,7 +243,7 @@ class Pipeline:
         return [r for r in records if r.id not in self.failed]
 
     def _map_questions(self, records: list[QuestionRecord], worker, stage: str) -> None:
-        # only I/O (requests errors are OSErrors), bad input (ConfigError, CorpusError,
+        # only I/O (net.NetError is an OSError), bad input (ConfigError, CorpusError,
         # PromptBudgetError, bad JSON) and search errors fail one question; bugs propagate
         def guarded(record):
             try:

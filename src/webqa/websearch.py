@@ -7,22 +7,18 @@ never touches the network and an offline run fails loudly on a miss.
 """
 from __future__ import annotations
 
+import json
 import logging
-import time
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from urllib.parse import urlencode
 
-import requests
-
+from . import net
 from .cache import RequestCache
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_URLS = 20
-FETCH_RETRIES = 3
-FETCH_BACKOFF_SECONDS = 0.5
-FETCH_TIMEOUT_SECONDS = 20.0
 
 GOOGLE_CSE_ENDPOINT = "https://www.googleapis.com/customsearch/v1"
 
@@ -98,33 +94,28 @@ def extract_text(html: str) -> str:
 class GoogleCustomSearchClient:
     """Programmable Search Engine JSON API client (10 results per request)."""
 
-    def __init__(self, api_key: str, cse_id: str, session: requests.Session | None = None,
-                 timeout: float = FETCH_TIMEOUT_SECONDS):
+    def __init__(self, api_key: str, cse_id: str):
         if not api_key or not cse_id:
             raise SearchError("search needs both an API key and an engine id")
         self.api_key = api_key
         self.cse_id = cse_id
-        self.session = session or requests.Session()
-        self.timeout = timeout
 
     def search(self, query: str, num: int) -> list[SearchResult]:
         results: list[SearchResult] = []
         start = 1
         while len(results) < num:
             page_size = min(10, num - len(results))
-            resp = self.session.get(GOOGLE_CSE_ENDPOINT, params={
+            status, _, body = net.request(GOOGLE_CSE_ENDPOINT + "?" + urlencode({
                 "key": self.api_key, "cx": self.cse_id,
                 "q": query, "num": page_size, "start": start,
-            }, timeout=self.timeout)
-            if resp.status_code != 200:
-                raise SearchError(f"search returned HTTP {resp.status_code} for {query!r}")
-            items = resp.json().get("items", [])
+            }))
+            if status != 200:
+                raise SearchError(f"search returned HTTP {status} for {query!r}")
+            items = json.loads(body).get("items", [])
             if not items:
                 break
             for item in items:
-                results.append(SearchResult(
-                    url=item["link"], rank=len(results) + 1, title=item.get("title", ""),
-                ))
+                results.append(SearchResult(item["link"], len(results) + 1, item.get("title", "")))
                 if len(results) == num:
                     break
             start += page_size
@@ -134,18 +125,14 @@ class GoogleCustomSearchClient:
 class FixtureSearchClient:
     """Client for the bundled fixture server: GET {base}/search?q=...&num=..."""
 
-    def __init__(self, base_url: str, session: requests.Session | None = None,
-                 timeout: float = FETCH_TIMEOUT_SECONDS):
+    def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
-        self.timeout = timeout
 
     def search(self, query: str, num: int) -> list[SearchResult]:
-        url = f"{self.base_url}/search?" + urlencode({"q": query, "num": num})
-        resp = self.session.get(url, timeout=self.timeout)
-        if resp.status_code != 200:
-            raise SearchError(f"fixture search returned HTTP {resp.status_code} for {query!r}")
-        urls = resp.json()["results"]
+        status, _, body = net.request(f"{self.base_url}/search?" + urlencode({"q": query, "num": num}))
+        if status != 200:
+            raise SearchError(f"fixture search returned HTTP {status} for {query!r}")
+        urls = json.loads(body)["results"]
         return [SearchResult(url=u, rank=i + 1) for i, u in enumerate(urls[:num])]
 
 
@@ -160,38 +147,29 @@ def cached_search(cache: RequestCache, client, query: str, num: int,
     return [SearchResult(url=r["url"], rank=int(r["rank"]), title=r.get("title", "")) for r in response]
 
 
-def fetch_page(session: requests.Session, url: str,
-               retries: int = FETCH_RETRIES, timeout: float = FETCH_TIMEOUT_SECONDS) -> dict:
-    """Fetch one URL with exponential backoff; returns {status, content_type, body}.
+def fetch_page(url: str) -> dict:
+    """Fetch one URL; returns {status, content_type, body}.
 
     Responses that are not HTML (images, PDFs, ...) come back with an empty
-    body so they drop out of the evidence pool downstream.
+    body so they drop out of the evidence pool downstream.  HTML is decoded by
+    its charset (UTF-8 if unknown), else as ISO-8859-1 if ``text/*``, else UTF-8.
     """
-    last_error: Exception | None = None
-    for attempt in range(retries):
-        if attempt:
-            time.sleep(FETCH_BACKOFF_SECONDS * 2 ** (attempt - 1))
+    status, headers, body = net.request(url)
+    content_type = headers.get("Content-Type", "")
+    text = ""
+    if "html" in content_type.lower():
+        charset = headers.get_content_charset() or (
+            "iso-8859-1" if headers.get_content_maintype() == "text" else "utf-8")
         try:
-            resp = session.get(url, timeout=timeout)
-        except requests.RequestException as exc:
-            last_error = exc
-            continue
-        if resp.status_code >= 500:
-            last_error = SearchError(f"HTTP {resp.status_code} from {url}")
-            continue
-        content_type = resp.headers.get("Content-Type", "")
-        body = resp.text if "html" in content_type.lower() else ""
-        return {"status": resp.status_code, "content_type": content_type, "body": body}
-    raise SearchError(f"failed to fetch {url} after {retries} attempts: {last_error}")
+            text = body.decode(charset, errors="replace")
+        except LookupError:
+            text = body.decode("utf-8", errors="replace")
+    return {"status": status, "content_type": content_type, "body": text}
 
 
-def cached_fetch(cache: RequestCache, session: requests.Session, url: str,
-                 offline: bool = False, retries: int = FETCH_RETRIES) -> dict:
+def cached_fetch(cache: RequestCache, url: str, offline: bool = False) -> dict:
     """Like :func:`fetch_page` but cached; network errors are never cached."""
-    return cache.get_or_fetch(
-        "fetch", {"op": "fetch", "url": url},
-        lambda: fetch_page(session, url, retries=retries), offline=offline,
-    )
+    return cache.get_or_fetch("fetch", {"op": "fetch", "url": url}, lambda: fetch_page(url), offline=offline)
 
 
 def retrieve_documents(
@@ -200,29 +178,23 @@ def retrieve_documents(
     cache: RequestCache,
     num_urls: int = DEFAULT_TOP_URLS,
     offline: bool = False,
-    session: requests.Session | None = None,
 ) -> list[WebDocument]:
     """Search for ``question`` and fetch every hit into a :class:`WebDocument`.
 
     Unfetchable pages become empty documents (with a logged warning) rather
     than failing the question; order follows search rank.
     """
-    session = session or requests.Session()
-    results = cached_search(cache, client, question, num_urls, offline=offline)
     documents = []
-    for result in results:
+    for result in cached_search(cache, client, question, num_urls, offline=offline):
+        text = ""
         try:
-            page = cached_fetch(cache, session, result.url, offline=offline)
-        except SearchError as exc:
+            page = cached_fetch(cache, result.url, offline=offline)
+        except net.NetError as exc:
             logger.warning("dropping %s: %s", result.url, exc)
-            documents.append(WebDocument(url=result.url, rank=result.rank, clean_text=""))
-            continue
-        status = int(page["status"])
-        if status != 200:
-            logger.warning("dropping %s: HTTP %d", result.url, status)
-            documents.append(WebDocument(url=result.url, rank=result.rank, clean_text=""))
-            continue
-        documents.append(WebDocument(
-            url=result.url, rank=result.rank, clean_text=extract_text(page["body"]),
-        ))
+        else:
+            if int(page["status"]) == 200:
+                text = extract_text(page["body"])
+            else:
+                logger.warning("dropping %s: HTTP %d", result.url, int(page["status"]))
+        documents.append(WebDocument(url=result.url, rank=result.rank, clean_text=text))
     return documents

@@ -1,9 +1,15 @@
+import io
 import json
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
-from webqa import cli
+import webqa
+from webqa import cli, fixtures
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend
@@ -192,6 +198,18 @@ class TestMainExitCodes:
         assert rc == 3
         assert "offline cache miss" in capsys.readouterr().err
 
+    def test_unreachable_backend_is_1(self, tmp_path, qa_dataset_path, banks_dir,
+                                      no_backoff, capsys):
+        rc = cli.main(["run", "--dataset", str(qa_dataset_path),
+                       "--workdir", str(tmp_path / "w"),
+                       "--evidence", "gold",
+                       "--banks-dir", str(banks_dir),
+                       "--backend", "http://127.0.0.1:9"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: GET http://127.0.0.1:9/v1/model failed after 3 attempts")
+
     def test_gold_run_exits_0(self, tmp_path, qa_dataset_path, banks_dir,
                               capsys):
         rc = cli.main(["run", "--dataset", str(qa_dataset_path),
@@ -291,3 +309,71 @@ class TestFailureTolerance:
         with pytest.raises(TypeError, match="a bug"):
             self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
                       1, TypeError("a bug"))
+
+
+class TestHTTPBackendRun:
+    """One fixture server is both the search endpoint and the LM backend."""
+
+    @staticmethod
+    def _run(workdir, qa_dataset_path, banks_dir, server, backend):
+        return cli.main(["run", "--dataset", str(qa_dataset_path),
+                         "--workdir", str(workdir),
+                         "--search-endpoint", server.base_url,
+                         "--backend", backend,
+                         "--banks-dir", str(banks_dir),
+                         "--top-urls", "3",
+                         "--paragraphs", "2",
+                         "--samples-per-paragraph", "2",
+                         "--closed-book-samples", "4",
+                         "--max-new-tokens", "16",
+                         "--cost-points", "0,1"])
+
+    @staticmethod
+    def _artifacts(workdir):
+        return {p.relative_to(workdir).as_posix(): p.read_bytes()
+                for p in sorted(workdir.rglob("*"))
+                if p.is_file() and p.relative_to(workdir).parts[0] != "cache"}
+
+    def test_matches_mock_byte_for_byte(self, tmp_path, qa_dataset_path, banks_dir, web_root):
+        with FixtureServer(web_root) as server:
+            assert self._run(tmp_path / "mock", qa_dataset_path, banks_dir, server, "mock") == 0
+            assert self._run(tmp_path / "http", qa_dataset_path, banks_dir, server,
+                             server.base_url) == 0
+        mock = self._artifacts(tmp_path / "mock")
+        assert "predictions/search_poe.json" in mock
+        assert self._artifacts(tmp_path / "http") == mock
+
+    def test_server_never_answering_one_question_is_tolerated(
+            self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, no_backoff):
+        record = load_dataset(qa_dataset_path)[0]
+        answer = fixtures._FixtureHandler.do_POST
+
+        def silent_for_one_question(handler):
+            body = handler.rfile.read(int(handler.headers["Content-Length"]))
+            if record.question in body.decode("utf-8"):
+                return  # close the connection without a response
+            handler.rfile = io.BytesIO(body)
+            answer(handler)
+
+        monkeypatch.setattr(fixtures._FixtureHandler, "do_POST", silent_for_one_question)
+        with FixtureServer(web_root) as server:
+            assert self._run(tmp_path / "w", qa_dataset_path, banks_dir, server,
+                             server.base_url) == 0
+        failures = json.loads((tmp_path / "w" / "failures.json").read_text(encoding="utf-8"))
+        assert list(failures) == [record.id]
+        assert failures[record.id].startswith("answer: POST ")
+        assert "failed after 3 attempts" in failures[record.id]
+
+
+def test_cli_imports_only_the_standard_library():
+    """``import webqa.cli`` loads no third-party module.  Modules already
+    loaded at start-up (site hooks may preload some) do not count."""
+    code = ("import json, sys; before = set(sys.modules); import webqa.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(pathlib.Path(webqa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = {name.split(".")[0] for name in json.loads(out)}
+    assert "webqa" in added
+    assert added - set(sys.stdlib_module_names) - {"webqa"} == set()

@@ -5,19 +5,31 @@ import pytest
 
 from webqa import corpus
 from webqa.corpus import (
+    BANK_FIELDS,
+    FIELD_LABELS,
     CorpusError,
     FewShotExample,
     PromptBank,
     QuestionRecord,
     derive_scorer_bank,
-    example_block,
     load_bundled_bank,
     load_dataset,
     load_prompt_bank,
     parse_prompt_bank,
-    serialize_prompt_bank,
     split_heldout,
 )
+
+
+def example_block(example: FewShotExample, kind: str) -> str:
+    """One example as it appears in a bank file."""
+    return "\n".join(f"{FIELD_LABELS[name]} {getattr(example, name)}" for name in BANK_FIELDS[kind])
+
+
+def serialize_prompt_bank(bank: PromptBank, path: pathlib.Path) -> None:
+    """Write ``bank`` in canonical form; load → serialize is byte-identity."""
+    parts = [f"dataset_id: {bank.dataset_id}\nkind: {bank.kind}\nk: {bank.k}"]
+    parts.extend(example_block(ex, bank.kind) for ex in bank.examples)
+    path.write_text("\n\n".join(parts) + "\n", encoding="utf-8")
 
 
 def _gen(id, question="q", answers=("a",), gold=()):

@@ -2,10 +2,13 @@ import math
 
 import pytest
 
+from webqa import fixtures
 from webqa.cache import RequestCache
+from webqa.fixtures import FixtureServer
 from webqa.lmbackend import (
     CachedBackend,
     GenerationParams,
+    HTTPBackend,
     MockBackend,
     ScoringUnsupported,
     extractive_completion,
@@ -214,3 +217,39 @@ class TestCachedBackend:
         cached = CachedBackend(inner, RequestCache(tmp_path))
         assert cached.count_tokens("a b c") == 3
         assert cached.count_tokens("a b c") == 3
+
+
+class TestHTTPBackend:
+    """HTTPBackend against the fixture server, whose LM routes wrap a MockBackend."""
+
+    PROMPT = "Evidence: Aurora Falls drops 214 meters.\nQuestion: which falls\nAnswer:"
+
+    @pytest.fixture(scope="class")
+    def server(self, web_root):
+        with FixtureServer(web_root) as srv:
+            yield srv
+
+    def test_matches_mock(self, server):
+        http, mock = HTTPBackend(server.base_url), MockBackend()
+        params = GenerationParams(n_samples=3)
+        assert http.describe() == mock.describe()
+        assert http.sample(self.PROMPT, params, 7) == mock.sample(self.PROMPT, params, 7)
+        assert http.score(self.PROMPT, " Aurora Falls") == mock.score(self.PROMPT, " Aurora Falls")
+        assert http.count_tokens(self.PROMPT) == mock.count_tokens(self.PROMPT)
+
+    def test_one_503_is_retried_to_the_same_score(self, server, monkeypatch, no_backoff):
+        posts = []
+        answer = fixtures._FixtureHandler.do_POST
+
+        def flaky(handler):
+            posts.append(handler.path)
+            if len(posts) == 1:
+                handler.rfile.read(int(handler.headers["Content-Length"]))
+                handler._send(503, "text/plain", b"busy")
+            else:
+                answer(handler)
+
+        monkeypatch.setattr(fixtures._FixtureHandler, "do_POST", flaky)
+        score = HTTPBackend(server.base_url).score(self.PROMPT, " Aurora Falls")
+        assert score == MockBackend().score(self.PROMPT, " Aurora Falls")
+        assert posts == ["/v1/score", "/v1/score"]

@@ -1,12 +1,15 @@
 import json
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
-import requests
 
+from webqa import websearch
 from webqa.cache import OfflineCacheMiss, RequestCache
 from webqa.fixtures import FixtureServer
+from webqa.net import NetError
 from webqa.websearch import (
     FixtureSearchClient,
+    GoogleCustomSearchClient,
     SearchError,
     cached_fetch,
     cached_search,
@@ -89,8 +92,7 @@ class TestFixtureServer:
     def test_fetch_page_returns_raw_body(self, server):
         client = FixtureSearchClient(server.base_url)
         url = client.search("what is the tallest waterfall in meridia", 1)[0].url
-        session = requests.Session()
-        doc = fetch_page(session, url)
+        doc = fetch_page(url)
         assert doc["status"] == 200
         assert "Aurora Falls" in doc["body"]
         # extraction strips the chrome the fixture pages carry
@@ -100,15 +102,78 @@ class TestFixtureServer:
         assert "Copyright" not in clean
 
     def test_missing_page_is_404(self, server):
-        session = requests.Session()
-        doc = fetch_page(session, f"{server.base_url}/pages/nope.html")
+        doc = fetch_page(f"{server.base_url}/pages/nope.html")
         assert doc["status"] == 404
 
     def test_non_html_content_yields_empty_body(self, server, web_root_module):
-        session = requests.Session()
-        doc = fetch_page(session, f"{server.base_url}/search.json")
+        doc = fetch_page(f"{server.base_url}/search.json")
         assert doc["status"] == 200
         assert doc["body"] == ""
+
+
+class TestFetchPageDecoding:
+    """Charset from Content-Type, else ISO-8859-1 for text/* and UTF-8
+    otherwise; unknown labels fall back to UTF-8; bad bytes are replaced."""
+
+    @pytest.mark.parametrize("content_type,body,text", [
+        ("text/html; charset=utf-8", "Müller".encode("utf-8"), "Müller"),
+        ('text/html; charset="windows-1252"', b"\x93hi\x94", "\u201chi\u201d"),
+        ("text/html", "Müller".encode("utf-8"), "MÃ¼ller"),
+        ("application/xhtml+xml", "Müller".encode("utf-8"), "Müller"),
+        ("text/html; charset=no-such-charset", "Müller".encode("utf-8"), "Müller"),
+        ("text/html; charset=utf-8", b"a\xffb", "a\ufffdb"),
+    ], ids=["declared", "declared-quoted", "text-default", "non-text-default",
+            "unknown-label", "invalid-bytes"])
+    def test_decoding(self, serve, content_type, body, text):
+        base = serve(lambda handler: handler.reply(200, body, content_type))
+        page = fetch_page(f"{base}/p")
+        assert page == {"status": 200, "content_type": content_type, "body": text}
+
+
+class TestGoogleCustomSearchClient:
+    @staticmethod
+    def _client(serve, monkeypatch, pages):
+        """Serve ``pages(start, num)`` as the search response; returns the
+        client and the list of (start, num) requests made."""
+        seen = []
+
+        def respond(handler):
+            query = parse_qs(urlsplit(handler.path).query)
+            assert (query["key"], query["cx"], query["q"]) == (["k"], ["cx"], ["a query"])
+            start, num = int(query["start"][0]), int(query["num"][0])
+            seen.append((start, num))
+            status, obj = pages(start, num)
+            handler.reply(status, json.dumps(obj).encode(), "application/json")
+
+        monkeypatch.setattr(websearch, "GOOGLE_CSE_ENDPOINT", serve(respond) + "/customsearch/v1")
+        return GoogleCustomSearchClient("k", "cx"), seen
+
+    @staticmethod
+    def _items(start, num):
+        return [{"link": f"http://e/{i}", "title": f"t{i}"} for i in range(start, start + num)]
+
+    def test_pages_ten_at_a_time(self, serve, monkeypatch):
+        client, seen = self._client(serve, monkeypatch,
+                                    lambda start, num: (200, {"items": self._items(start, num)}))
+        results = client.search("a query", 15)
+        assert seen == [(1, 10), (11, 5)]
+        assert [r.url for r in results] == [f"http://e/{i}" for i in range(1, 16)]
+        assert [r.rank for r in results] == list(range(1, 16))
+        assert results[0].title == "t1"
+
+    def test_empty_items_stop_paging(self, serve, monkeypatch):
+        client, seen = self._client(
+            serve, monkeypatch,
+            lambda start, num: (200, {"items": self._items(start, num)} if start == 1 else {}))
+        assert len(client.search("a query", 25)) == 10
+        assert seen == [(1, 10), (11, 10)]
+
+    def test_error_status_raises_search_error(self, serve, monkeypatch):
+        client, seen = self._client(serve, monkeypatch,
+                                    lambda start, num: (403, {"error": "forbidden"}))
+        with pytest.raises(SearchError, match="HTTP 403"):
+            client.search("a query", 5)
+        assert seen == [(1, 5)]
 
 
 class TestCachedAccess:
@@ -130,21 +195,18 @@ class TestCachedAccess:
 
     def test_fetch_cached_and_offline(self, server, tmp_path):
         cache = RequestCache(tmp_path)
-        session = requests.Session()
         url = f"{server.base_url}/pages/q01a.html"
-        warm = cached_fetch(cache, session, url)
-        again = cached_fetch(cache, session, url, offline=True)
+        warm = cached_fetch(cache, url)
+        again = cached_fetch(cache, url, offline=True)
         assert warm == again
         with pytest.raises(OfflineCacheMiss):
-            cached_fetch(cache, session, f"{server.base_url}/pages/q01b.html",
-                         offline=True)
+            cached_fetch(cache, f"{server.base_url}/pages/q01b.html", offline=True)
 
-    def test_network_errors_not_cached(self, tmp_path):
+    def test_network_errors_not_cached(self, tmp_path, no_backoff):
         cache = RequestCache(tmp_path)
-        session = requests.Session()
         url = "http://127.0.0.1:1/page.html"
-        with pytest.raises(SearchError):
-            cached_fetch(cache, session, url)
+        with pytest.raises(NetError):
+            cached_fetch(cache, url)
         # nothing poisoned: the fetch namespace stays empty
         assert not list((tmp_path / "fetch").glob("*.json")) if \
             (tmp_path / "fetch").exists() else True
