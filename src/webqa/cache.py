@@ -95,9 +95,15 @@ class RequestCache:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp file and rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    """Write ``text`` to ``path`` via a same-directory temp file and rename.
+
+    The parent directory is created on first use.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fp:
             fp.write(text)

@@ -13,6 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .numeric import left_sum
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_CHUNK_SENTENCES = 6
@@ -123,9 +125,9 @@ def _weight_vector(counts: Counter, idf: dict[str, float]) -> dict[str, float]:
 def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
     if len(b) < len(a):
         a, b = b, a
-    dot = sum(w * b[t] for t, w in a.items() if t in b)
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
+    dot = left_sum(w * b[t] for t, w in a.items() if t in b)
+    norm_a = math.sqrt(left_sum(w * w for w in a.values()))
+    norm_b = math.sqrt(left_sum(w * w for w in b.values()))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
@@ -163,7 +165,7 @@ def rank_paragraphs(
 
     order = sorted(range(len(paragraphs)), key=lambda i: -cosines[i])[:n]
     clipped = [max(cosines[i], 0.0) for i in order]
-    total = sum(clipped)
+    total = left_sum(clipped)
     if total > 0.0:
         priors = [c / total for c in clipped]
     else:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import CLASSIFICATION, GENERATION, QuestionRecord
+from .numeric import left_sum
 
 DEFAULT_RECALL_KS = (1, 5, 10, 20, 50)
 
@@ -140,7 +141,7 @@ class EvalReport:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 def evaluate_predictions(

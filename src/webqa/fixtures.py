@@ -112,7 +112,8 @@ class FixtureServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "FixtureServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # serve_forever polls for shutdown every 0.5 s by default; 0.05 s keeps stop() prompt.
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
         self._thread.start()
         return self
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import net
 from .cache import RequestCache
+from .numeric import left_sum
 
 DEFAULT_NUCLEUS_P = 0.8
 DEFAULT_TEMPERATURE = 1.0
@@ -110,7 +111,7 @@ def softmax_scores(scores: dict[str, float]) -> dict[str, float]:
         raise ValueError("softmax over an empty score dict")
     peak = max(scores.values())
     exp = {k: math.exp(v - peak) for k, v in scores.items()}
-    total = sum(exp.values())
+    total = left_sum(exp.values())
     return {k: v / total for k, v in exp.items()}
 
 
@@ -122,10 +123,15 @@ def flops_for_tokens(param_count: int, n_tokens: int) -> int:
 # --- deterministic hash-driven scorer --------------------------------------
 
 HASHLM_ALPHABET = "abcdefghijklmnopqrstuvwxyz 0123456789.\n"
+# bytes.translate table: alphabet bytes map to themselves, every other byte to a space.
+_ALPHABET_BYTES = bytes(b if chr(b) in HASHLM_ALPHABET else ord(" ") for b in range(256))
+_ALPHABET_INDEX = {ch: i for i, ch in enumerate(HASHLM_ALPHABET)}
 
 
 def _to_alphabet(text: str) -> str:
-    return "".join(ch if ch in HASHLM_ALPHABET else " " for ch in text.lower())
+    # lower() first: it can lengthen a string ("İ".lower() is two characters).  The
+    # "replace" handler then turns each non-ASCII character into one "?", a non-alphabet byte.
+    return text.lower().encode("ascii", "replace").translate(_ALPHABET_BYTES).decode("ascii")
 
 
 def hash_score(prompt: str, continuation: str) -> float:
@@ -136,13 +142,15 @@ def hash_score(prompt: str, continuation: str) -> float:
     SHA-256 state of the full preceding text, and the per-character
     normalization commutes with concatenation, so the score obeys the chain
     rule exactly: hash_score(p, xy) == hash_score(p, x) + hash_score(p + x, y).
+    Scores are bit-identical across supported Python versions.
     """
     h = hashlib.sha256(_to_alphabet(prompt).encode("utf-8"))
+    rng = random.Random()
     logprob = 0.0
     for ch in _to_alphabet(continuation):
-        rng = random.Random(h.digest())
+        rng.seed(h.digest())
         weights = [rng.random() ** 4 + 1e-9 for _ in HASHLM_ALPHABET]
-        logprob += math.log(weights[HASHLM_ALPHABET.index(ch)] / sum(weights))
+        logprob += math.log(weights[_ALPHABET_INDEX[ch]] / left_sum(weights))
         h.update(ch.encode("utf-8"))
     return logprob
 
@@ -202,11 +210,9 @@ class MockBackend(LMBackend):
         return len(text.split())
 
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
-        samples = []
-        for i in range(params.n_samples):
-            text = self.completion_fn(prompt, seed, i)
-            samples.append(Sample(text=text, logprob=hash_score(prompt, text)))
-        return samples
+        texts = [self.completion_fn(prompt, seed, i) for i in range(params.n_samples)]
+        logprobs = {text: hash_score(prompt, text) for text in set(texts)}
+        return [Sample(text=text, logprob=logprobs[text]) for text in texts]
 
     def score(self, prompt: str, continuation: str) -> float:
         if not self._descriptor.can_score:

@@ -63,6 +63,7 @@ from .lmbackend import (
     flops_for_tokens,
     softmax_scores,
 )
+from .numeric import left_sum
 from .prompting import RenderedPrompt, fit_to_context, render_closed_book_prompt, render_prompt, render_qa_prompt
 
 logger = logging.getLogger(__name__)
@@ -681,7 +682,7 @@ class Pipeline:
                 "generated_tokens": generated_tokens,
                 "total_tokens": total,
                 "flops": flops_for_tokens(self.param_count, total),
-                "metric": sum(correct) / len(correct),
+                "metric": left_sum(correct) / len(correct),
             })
         write_json_record(self.workdir / "cost" / f"{self.prediction_name()}.json", {
             "dataset_id": self.config.dataset_id,

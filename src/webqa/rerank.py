@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .numeric import left_sum
+
 ANSWER_PROB = "answer_prob"
 RAG = "rag"
 NOISY_CHANNEL = "noisy_channel"
@@ -96,7 +98,7 @@ def log_prior(prior: float) -> float:
 
 def logsumexp(values: list[float]) -> float:
     peak = max(values)
-    return peak + math.log(sum(math.exp(v - peak) for v in values))
+    return peak + math.log(left_sum(math.exp(v - peak) for v in values))
 
 
 def pair_score(bundle: ScoreBundle, config: RerankConfig) -> float:

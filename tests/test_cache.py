@@ -125,6 +125,28 @@ def test_concurrent_put_same_key(tmp_path):
     assert cache.get(key) == {"body": "same"}
 
 
+def test_first_puts_create_missing_namespace_directory(tmp_path):
+    """Concurrent first writes into a namespace with no directory yet all land."""
+    cache = RequestCache(tmp_path)
+    cache.put(CacheKey.for_request("fetch", {"url": "http://x"}), {"body": "x"})
+    keys = [CacheKey.for_request("lm", {"op": "score", "i": i}) for i in range(8)]
+    assert not (tmp_path / "lm").exists()
+    start = threading.Barrier(len(keys))
+
+    def work(key):
+        start.wait(timeout=10)
+        cache.put(key, {"i": key.digest})
+
+    threads = [threading.Thread(target=work, args=(key,)) for key in keys]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert [cache.get(key) for key in keys] == [{"i": key.digest} for key in keys]
+    assert len(list((tmp_path / "lm").iterdir())) == len(keys)
+
+
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory, qa_dataset_path, banks_dir, web_root):
     """One fixture run with every (namespace, request, response) that passed

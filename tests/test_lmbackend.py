@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from webqa import fixtures
+from webqa import fixtures, lmbackend
 from webqa.cache import RequestCache
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import (
@@ -13,6 +14,7 @@ from webqa.lmbackend import (
     ScoringUnsupported,
     extractive_completion,
     flops_for_tokens,
+    hash_score,
     softmax_scores,
 )
 from webqa.cache import OfflineCacheMiss
@@ -63,8 +65,46 @@ def test_flops_is_two_params_tokens_exact_int():
     assert flops_for_tokens(1_000_000, 0) == 0
 
 
+def _generator_to_alphabet(text):
+    """Reference normalisation: one character at a time."""
+    return "".join(ch if ch in lmbackend.HASHLM_ALPHABET else " " for ch in text.lower())
+
+
+_ALPHABET_PIECES = ["a", "Z", "q", "0", "9", ".", " ", "\n", "\t", "\r\n", ",", "?", "~",
+                    "İ", "ß", "Σ", "ς", "é", "\u00a0", "\u2014", "\U0001F600", "\ud800", "Straße"]
+
+# About 6 KB, the size of a paper-setting prompt.
+_LONG_PROMPT = "".join(
+    f"Evidence: Bridge {i} over the Ørsund bay opened in {1900 + i}; it is {i * 7} m long.\n"
+    f"Question: when did bridge {i} open?\nAnswer: {1900 + i}\n\n"
+    for i in range(50)
+) + "Evidence: The bridge opened in 1932.\nQuestion: when did the bridge open?\nAnswer:"
+
+# float.hex() of each score, recorded with the per-character reference
+# implementation under Python 3.11; sum() would change some of them on 3.12+.
+_PINNED_SCORES = [
+    ("evidence. the answer is", " 42 ok", "-0x1.3f6d36c0428f1p+5"),
+    ("Question: q\nAnswer:", " forty two", "-0x1.0188ed3bcedc3p+6"),
+    ("", "a", "-0x1.086658c4373cap+2"),
+    ("İstanbul Straße ΣΑΣ\U0001F600\tx\r\n", " Ünïcode ß\r\n", "-0x1.1637e66233f5ep+6"),
+    (_LONG_PROMPT, " 1932", "-0x1.c86be815c6eb6p+4"),
+]
+
+
 class TestHashLM:
     """The hash-driven scorer behind MockBackend."""
+
+    def test_to_alphabet_matches_generator_reference(self):
+        rng = random.Random(7)
+        texts = _ALPHABET_PIECES + ["".join(rng.choice(_ALPHABET_PIECES) for _ in range(rng.randrange(0, 40)))
+                                    for _ in range(3000)]
+        for text in texts:
+            assert lmbackend._to_alphabet(text) == _generator_to_alphabet(text), repr(text)
+        assert lmbackend._to_alphabet("İ") == "i "
+
+    @pytest.mark.parametrize("prompt,continuation,expected", _PINNED_SCORES)
+    def test_pinned_scores(self, prompt, continuation, expected):
+        assert hash_score(prompt, continuation).hex() == expected
 
     def test_chain_rule_exact(self):
         """log p(c1 c2 | prompt) must equal log p(c1|prompt) +
@@ -124,6 +164,21 @@ class TestMockBackend:
         split = backend.score(prompt, " forty") + \
             backend.score(prompt + " forty", " two")
         assert whole == pytest.approx(split, abs=1e-12)
+
+    def test_repeated_samples_keep_pinned_logprobs(self):
+        prompt = ("Evidence: the bridge opened in 1932 over the bay\n"
+                  "Question: when did the bridge open\nAnswer:")
+        samples = MockBackend().sample(prompt, GenerationParams(n_samples=8), seed=0)
+        assert [(s.text, s.logprob.hex()) for s in samples] == [
+            ("1932", "-0x1.accd6b782c295p+4"),
+            ("in 1932", "-0x1.bfebb02d8c364p+5"),
+            ("bay", "-0x1.6925877acaa23p+4"),
+            ("in 1932", "-0x1.bfebb02d8c364p+5"),
+            ("opened in", "-0x1.0e036eaaacb65p+6"),
+            ("opened in", "-0x1.0e036eaaacb65p+6"),
+            ("opened", "-0x1.ba8d92a86e3f3p+5"),
+            ("in", "-0x1.5453ed08ceac0p+4"),
+        ]
 
     def test_scoring_unsupported(self):
         backend = MockBackend(can_score=False)

@@ -1,4 +1,5 @@
 import json
+import time
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -73,6 +74,15 @@ def web_root_module():
 
 
 class TestFixtureServer:
+    def test_stop_returns_promptly(self, web_root_module):
+        server = FixtureServer(web_root_module).start()
+        try:
+            assert fetch_page(f"{server.base_url}/search.json")["status"] == 200
+        finally:
+            started = time.monotonic()
+            server.stop()
+        assert time.monotonic() - started < 0.25
+
     def test_search_returns_indexed_urls(self, server):
         client = FixtureSearchClient(server.base_url)
         results = client.search("what is the tallest waterfall in meridia", 10)
