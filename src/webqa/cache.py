@@ -7,9 +7,9 @@ never with their request:
 - one file per request, ``<namespace>/<digest>.response.json.gz``, for
   search and fetch responses and for LM responses made outside a question;
 - per question, inside :meth:`RequestCache.question_scope`, LM responses
-  go to immutable packs under ``lm/<sha256(question id)>/``.  Each pack
-  holds one ``<digest> <response>`` line per request that missed in the
-  scope that wrote it, and is named by the SHA-256 of those lines.
+  go to immutable packs ``lm/<sha256(question id)>/<name>.pack2.gz``.  Each
+  pack holds one ``<digest> <response>`` line per request that missed in
+  the scope that wrote it, and is named by the SHA-256 of those lines.
 
 A warm cache makes every pipeline stage replayable offline and
 byte-identical across runs.
@@ -29,6 +29,9 @@ from pathlib import Path
 
 NAMESPACES = ("search", "fetch", "lm")
 PACKED_NAMESPACE = "lm"
+PACK_SUFFIX = ".pack2.gz"
+# packs of an older layout, whose LM keys held the whole prompt; never read
+OLD_PACK_SUFFIX = ".pack.gz"
 # zlib level 1 compresses page bodies in under a third of level 9's time, for 18% more bytes
 GZIP_LEVEL = 1
 # a gzip header with no file name, mtime 0, no extra flags and OS "unknown"
@@ -89,7 +92,7 @@ class _QuestionPacks:
     def __init__(self, directory: Path):
         self.directory = directory
         self.responses: dict[str, str] = {}
-        for path in sorted(directory.glob("*.pack.gz")):
+        for path in sorted(directory.glob(f"*{PACK_SUFFIX}")):
             # split on "\n" only: canonical JSON escapes it, but not U+2028 and the like
             for line in gunzip_bytes(path.read_bytes()).decode("utf-8").split("\n")[:-1]:
                 digest, _, response = line.partition(" ")
@@ -111,7 +114,7 @@ class _QuestionPacks:
             return
         content = "".join(f"{d} {self.responses[d]}\n" for d in sorted(self.misses)).encode("utf-8")
         name = hashlib.sha256(content).hexdigest()
-        atomic_write_bytes(self.directory / f"{name}.pack.gz", gzip_bytes(content))
+        atomic_write_bytes(self.directory / f"{name}{PACK_SUFFIX}", gzip_bytes(content))
 
 
 class RequestCache:
@@ -157,11 +160,15 @@ class RequestCache:
             self._local.packs = None
             packs.save()
 
-    def _old_layout_note(self, namespace: str) -> str:
-        if next((self.root / namespace).glob("*.json"), None) is None:
-            return ""
-        return (f"; {self.root / namespace} holds uncompressed *.json entries written by an "
-                f"older cache layout, which are not read: delete that cache and re-run online")
+    def _old_layout_note(self, namespace: str, packs: _QuestionPacks | None) -> str:
+        places = [(self.root / namespace, "*.json")]
+        if packs is not None:
+            places.append((packs.directory, f"*{OLD_PACK_SUFFIX}"))
+        for directory, pattern in places:
+            if next(directory.glob(pattern), None) is not None:
+                return (f"; {directory} holds {pattern} files written by an older cache layout, "
+                        f"which are not read: delete that cache and re-run online")
+        return ""
 
     def get_or_fetch(self, namespace: str, request: dict, fetch, offline: bool = False):
         """Return the cached response for ``request``, calling ``fetch()`` on a miss.
@@ -178,7 +185,7 @@ class RequestCache:
             if offline:
                 raise OfflineCacheMiss(
                     f"offline mode: no cached response for {namespace} request "
-                    f"{canonical_json(request)[:200]}{self._old_layout_note(namespace)}"
+                    f"{canonical_json(request)[:200]}{self._old_layout_note(namespace, packs)}"
                 ) from None
         response = fetch()
         store.put(key, response)

@@ -267,12 +267,18 @@ class HTTPBackend(LMBackend):
         return int(obj["tokens"])
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class CachedBackend(LMBackend):
     """Content-addressed cache in front of any backend (namespace ``lm``).
 
     Each request (operation, ``identity`` and arguments) is hashed into the
     cache key, and only the response is stored: a sample list, a score, a
-    token count or the model descriptor.
+    token count or the model descriptor.  A prompt or counted text enters
+    the key as the SHA-256 of its UTF-8 bytes, so a lookup never
+    JSON-encodes a whole prompt.
 
     ``identity`` distinguishes cache entries of different models behind the
     same client class; pass something stable like the server URL or model
@@ -300,7 +306,7 @@ class CachedBackend(LMBackend):
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
         request = {
             "op": "sample", "backend": self.identity,
-            "prompt": prompt, "params": params.to_json(), "seed": seed,
+            "prompt_sha256": _sha256(prompt), "params": params.to_json(), "seed": seed,
         }
         response = self.cache.get_or_fetch(
             "lm", request,
@@ -312,7 +318,7 @@ class CachedBackend(LMBackend):
     def score(self, prompt: str, continuation: str) -> float:
         request = {
             "op": "score", "backend": self.identity,
-            "prompt": prompt, "continuation": continuation,
+            "prompt_sha256": _sha256(prompt), "continuation": continuation,
         }
         response = self.cache.get_or_fetch(
             "lm", request, lambda: self.inner.score(prompt, continuation), offline=self.offline
@@ -320,7 +326,7 @@ class CachedBackend(LMBackend):
         return float(response)
 
     def count_tokens(self, text: str) -> int:
-        request = {"op": "count_tokens", "backend": self.identity, "text": text}
+        request = {"op": "count_tokens", "backend": self.identity, "text_sha256": _sha256(text)}
         response = self.cache.get_or_fetch(
             "lm", request, lambda: self.inner.count_tokens(text), offline=self.offline
         )

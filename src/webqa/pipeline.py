@@ -556,8 +556,9 @@ class Pipeline:
         )
 
     def _select(self, record: QuestionRecord, config: rerank.RerankConfig,
-                max_paragraphs: int | None) -> rerank.SelectionResult:
-        """Best answer from the first ``max_paragraphs`` paragraphs (all if None).
+                max_paragraphs: int | None, load_pool) -> rerank.SelectionResult:
+        """Best answer from the first ``max_paragraphs`` paragraphs (all if None),
+        reading pools through ``load_pool`` (:meth:`load_pool` or a memo of it).
 
         Questions whose open-book pairs are out of reach (closed evidence, no
         usable evidence, or ``max_paragraphs == 0``) get the closed-book answer.
@@ -565,12 +566,12 @@ class Pipeline:
         pool: rerank.Pool = []
         if self.config.evidence != CLOSED and max_paragraphs != 0:
             pool = [
-                (answer, bundle) for answer, bundle in self.load_pool(self.config.evidence, record.id)
+                (answer, bundle) for answer, bundle in load_pool(self.config.evidence, record.id)
                 if max_paragraphs is None or answer.paragraph_index < max_paragraphs
             ]
         if pool:
             return rerank.select_answer(pool, config)
-        pool = self.load_pool(CLOSED, record.id)
+        pool = load_pool(CLOSED, record.id)
         if not pool:
             raise ConfigError(
                 f"no candidate answers for {record.id}: its closed-book samples were all empty"
@@ -582,7 +583,7 @@ class Pipeline:
         config = self._rerank_config()
         predictions: dict[str, dict] = {}
         for record in self._active(self.records):
-            selection = self._select(record, config, None)
+            selection = self._select(record, config, None, self.load_pool)
             paragraph_index = selection.answer.paragraph_index
             predictions[record.id] = {
                 "answer": selection.answer.text,
@@ -661,20 +662,23 @@ class Pipeline:
             points = [0]
         else:
             points = sorted({m for m in self.config.cost_points if 0 <= m <= self.config.top_paragraphs})
-        logged_tokens = functools.cache(self._logged_tokens)  # parse each call log once
-        rows = []
-        for m in points:
-            correct = []
-            prompt_tokens = 0
-            generated_tokens = 0
-            for record in eval_records:
-                selection = self._select(record, config, m)
-                correct.append(self._reward_fn(record)(selection.answer))
+        correct: dict[int, list[float]] = {m: [] for m in points}
+        tokens = {m: [0, 0] for m in points}  # [prompt, generated]
+        for record in eval_records:
+            # read each of the question's pools and call logs once for all points
+            load_pool = functools.cache(self.load_pool)
+            logged_tokens = functools.cache(self._logged_tokens)
+            for m in points:
+                selection = self._select(record, config, m, load_pool)
+                correct[m].append(self._reward_fn(record)(selection.answer))
                 source = CLOSED if m == 0 else self.config.evidence
                 for idx, (p_tok, g_tok) in logged_tokens(source, record.id).items():
                     if m == 0 or (idx is not None and idx < m):
-                        prompt_tokens += p_tok
-                        generated_tokens += g_tok
+                        tokens[m][0] += p_tok
+                        tokens[m][1] += g_tok
+        rows = []
+        for m in points:
+            prompt_tokens, generated_tokens = tokens[m]
             total = prompt_tokens + generated_tokens
             rows.append({
                 "paragraphs": m,
@@ -682,7 +686,7 @@ class Pipeline:
                 "generated_tokens": generated_tokens,
                 "total_tokens": total,
                 "flops": flops_for_tokens(self.param_count, total),
-                "metric": left_sum(correct) / len(correct),
+                "metric": left_sum(correct[m]) / len(correct[m]),
             })
         write_json_record(self.workdir / "cost" / f"{self.prediction_name()}.json", {
             "dataset_id": self.config.dataset_id,

@@ -8,6 +8,7 @@ the underlying bank decides the field order and which field is the cue.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -51,19 +52,27 @@ def _block(values: dict[str, str], fields: tuple[str, ...], cue: bool) -> str:
     return "\n".join(lines)
 
 
+# 5 kinds x open/closed book x the 16 suffixes fitting can cut 15 examples to make
+# 160 prefixes per bank set; the bound stops a process that loads many from keeping all
+@functools.lru_cache(maxsize=256)
+def _examples_prefix(kind: str, closed_book: bool, examples: tuple[FewShotExample, ...]) -> str:
+    """The example blocks, each followed by the blank line before the next
+    block; rendered once per bank and example suffix, not once per prompt."""
+    fields = _fields_for(kind, closed_book)
+    return "".join(
+        _block({name: getattr(ex, name) for name in fields}, fields, cue=False) + "\n\n"
+        for ex in examples
+    )
+
+
 def _render_text(
     kind: str,
     closed_book: bool,
     examples: tuple[FewShotExample, ...],
     target: dict[str, str],
 ) -> str:
-    fields = _fields_for(kind, closed_book)
-    blocks = [
-        _block({name: getattr(ex, name) for name in fields}, fields, cue=False)
-        for ex in examples
-    ]
-    blocks.append(_block(target, fields, cue=True))
-    return "\n\n".join(blocks)
+    return (_examples_prefix(kind, closed_book, examples)
+            + _block(target, _fields_for(kind, closed_book), cue=True))
 
 
 def render_prompt(

@@ -7,7 +7,11 @@ import threading
 import pytest
 
 from webqa import cli
+from webqa import cache as cache_module
+from webqa import pipeline as pipeline_module
 from webqa.cache import (
+    OLD_PACK_SUFFIX,
+    PACK_SUFFIX,
     CacheKey,
     CacheMiss,
     OfflineCacheMiss,
@@ -21,7 +25,7 @@ from webqa.cache import (
     write_json_record,
 )
 from webqa.fixtures import FixtureServer
-from webqa.lmbackend import CachedBackend, MockBackend
+from webqa.lmbackend import CachedBackend, GenerationParams, MockBackend
 from webqa.pipeline import GOLD, Pipeline, PipelineConfig
 
 
@@ -156,15 +160,26 @@ def test_first_puts_create_missing_namespace_directory(tmp_path):
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory, qa_dataset_path, banks_dir, web_root):
     """One fixture run with every (namespace, request, response) that passed
-    through the cache recorded; the fixture web stays served for the module."""
+    through the cache and every prompt the backend was sent recorded; the
+    fixture web stays served for the module."""
     workdir = tmp_path_factory.mktemp("recorded") / "w"
     seen = []
+    prompts = []
     original = RequestCache.get_or_fetch
+    sample, score = MockBackend.sample, MockBackend.score
 
     def recording(self, namespace, request, fetch, offline=False):
         response = original(self, namespace, request, fetch, offline)
         seen.append((namespace, request, response))
         return response
+
+    def recording_sample(self, prompt, params, seed):
+        prompts.append(prompt)
+        return sample(self, prompt, params, seed)
+
+    def recording_score(self, prompt, continuation):
+        prompts.append(prompt)
+        return score(self, prompt, continuation)
 
     with FixtureServer(web_root) as server:
         def flags(workdir, *extra):
@@ -176,8 +191,10 @@ def recorded_run(tmp_path_factory, qa_dataset_path, banks_dir, web_root):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(RequestCache, "get_or_fetch", recording)
+            mp.setattr(MockBackend, "sample", recording_sample)
+            mp.setattr(MockBackend, "score", recording_score)
             assert cli.main(flags(workdir)) == 0
-        yield {"workdir": workdir, "seen": seen, "flags": flags}
+        yield {"workdir": workdir, "seen": seen, "prompts": prompts, "flags": flags}
 
 
 def _question_dir(cache_root, qid):
@@ -209,9 +226,9 @@ def test_cache_files_hold_only_canonical_responses(recorded_run):
     packs = files - set(loose)
     pack_digests = set()
     for path in packs:
-        assert path.name.endswith(".pack.gz") and path.parent.parent == cache_root / "lm"
+        assert path.name.endswith(PACK_SUFFIX) and path.parent.parent == cache_root / "lm"
         content = gunzip_bytes(path.read_bytes())
-        assert path.name == f"{hashlib.sha256(content).hexdigest()}.pack.gz"
+        assert path.name == f"{hashlib.sha256(content).hexdigest()}{PACK_SUFFIX}"
         lines = _pack_lines(path)
         assert lines == sorted(lines)
         for line in lines:
@@ -225,11 +242,9 @@ def test_cache_files_hold_only_canonical_responses(recorded_run):
 
 def test_lm_entries_hold_no_prompt(recorded_run):
     cache_root = recorded_run["workdir"] / "cache"
-    prompts = [canonical_json(request["prompt"])[1:-1]
-               for namespace, request, _ in recorded_run["seen"]
-               if namespace == "lm" and "prompt" in request]
+    prompts = {canonical_json(prompt)[1:-1] for prompt in recorded_run["prompts"]}
     assert prompts
-    lines = [line for path in (cache_root / "lm").rglob("*.pack.gz") for line in _pack_lines(path)]
+    lines = [line for path in (cache_root / "lm").rglob(f"*{PACK_SUFFIX}") for line in _pack_lines(path)]
     lines += [gunzip_bytes(path.read_bytes()).decode("utf-8")
               for path in (cache_root / "lm").glob("*.response.json.gz")]
     assert len(lines) >= len(prompts)
@@ -277,12 +292,96 @@ def test_offline_run_over_old_layout_cache_exits_3(recorded_run, tmp_path, capsy
     assert "older cache layout, which are not read" in err
 
 
+def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_path, capsys):
+    """Packs with the older suffix are never read, even when their lines
+    would match: online every LM request is asked for again, and offline
+    the first LM miss in a question names the older layout."""
+    workdir = tmp_path / "w"
+    shutil.copytree(recorded_run["workdir"], workdir)
+    packs = list((workdir / "cache" / "lm").rglob(f"*{PACK_SUFFIX}"))
+    assert packs
+    old_packs = [path.with_name(path.name[:-len(PACK_SUFFIX)] + OLD_PACK_SUFFIX) for path in packs]
+    for path, old in zip(packs, old_packs):
+        path.rename(old)
+    capsys.readouterr()
+    assert cli.main(recorded_run["flags"](workdir, "--offline")) == 3
+    err = capsys.readouterr().err
+    assert f"holds *{OLD_PACK_SUFFIX} files written by an older cache layout, which are not read" in err
+    assert '"text_sha256":"' in err  # a question's first request counts its prompt's tokens
+
+    fetched = []
+    original = RequestCache.get_or_fetch
+
+    def recording(self, namespace, request, fetch, offline=False):
+        def recorded_fetch():
+            fetched.append(request_digest(request))
+            return fetch()
+        return original(self, namespace, request, recorded_fetch, offline)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RequestCache, "get_or_fetch", recording)
+        assert cli.main(recorded_run["flags"](workdir)) == 0
+    in_questions = {request_digest(request) for namespace, request, _ in recorded_run["seen"]
+                    if namespace == "lm" and request["op"] != "describe"}
+    assert set(fetched) == in_questions
+    assert all(old.exists() for old in old_packs)
+
+
 def test_offline_miss_in_a_current_cache_gives_no_layout_hint(tmp_path):
     cache = RequestCache(tmp_path)
     cache.put(CacheKey.for_request("fetch", {"url": "http://x"}), {"body": "x"})
     with pytest.raises(OfflineCacheMiss) as err:
         cache.get_or_fetch("fetch", {"url": "http://y"}, lambda: None, offline=True)
     assert "older cache layout" not in str(err.value)
+
+
+# --- LM request keys -------------------------------------------------------
+
+# A change to any of these digests makes every existing LM cache unreadable.
+PINNED_LM_DIGESTS = {
+    "describe": "5f9d6ac35e84761b3e11c8ee68d6e17536a5dcf64b13958eb82a9ff583e63723",
+    "score": "7eac1e726f1ec5b36add0affbee2bf37b819e3fd5ccb76fc7f579f9e6cefe289",
+    "sample": "e9a8f9ba2583cf0042233d4e0cb5c5107019391f255f8bc42e39d4a6bf4a5d0a",
+    "count_tokens": "df9ce11bf8016bb1960d23a021686e6c4e68942f9efe62294af9f29247f9b3e2",
+}
+
+
+@pytest.mark.parametrize("op", sorted(PINNED_LM_DIGESTS))
+def test_lm_request_digests_are_pinned(tmp_path, op):
+    cached = CachedBackend(MockBackend(), RequestCache(tmp_path), identity="mock")
+    call = {
+        "describe": cached.describe,
+        "score": lambda: cached.score("Question: Who wrote Hamlet?\nAnswer:", " Shakespeare"),
+        "sample": lambda: cached.sample("Question: Who wrote Hamlet?\nAnswer:",
+                                        GenerationParams(n_samples=2), seed=7),
+        "count_tokens": lambda: cached.count_tokens("Question: Who wrote Hamlet?"),
+    }[op]
+    call()
+    [entry] = (tmp_path / "lm").iterdir()
+    assert entry.name == f"{PINNED_LM_DIGESTS[op]}.response.json.gz"
+
+
+def test_offline_replay_never_encodes_a_prompt(tmp_path, qa_dataset_path, banks_dir, monkeypatch):
+    """A cache key holds a prompt's hash, never the prompt: no canonical JSON
+    made during an offline replay is as long as the shortest prompt sent."""
+    inner = _RecordingMock()
+    _gold_run(qa_dataset_path, tmp_path, banks_dir, inner, max_workers=1)
+    shortest = min(len(request[1]) for request in inner.requests if request[0] in ("sample", "score"))
+    longest = 0
+    original = cache_module.canonical_json
+
+    def measuring(obj):
+        nonlocal longest
+        text = original(obj)
+        longest = max(longest, len(text))
+        return text
+
+    monkeypatch.setattr(cache_module, "canonical_json", measuring)
+    monkeypatch.setattr(pipeline_module, "canonical_json", measuring)
+    replay = CachedBackend(MockBackend(), RequestCache(tmp_path / "cache"), offline=True,
+                           identity="mock")
+    Pipeline(_gold_config(qa_dataset_path, tmp_path, banks_dir, max_workers=1), replay).run()
+    assert 0 < longest < shortest
 
 
 # --- per-question packs ----------------------------------------------------
@@ -334,9 +433,11 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
     [pack] = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert pack.parent == _question_dir(tmp_path, "q1")
     lines = _pack_lines(pack)
-    digests = [request_digest({"op": "score", "backend": "_RecordingMock", "prompt": "p",
+    digests = [request_digest({"op": "score", "backend": "_RecordingMock",
+                               "prompt_sha256": hashlib.sha256(b"p").hexdigest(),
                                "continuation": " c"}),
-               request_digest({"op": "count_tokens", "backend": "_RecordingMock", "text": "a b"})]
+               request_digest({"op": "count_tokens", "backend": "_RecordingMock",
+                               "text_sha256": hashlib.sha256(b"a b").hexdigest()})]
     assert sorted(lines) == lines
     assert sorted(lines) == sorted([f"{digests[0]} {canonical_json(first)}", f"{digests[1]} 2"])
 

@@ -461,6 +461,27 @@ class TestEmptyClosedPool:
             pipeline.stage_cost()
 
 
+def test_cost_loads_each_pool_once(gold_run, monkeypatch):
+    """The cost sweep reads each question's pool under each source at most
+    once, however many cost points it has, and writes the same bytes."""
+    pipeline, _, workdir = gold_run
+    [cost_path] = (workdir / "cost").iterdir()
+    before = cost_path.read_bytes()
+    loads = []
+    original = pipeline.load_pool
+
+    def counting(source, qid):
+        loads.append((source, qid))
+        return original(source, qid)
+
+    monkeypatch.setattr(pipeline, "load_pool", counting)
+    pipeline.stage_cost()
+    assert len(pipeline.config.cost_points) > 2
+    assert {qid for source, qid in loads if source == GOLD} == {r.id for r in pipeline.main_records}
+    assert len(loads) == len(set(loads))
+    assert cost_path.read_bytes() == before
+
+
 def test_cost_without_call_log_is_refused(tmp_path, qa_dataset_path, banks_dir):
     pipeline = Pipeline(_config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir)), MockBackend())
     _build_pools(pipeline)
