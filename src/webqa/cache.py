@@ -12,7 +12,10 @@ never with their request:
   the scope that wrote it, and is named by the SHA-256 of those lines.
 
 A warm cache makes every pipeline stage replayable offline and
-byte-identical across runs.
+byte-identical across runs.  Whether a miss may fetch is a property of the
+cache: one built with ``offline=True`` raises :class:`OfflineCacheMiss` on
+every miss, in every namespace, and never writes.  Entries of older layouts
+(other file names or pack suffixes) are never read.
 """
 from __future__ import annotations
 
@@ -30,8 +33,6 @@ from pathlib import Path
 NAMESPACES = ("search", "fetch", "lm")
 PACKED_NAMESPACE = "lm"
 PACK_SUFFIX = ".pack2.gz"
-# packs of an older layout, whose LM keys held the whole prompt; never read
-OLD_PACK_SUFFIX = ".pack.gz"
 # zlib level 1 compresses page bodies in under a third of level 9's time, for 18% more bytes
 GZIP_LEVEL = 1
 # a gzip header with no file name, mtime 0, no extra flags and OS "unknown"
@@ -125,8 +126,9 @@ class RequestCache:
     misses are safe (identical content, last write wins).
     """
 
-    def __init__(self, root: str | os.PathLike):
+    def __init__(self, root: str | os.PathLike, offline: bool = False):
         self.root = Path(root)
+        self.offline = offline
         self._local = threading.local()
 
     def _path(self, key: CacheKey) -> Path:
@@ -160,32 +162,19 @@ class RequestCache:
             self._local.packs = None
             packs.save()
 
-    def _old_layout_note(self, namespace: str, packs: _QuestionPacks | None) -> str:
-        places = [(self.root / namespace, "*.json")]
-        if packs is not None:
-            places.append((packs.directory, f"*{OLD_PACK_SUFFIX}"))
-        for directory, pattern in places:
-            if next(directory.glob(pattern), None) is not None:
-                return (f"; {directory} holds {pattern} files written by an older cache layout, "
-                        f"which are not read: delete that cache and re-run online")
-        return ""
-
-    def get_or_fetch(self, namespace: str, request: dict, fetch, offline: bool = False):
-        """Return the cached response for ``request``, calling ``fetch()`` on a miss.
-
-        On a miss with ``offline=True`` no fetch is attempted and
-        :class:`OfflineCacheMiss` is raised instead.
-        """
+    def get_or_fetch(self, namespace: str, request: dict, fetch):
+        """Return the cached response for ``request``, calling ``fetch()`` on a
+        miss; an offline cache raises :class:`OfflineCacheMiss` instead."""
         key = CacheKey.for_request(namespace, request)
         packs = getattr(self._local, "packs", None) if namespace == PACKED_NAMESPACE else None
         store = self if packs is None else packs
         try:
             return store.get(key)
         except CacheMiss:
-            if offline:
+            if self.offline:
                 raise OfflineCacheMiss(
                     f"offline mode: no cached response for {namespace} request "
-                    f"{canonical_json(request)[:200]}{self._old_layout_note(namespace, packs)}"
+                    f"{canonical_json(request)[:200]}"
                 ) from None
         response = fetch()
         store.put(key, response)

@@ -173,27 +173,19 @@ def effective_config(args: argparse.Namespace) -> dict:
 
 
 def make_backend(config: dict) -> LMBackend:
-    cache = RequestCache(os.path.join(config["workdir"], "cache"))
+    cache = RequestCache(os.path.join(config["workdir"], "cache"), offline=config["offline"])
     if config["backend"] == "mock":
         inner: LMBackend = MockBackend(param_count=config["param_count"])
         identity = "mock"
     else:
         inner = HTTPBackend(config["backend"])
         identity = config["backend"]
-    return CachedBackend(inner, cache, offline=config["offline"], identity=identity)
-
-
-class _UnconfiguredSearch:
-    """Placeholder when no credentials exist; only reachable on a cache miss."""
-
-    def search(self, query: str, num: int):
-        raise SearchError(
-            f"no search credentials: set {GOOGLE_API_KEY_VAR} and {GOOGLE_CSE_ID_VAR} "
-            "or pass --search-endpoint"
-        )
+    return CachedBackend(inner, cache, identity=identity)
 
 
 def make_search_client(config: dict):
+    """The run's search client; ``None`` without search evidence, and for an
+    offline run without credentials, whose cache must already hold every search."""
     if config["evidence"] != "search":
         return None
     endpoint = config["search_endpoint"]
@@ -203,7 +195,7 @@ def make_search_client(config: dict):
         if api_key and cse_id:
             return GoogleCustomSearchClient(api_key, cse_id)
         if config["offline"]:
-            return _UnconfiguredSearch()
+            return None
         raise ConfigError(
             f"search needs {GOOGLE_API_KEY_VAR} and {GOOGLE_CSE_ID_VAR} in the "
             "environment (or --search-endpoint URL, or --offline with a warm cache)"

@@ -226,6 +226,14 @@ class MockBackend(LMBackend):
         return hash_score(prompt, continuation)
 
 
+def _logprob(obj: dict, route: str) -> float:
+    """``obj["logprob"]`` as a float; a server's missing or non-finite value is a ``ValueError``."""
+    value = obj.get("logprob")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{route} returned logprob {value!r}, not a finite number")
+    return float(value)
+
+
 class HTTPBackend(LMBackend):
     """Client for a completion server.
 
@@ -254,13 +262,13 @@ class HTTPBackend(LMBackend):
             "stop": list(params.stop),
             "seed": seed,
         })
-        return [Sample(text=s["text"], logprob=float(s["logprob"])) for s in obj["samples"]]
+        return [Sample(text=s["text"], logprob=_logprob(s, "/v1/complete")) for s in obj["samples"]]
 
     def score(self, prompt: str, continuation: str) -> float:
         if not self.describe().can_score:
             raise ScoringUnsupported(f"backend {self.describe().name!r} cannot score")
         obj = self._request("/v1/score", {"prompt": prompt, "continuation": continuation})
-        return float(obj["logprob"])
+        return _logprob(obj, "/v1/score")
 
     def count_tokens(self, text: str) -> int:
         obj = self._request("/v1/count_tokens", {"text": text})
@@ -285,11 +293,9 @@ class CachedBackend(LMBackend):
     name.
     """
 
-    def __init__(self, inner: LMBackend, cache: RequestCache, offline: bool = False,
-                 identity: str | None = None):
+    def __init__(self, inner: LMBackend, cache: RequestCache, identity: str | None = None):
         self.inner = inner
         self.cache = cache
-        self.offline = offline
         self.identity = identity if identity is not None else type(inner).__name__
 
     def question_scope(self, question_id: str):
@@ -298,9 +304,7 @@ class CachedBackend(LMBackend):
 
     def describe(self) -> BackendDescriptor:
         request = {"op": "describe", "backend": self.identity}
-        response = self.cache.get_or_fetch(
-            "lm", request, lambda: self.inner.describe().to_json(), offline=self.offline
-        )
+        response = self.cache.get_or_fetch("lm", request, lambda: self.inner.describe().to_json())
         return BackendDescriptor.from_json(response)
 
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
@@ -311,7 +315,6 @@ class CachedBackend(LMBackend):
         response = self.cache.get_or_fetch(
             "lm", request,
             lambda: [{"text": s.text, "logprob": s.logprob} for s in self.inner.sample(prompt, params, seed)],
-            offline=self.offline,
         )
         return [Sample(text=s["text"], logprob=float(s["logprob"])) for s in response]
 
@@ -320,14 +323,10 @@ class CachedBackend(LMBackend):
             "op": "score", "backend": self.identity,
             "prompt_sha256": _sha256(prompt), "continuation": continuation,
         }
-        response = self.cache.get_or_fetch(
-            "lm", request, lambda: self.inner.score(prompt, continuation), offline=self.offline
-        )
+        response = self.cache.get_or_fetch("lm", request, lambda: self.inner.score(prompt, continuation))
         return float(response)
 
     def count_tokens(self, text: str) -> int:
         request = {"op": "count_tokens", "backend": self.identity, "text_sha256": _sha256(text)}
-        response = self.cache.get_or_fetch(
-            "lm", request, lambda: self.inner.count_tokens(text), offline=self.offline
-        )
+        response = self.cache.get_or_fetch("lm", request, lambda: self.inner.count_tokens(text))
         return int(response)

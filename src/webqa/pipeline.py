@@ -172,7 +172,7 @@ class Pipeline:
         self.backend = backend
         self.search_client = search_client
         self.workdir = Path(config.workdir)
-        self.cache = RequestCache(self.workdir / "cache")
+        self.cache = RequestCache(self.workdir / "cache", offline=config.offline)
         try:
             self.records = load_dataset(config.dataset_path)
         except (OSError, ValueError) as exc:
@@ -345,7 +345,7 @@ class Pipeline:
         """Build ranked conditioning paragraphs for every question."""
         if self.config.evidence == CLOSED:
             return
-        if self.config.evidence == SEARCH and self.search_client is None:
+        if self.config.evidence == SEARCH and self.search_client is None and not self.config.offline:
             raise ConfigError("search evidence mode needs a search client")
 
         def worker(record: QuestionRecord) -> None:
@@ -357,9 +357,7 @@ class Pipeline:
                 ]
             else:
                 documents = websearch.retrieve_documents(
-                    record.question, self.search_client, self.cache,
-                    num_urls=self.config.num_urls, offline=self.config.offline,
-                )
+                    record.question, self.search_client, self.cache, num_urls=self.config.num_urls)
                 write_json_record(self._qpath("index", "questions", record.id), {
                     "question_id": record.id,
                     "question": record.question,
@@ -423,11 +421,11 @@ class Pipeline:
             lp_q_p = self._score(log, count, record.id, "score_q_given_p", i,
                                  render_prompt(q_p_bank, evidence=text), q_cont)
 
+            a_p_prompt = render_prompt(a_p_bank, evidence=text)
             label_lp_a_p = None
             if record.task == CLASSIFICATION:
                 label_lp_a_p = dict(self._label_log_probs(
-                    log, count, record, "label_a_given_p", i, render_prompt(a_p_bank, evidence=text)
-                ))
+                    log, count, record, "label_a_given_p", i, a_p_prompt))
 
             for answer_text, lp_a_qp in candidates:
                 lp_q_ap = self._score(
@@ -438,7 +436,7 @@ class Pipeline:
                     lp_a_p = label_lp_a_p[answer_text]
                 else:
                     lp_a_p = self._score(log, count, record.id, "score_a_given_p", i,
-                                         render_prompt(a_p_bank, evidence=text), " " + answer_text)
+                                         a_p_prompt, " " + answer_text)
                 pool.append(_pool_row(
                     answer_text, i, lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"])
                 ))

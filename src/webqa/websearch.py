@@ -136,14 +136,13 @@ class FixtureSearchClient:
         return [SearchResult(url=u, rank=i + 1) for i, u in enumerate(urls[:num])]
 
 
-def cached_search(cache: RequestCache, client, query: str, num: int,
-                  offline: bool = False) -> list[SearchResult]:
+def cached_search(cache: RequestCache, client, query: str, num: int) -> list[SearchResult]:
     request = {"op": "search", "query": query, "num": num}
 
     def fetch():
         return [{"url": r.url, "rank": r.rank, "title": r.title} for r in client.search(query, num)]
 
-    response = cache.get_or_fetch("search", request, fetch, offline=offline)
+    response = cache.get_or_fetch("search", request, fetch)
     return [SearchResult(url=r["url"], rank=int(r["rank"]), title=r.get("title", "")) for r in response]
 
 
@@ -167,9 +166,9 @@ def fetch_page(url: str) -> dict:
     return {"status": status, "content_type": content_type, "body": text}
 
 
-def cached_fetch(cache: RequestCache, url: str, offline: bool = False) -> dict:
+def cached_fetch(cache: RequestCache, url: str) -> dict:
     """Like :func:`fetch_page` but cached; network errors are never cached."""
-    return cache.get_or_fetch("fetch", {"op": "fetch", "url": url}, lambda: fetch_page(url), offline=offline)
+    return cache.get_or_fetch("fetch", {"op": "fetch", "url": url}, lambda: fetch_page(url))
 
 
 def retrieve_documents(
@@ -177,7 +176,6 @@ def retrieve_documents(
     client,
     cache: RequestCache,
     num_urls: int = DEFAULT_TOP_URLS,
-    offline: bool = False,
 ) -> list[WebDocument]:
     """Search for ``question`` and fetch every hit into a :class:`WebDocument`.
 
@@ -185,10 +183,10 @@ def retrieve_documents(
     than failing the question; order follows search rank.
     """
     documents = []
-    for result in cached_search(cache, client, question, num_urls, offline=offline):
+    for result in cached_search(cache, client, question, num_urls):
         text = ""
         try:
-            page = cached_fetch(cache, result.url, offline=offline)
+            page = cached_fetch(cache, result.url)
         except net.NetError as exc:
             logger.warning("dropping %s: %s", result.url, exc)
         else:

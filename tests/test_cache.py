@@ -10,7 +10,6 @@ from webqa import cli
 from webqa import cache as cache_module
 from webqa import pipeline as pipeline_module
 from webqa.cache import (
-    OLD_PACK_SUFFIX,
     PACK_SUFFIX,
     CacheKey,
     CacheMiss,
@@ -79,24 +78,46 @@ def test_get_or_fetch_fetches_once(tmp_path):
 
 
 def test_offline_miss_names_the_request(tmp_path):
-    cache = RequestCache(tmp_path)
+    cache = RequestCache(tmp_path, offline=True)
 
     def fetch():
         raise AssertionError("offline mode must not call fetch")
 
     with pytest.raises(OfflineCacheMiss) as err:
-        cache.get_or_fetch("lm", {"op": "score", "prompt": "p"}, fetch, offline=True)
+        cache.get_or_fetch("lm", {"op": "score", "prompt": "p"}, fetch)
     assert "offline" in str(err.value)
     assert '"op":"score"' in str(err.value)
 
 
 def test_offline_hit_serves_from_cache(tmp_path):
-    cache = RequestCache(tmp_path)
     req = {"op": "fetch", "url": "http://x"}
-    cache.put(CacheKey.for_request("fetch", req), {"body": "cached"})
-    out = cache.get_or_fetch(
-        "fetch", req, lambda: pytest.fail("should not fetch"), offline=True)
+    RequestCache(tmp_path).put(CacheKey.for_request("fetch", req), {"body": "cached"})
+    out = RequestCache(tmp_path, offline=True).get_or_fetch(
+        "fetch", req, lambda: pytest.fail("should not fetch"))
     assert out == {"body": "cached"}
+
+
+def test_offline_cache_over_empty_root_raises_and_writes_nothing(tmp_path):
+    cache = RequestCache(tmp_path, offline=True)
+    with pytest.raises(OfflineCacheMiss):
+        cache.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"}, lambda: {"body": "x"})
+    with pytest.raises(OfflineCacheMiss), cache.question_scope("q1"):
+        cache.get_or_fetch("lm", {"op": "score"}, lambda: -1.0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_offline_scope_that_only_hits_writes_nothing(tmp_path):
+    warm = RequestCache(tmp_path)
+    warm.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"}, lambda: {"body": "x"})
+    with warm.question_scope("q1"):
+        warm.get_or_fetch("lm", {"op": "score"}, lambda: -1.0)
+    before = sorted(tmp_path.rglob("*")), _tree(tmp_path)
+    offline = RequestCache(tmp_path, offline=True)
+    with offline.question_scope("q1"):
+        assert offline.get_or_fetch("lm", {"op": "score"}, lambda: pytest.fail("fetched")) == -1.0
+        assert offline.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"},
+                                    lambda: pytest.fail("fetched")) == {"body": "x"}
+    assert (sorted(tmp_path.rglob("*")), _tree(tmp_path)) == before
 
 
 def test_atomic_write_replaces_content(tmp_path):
@@ -168,8 +189,8 @@ def recorded_run(tmp_path_factory, qa_dataset_path, banks_dir, web_root):
     original = RequestCache.get_or_fetch
     sample, score = MockBackend.sample, MockBackend.score
 
-    def recording(self, namespace, request, fetch, offline=False):
-        response = original(self, namespace, request, fetch, offline)
+    def recording(self, namespace, request, fetch):
+        response = original(self, namespace, request, fetch)
         seen.append((namespace, request, response))
         return response
 
@@ -287,36 +308,33 @@ def test_offline_run_over_old_layout_cache_exits_3(recorded_run, tmp_path, capsy
         _write_old_entry(cache_root, namespace, request, response)
     capsys.readouterr()
     assert cli.main(offline) == 3
-    err = capsys.readouterr().err
-    assert "offline cache miss" in err
-    assert "older cache layout, which are not read" in err
+    assert "offline cache miss" in capsys.readouterr().err
 
 
 def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_path, capsys):
     """Packs with the older suffix are never read, even when their lines
     would match: online every LM request is asked for again, and offline
-    the first LM miss in a question names the older layout."""
+    the first LM miss in a question exits 3."""
     workdir = tmp_path / "w"
     shutil.copytree(recorded_run["workdir"], workdir)
     packs = list((workdir / "cache" / "lm").rglob(f"*{PACK_SUFFIX}"))
     assert packs
-    old_packs = [path.with_name(path.name[:-len(PACK_SUFFIX)] + OLD_PACK_SUFFIX) for path in packs]
+    old_packs = [path.with_name(path.name[:-len(PACK_SUFFIX)] + ".pack.gz") for path in packs]
     for path, old in zip(packs, old_packs):
         path.rename(old)
     capsys.readouterr()
     assert cli.main(recorded_run["flags"](workdir, "--offline")) == 3
     err = capsys.readouterr().err
-    assert f"holds *{OLD_PACK_SUFFIX} files written by an older cache layout, which are not read" in err
     assert '"text_sha256":"' in err  # a question's first request counts its prompt's tokens
 
     fetched = []
     original = RequestCache.get_or_fetch
 
-    def recording(self, namespace, request, fetch, offline=False):
+    def recording(self, namespace, request, fetch):
         def recorded_fetch():
             fetched.append(request_digest(request))
             return fetch()
-        return original(self, namespace, request, recorded_fetch, offline)
+        return original(self, namespace, request, recorded_fetch)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RequestCache, "get_or_fetch", recording)
@@ -325,14 +343,6 @@ def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_pat
                     if namespace == "lm" and request["op"] != "describe"}
     assert set(fetched) == in_questions
     assert all(old.exists() for old in old_packs)
-
-
-def test_offline_miss_in_a_current_cache_gives_no_layout_hint(tmp_path):
-    cache = RequestCache(tmp_path)
-    cache.put(CacheKey.for_request("fetch", {"url": "http://x"}), {"body": "x"})
-    with pytest.raises(OfflineCacheMiss) as err:
-        cache.get_or_fetch("fetch", {"url": "http://y"}, lambda: None, offline=True)
-    assert "older cache layout" not in str(err.value)
 
 
 # --- LM request keys -------------------------------------------------------
@@ -378,7 +388,7 @@ def test_offline_replay_never_encodes_a_prompt(tmp_path, qa_dataset_path, banks_
 
     monkeypatch.setattr(cache_module, "canonical_json", measuring)
     monkeypatch.setattr(pipeline_module, "canonical_json", measuring)
-    replay = CachedBackend(MockBackend(), RequestCache(tmp_path / "cache"), offline=True,
+    replay = CachedBackend(MockBackend(), RequestCache(tmp_path / "cache", offline=True),
                            identity="mock")
     Pipeline(_gold_config(qa_dataset_path, tmp_path, banks_dir, max_workers=1), replay).run()
     assert 0 < longest < shortest
@@ -470,12 +480,12 @@ def test_offline_scope_serves_its_pack_and_writes_nothing(tmp_path):
     with cache.question_scope("q1"):
         value = CachedBackend(MockBackend(), cache).score("p", " c")
     before = sorted(p for p in tmp_path.rglob("*"))
-    offline = CachedBackend(MockBackend(), cache, offline=True)
-    with cache.question_scope("q1"):
+    offline = CachedBackend(MockBackend(), RequestCache(tmp_path, offline=True))
+    with offline.question_scope("q1"):
         assert offline.score("p", " c") == value
         with pytest.raises(OfflineCacheMiss):
             offline.score("p", " other")
-    with cache.question_scope("q2"), pytest.raises(OfflineCacheMiss):
+    with offline.question_scope("q2"), pytest.raises(OfflineCacheMiss):
         offline.score("p", " c")
     assert sorted(p for p in tmp_path.rglob("*")) == before
 

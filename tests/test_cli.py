@@ -10,6 +10,7 @@ import pytest
 
 import webqa
 from webqa import cli, fixtures
+from webqa.cache import gunzip_bytes
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend
@@ -131,12 +132,28 @@ class TestMakeSearchClient:
         assert isinstance(cli.make_search_client(config),
                           GoogleCustomSearchClient)
 
-    def test_offline_allows_unconfigured_google(self, monkeypatch):
+    def test_offline_google_needs_a_warm_cache_not_credentials(
+            self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, capsys):
+        """An offline run with the default endpoint and no credentials replays a
+        cache warmed through the fixture server, and exits 3 over an empty one."""
         monkeypatch.delenv(cli.GOOGLE_API_KEY_VAR, raising=False)
         monkeypatch.delenv(cli.GOOGLE_CSE_ID_VAR, raising=False)
-        config = cli.effective_config(_args(*BASE, "--offline"))
-        client = cli.make_search_client(config)
-        assert client is not None  # placeholder that fails only on cache miss
+        workdir = tmp_path / "w"
+        common = ["run", "--dataset", str(qa_dataset_path), "--banks-dir", str(banks_dir),
+                  "--top-urls", "3", "--paragraphs", "2", "--samples-per-paragraph", "2",
+                  "--closed-book-samples", "4", "--max-new-tokens", "16", "--cost-points", "0,1"]
+        with FixtureServer(web_root) as server:
+            assert cli.main(common + ["--workdir", str(workdir),
+                                      "--search-endpoint", server.base_url]) == 0
+        before = {p: p.read_bytes() for p in sorted(workdir.rglob("*")) if p.is_file()}
+        assert cli.main(common + ["--workdir", str(workdir), "--offline"]) == 0
+        assert {p: p.read_bytes() for p in sorted(workdir.rglob("*")) if p.is_file()} == before
+
+        empty = tmp_path / "empty"
+        capsys.readouterr()
+        assert cli.main(common + ["--workdir", str(empty), "--offline"]) == 3
+        assert "offline cache miss" in capsys.readouterr().err
+        assert not (empty / "cache").exists()
 
 
 class TestMainExitCodes:
@@ -363,6 +380,31 @@ class TestHTTPBackendRun:
         assert list(failures) == [record.id]
         assert failures[record.id].startswith("answer: POST ")
         assert "failed after 3 attempts" in failures[record.id]
+
+    def test_non_finite_score_fails_one_question_and_is_never_stored(
+            self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch):
+        record = load_dataset(qa_dataset_path)[0]
+        answer = fixtures._FixtureHandler.do_POST
+
+        def infinite_for_one_question(handler):
+            body = handler.rfile.read(int(handler.headers["Content-Length"]))
+            if handler.path == "/v1/score" and record.question in body.decode("utf-8"):
+                handler._send(200, "application/json", b'{"logprob": -Infinity}')
+                return
+            handler.rfile = io.BytesIO(body)
+            answer(handler)
+
+        monkeypatch.setattr(fixtures._FixtureHandler, "do_POST", infinite_for_one_question)
+        workdir = tmp_path / "w"
+        with FixtureServer(web_root) as server:
+            assert self._run(workdir, qa_dataset_path, banks_dir, server, server.base_url) == 0
+        failures = json.loads((workdir / "failures.json").read_text(encoding="utf-8"))
+        assert failures == {
+            record.id: "answer: /v1/score returned logprob -inf, not a finite number"}
+        for path in workdir.rglob("*"):
+            if path.is_file():
+                data = gunzip_bytes(path.read_bytes()) if path.suffix == ".gz" else path.read_bytes()
+                assert b"Infinity" not in data, path
 
 
 def test_cli_imports_only_the_standard_library():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -246,7 +247,7 @@ class TestCachedBackend:
         cache = RequestCache(tmp_path)
         warm = CachedBackend(MockBackend(), cache)
         warm.score("p", " c")
-        offline = CachedBackend(MockBackend(), cache, offline=True)
+        offline = CachedBackend(MockBackend(), RequestCache(tmp_path, offline=True))
         assert offline.score("p", " c") == warm.score("p", " c")
         with pytest.raises(OfflineCacheMiss):
             offline.score("p", " other")
@@ -308,3 +309,29 @@ class TestHTTPBackend:
         score = HTTPBackend(server.base_url).score(self.PROMPT, " Aurora Falls")
         assert score == MockBackend().score(self.PROMPT, " Aurora Falls")
         assert posts == ["/v1/score", "/v1/score"]
+
+    @pytest.mark.parametrize("body", [
+        b'{"logprob": -Infinity}', b'{"logprob": NaN}', b'{}', b'{"logprob": "-1.5"}',
+    ])
+    def test_bad_score_is_a_value_error_and_never_cached(self, serve, tmp_path, body):
+        model = json.dumps(MockBackend().describe().to_json()).encode("utf-8")
+
+        def respond(handler):
+            if handler.command == "GET":
+                handler.reply(200, model, "application/json")
+            else:
+                handler.rfile.read(int(handler.headers["Content-Length"]))
+                handler.reply(200, body, "application/json")
+
+        cached = CachedBackend(HTTPBackend(serve(respond)), RequestCache(tmp_path))
+        with pytest.raises(ValueError, match="^/v1/score returned logprob .*, not a finite number$"):
+            cached.score(self.PROMPT, " Aurora Falls")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sample_without_logprob_is_a_value_error(self, serve):
+        def respond(handler):
+            handler.rfile.read(int(handler.headers["Content-Length"]))
+            handler.reply(200, b'{"samples": [{"text": "Aurora Falls"}]}', "application/json")
+
+        with pytest.raises(ValueError, match="^/v1/complete returned logprob None"):
+            HTTPBackend(serve(respond)).sample(self.PROMPT, GenerationParams(), 7)

@@ -198,19 +198,20 @@ class TestCachedAccess:
         assert len(first) == 3
 
     def test_search_offline_miss(self, tmp_path):
-        cache = RequestCache(tmp_path)
+        cache = RequestCache(tmp_path, offline=True)
         client = FixtureSearchClient("http://127.0.0.1:1")  # nothing listens
         with pytest.raises(OfflineCacheMiss):
-            cached_search(cache, client, "q", 3, offline=True)
+            cached_search(cache, client, "q", 3)
 
     def test_fetch_cached_and_offline(self, server, tmp_path):
         cache = RequestCache(tmp_path)
         url = f"{server.base_url}/pages/q01a.html"
         warm = cached_fetch(cache, url)
-        again = cached_fetch(cache, url, offline=True)
+        offline = RequestCache(tmp_path, offline=True)
+        again = cached_fetch(offline, url)
         assert warm == again
         with pytest.raises(OfflineCacheMiss):
-            cached_fetch(cache, f"{server.base_url}/pages/q01b.html", offline=True)
+            cached_fetch(offline, f"{server.base_url}/pages/q01b.html")
 
     def test_network_errors_not_cached(self, tmp_path, no_backoff):
         cache = RequestCache(tmp_path)
@@ -257,8 +258,8 @@ class TestRetrieveDocuments:
         cache = RequestCache(tmp_path)
         client = FixtureSearchClient(server.base_url)
         warm = retrieve_documents(self.QUERY, client, cache, num_urls=3)
-        cold = retrieve_documents(self.QUERY, client, cache, num_urls=3,
-                                  offline=True)
+        cold = retrieve_documents(self.QUERY, None, RequestCache(tmp_path, offline=True),
+                                  num_urls=3)
         assert warm == cold
 
 
