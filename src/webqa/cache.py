@@ -4,12 +4,16 @@ Every cacheable request (search query, page fetch, LM call) is canonicalized
 to JSON and hashed into a digest.  Responses are stored gzip-compressed and
 never with their request:
 
-- one file per request, ``<namespace>/<digest>.response.json.gz``, for
-  search and fetch responses and for LM responses made outside a question;
-- per question, inside :meth:`RequestCache.question_scope`, LM responses
-  go to immutable packs ``lm/<sha256(question id)>/<name>.pack2.gz``.  Each
-  pack holds one ``<digest> <response>`` line per request that missed in
-  the scope that wrote it, and is named by the SHA-256 of those lines.
+- per question, inside :meth:`RequestCache.question_scope`, responses go
+  to immutable packs ``<namespace>/<sha256(question id)>/<name>.pack2.gz``,
+  one directory per namespace (``search``, ``fetch``, ``lm``).  Each pack
+  holds one ``<digest> <response>`` line per request of its namespace that
+  missed in the scope that wrote it, and is named by the SHA-256 of those
+  lines.  A scope loads a namespace's packs on its first request there, so
+  a pass that makes only LM requests never reads page bodies;
+- outside any question, one file per request,
+  ``<namespace>/<digest>.response.json.gz``: the backend's ``describe``
+  entry, and direct calls such as :func:`webqa.websearch.cached_fetch`.
 
 A warm cache makes every pipeline stage replayable offline and
 byte-identical across runs.  Whether a miss may fetch is a property of the
@@ -20,6 +24,7 @@ every miss, in every namespace, and never writes.  Entries of older layouts
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import struct
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 NAMESPACES = ("search", "fetch", "lm")
-PACKED_NAMESPACE = "lm"
 PACK_SUFFIX = ".pack2.gz"
 # zlib level 1 compresses page bodies in under a third of level 9's time, for 18% more bytes
 GZIP_LEVEL = 1
@@ -56,16 +60,30 @@ def request_digest(request: dict) -> str:
     return hashlib.sha256(canonical_json(request).encode("utf-8")).hexdigest()
 
 
-def gzip_bytes(data: bytes) -> bytes:
-    """``data`` as one gzip member whose header never varies.
+def _write_gzip(fp, chunks) -> None:
+    """Write the concatenated ``chunks`` to ``fp`` as one gzip member whose
+    header never varies, compressing each chunk as it comes.
 
     The standard ``gzip`` module writes a different OS byte on different
     Python versions; this header is fixed, so only the deflate stream
     depends on the zlib build.
     """
     compressor = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
-    body = compressor.compress(data) + compressor.flush()
-    return _GZIP_HEADER + body + struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF)
+    crc = size = 0
+    fp.write(_GZIP_HEADER)
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        size += len(chunk)
+        fp.write(compressor.compress(chunk))
+    fp.write(compressor.flush())
+    fp.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
+
+
+def gzip_bytes(data: bytes) -> bytes:
+    """``data`` as one gzip member (see :func:`_write_gzip`)."""
+    buffer = io.BytesIO()
+    _write_gzip(buffer, [data])
+    return buffer.getvalue()
 
 
 def gunzip_bytes(data: bytes) -> bytes:
@@ -87,8 +105,8 @@ class CacheKey:
 
 
 class _QuestionPacks:
-    """One question's LM responses: every pack already on disk, plus the
-    misses of the open scope."""
+    """One question's responses in one namespace: every pack already on
+    disk, plus the misses of the open scope."""
 
     def __init__(self, directory: Path):
         self.directory = directory
@@ -111,11 +129,23 @@ class _QuestionPacks:
         self.misses.append(key.digest)
 
     def save(self) -> None:
+        """Write the misses as one pack, one line at a time: a question's page
+        bodies are never joined into one more copy."""
         if not self.misses:
             return
-        content = "".join(f"{d} {self.responses[d]}\n" for d in sorted(self.misses)).encode("utf-8")
-        name = hashlib.sha256(content).hexdigest()
-        atomic_write_bytes(self.directory / f"{name}{PACK_SUFFIX}", gzip_bytes(content))
+        name = hashlib.sha256()
+
+        def lines():
+            for digest in sorted(self.misses):
+                line = f"{digest} {self.responses[digest]}\n".encode("utf-8")
+                name.update(line)
+                yield line
+
+        def write(fp) -> Path:
+            _write_gzip(fp, lines())
+            return self.directory / f"{name.hexdigest()}{PACK_SUFFIX}"
+
+        _write_then_rename(self.directory, write)
 
 
 class RequestCache:
@@ -146,28 +176,40 @@ class RequestCache:
 
     @contextmanager
     def question_scope(self, question_id: str):
-        """Keep this thread's LM requests inside ``question_id``'s packs.
+        """Keep this thread's requests inside ``question_id``'s packs.
 
-        Within the scope, an LM request is looked up only in the packs of
-        this question.  When the scope closes, also by an exception, its
-        misses are written as one new pack; a scope without misses writes
-        nothing.  A question never reads another question's packs, so its
-        packs' bytes depend only on its own requests.
+        Within the scope, a request is looked up only in this question's
+        packs of its namespace, which are loaded on the scope's first request
+        in that namespace.  When the scope closes, also by an exception, each
+        namespace's misses are written as one new pack; a scope without
+        misses writes nothing.  A question never reads another question's
+        packs, so its packs' bytes depend only on its own requests.
         """
-        digest = hashlib.sha256(question_id.encode("utf-8")).hexdigest()
-        packs = self._local.packs = _QuestionPacks(self.root / PACKED_NAMESPACE / digest)
+        question = hashlib.sha256(question_id.encode("utf-8")).hexdigest()
+        packs: dict[str, _QuestionPacks] = {}
+        self._local.scope = question, packs
         try:
             yield
         finally:
-            self._local.packs = None
-            packs.save()
+            self._local.scope = None
+            for namespace_packs in packs.values():
+                namespace_packs.save()
+
+    def _store(self, namespace: str):
+        """This thread's packs for ``namespace`` inside a question, else ``self``."""
+        scope = getattr(self._local, "scope", None)
+        if scope is None:
+            return self
+        question, packs = scope
+        if namespace not in packs:
+            packs[namespace] = _QuestionPacks(self.root / namespace / question)
+        return packs[namespace]
 
     def get_or_fetch(self, namespace: str, request: dict, fetch):
         """Return the cached response for ``request``, calling ``fetch()`` on a
         miss; an offline cache raises :class:`OfflineCacheMiss` instead."""
         key = CacheKey.for_request(namespace, request)
-        packs = getattr(self._local, "packs", None) if namespace == PACKED_NAMESPACE else None
-        store = self if packs is None else packs
+        store = self._store(namespace)
         try:
             return store.get(key)
         except CacheMiss:
@@ -181,19 +223,20 @@ class RequestCache:
         return response
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file and rename.
+def _write_then_rename(directory: Path, write) -> None:
+    """Call ``write(fp)`` on a new temp file in ``directory``, then rename the
+    file to the path ``write`` returns (which must be in ``directory``).
 
-    The parent directory is created on first use.
+    The directory is created on first use.
     """
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fp:
-            fp.write(data)
+            path = write(fp)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -201,6 +244,15 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a same-directory temp file and rename."""
+    def write(fp) -> Path:
+        fp.write(data)
+        return path
+
+    _write_then_rename(path.parent, write)
 
 
 def atomic_write_text(path: Path, text: str) -> None:

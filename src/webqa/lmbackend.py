@@ -226,6 +226,13 @@ class MockBackend(LMBackend):
         return hash_score(prompt, continuation)
 
 
+def _field(obj, name: str, route: str):
+    """``obj[name]``; a server response that is not an object or lacks the field is a ``ValueError``."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"{route} returned no {name!r}")
+    return obj[name]
+
+
 def _logprob(obj: dict, route: str) -> float:
     """``obj["logprob"]`` as a float; a server's missing or non-finite value is a ``ValueError``."""
     value = obj.get("logprob")
@@ -262,7 +269,16 @@ class HTTPBackend(LMBackend):
             "stop": list(params.stop),
             "seed": seed,
         })
-        return [Sample(text=s["text"], logprob=_logprob(s, "/v1/complete")) for s in obj["samples"]]
+        samples = _field(obj, "samples", "/v1/complete")
+        if not isinstance(samples, list):
+            raise ValueError(f"/v1/complete returned samples {samples!r}, not a list")
+        out = []
+        for s in samples:
+            text = _field(s, "text", "/v1/complete")
+            if not isinstance(text, str):
+                raise ValueError(f"/v1/complete returned text {text!r}, not a string")
+            out.append(Sample(text=text, logprob=_logprob(s, "/v1/complete")))
+        return out
 
     def score(self, prompt: str, continuation: str) -> float:
         if not self.describe().can_score:
@@ -271,8 +287,10 @@ class HTTPBackend(LMBackend):
         return _logprob(obj, "/v1/score")
 
     def count_tokens(self, text: str) -> int:
-        obj = self._request("/v1/count_tokens", {"text": text})
-        return int(obj["tokens"])
+        tokens = _field(self._request("/v1/count_tokens", {"text": text}), "tokens", "/v1/count_tokens")
+        if isinstance(tokens, bool) or not isinstance(tokens, int) or tokens < 0:
+            raise ValueError(f"/v1/count_tokens returned tokens {tokens!r}, not a non-negative integer")
+        return tokens
 
 
 def _sha256(text: str) -> str:

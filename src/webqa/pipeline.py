@@ -5,7 +5,7 @@ and routes all model and network traffic through the request cache, so a
 re-run over a warm cache reproduces every artifact byte for byte and an
 offline run works entirely from cache.  Stage outputs:
 
-    cache/                      content-addressed response store, LM packs per question
+    cache/                      content-addressed response store, packs per question
     index/<qid>.json            question and the URLs retrieved for it
     paragraphs/<evidence>/      ranked conditioning paragraphs per question
     candidates/<evidence>/      scored (answer, paragraph) pools per question
@@ -25,6 +25,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import chunkrank, rerank, websearch
 from .cache import (
@@ -150,6 +151,19 @@ def _pool_row(text: str, paragraph_index: int, lp_a_qp: float, lp_q_ap: float = 
         "lp_q_p": lp_q_p,
         "lp_prior": lp_prior,
     }
+
+
+class _Counts(NamedTuple):
+    """Memoized token counters for one question's requests.
+
+    ``text`` counts continuations and sampled answers, which recur across
+    paragraphs, through one memo per question.  ``prompt`` counts prompts
+    through a memo renewed per paragraph, so that a question never holds
+    all of its prompts.
+    """
+
+    prompt: Callable[[str], int]
+    text: Callable[[str], int]
 
 
 def stable_seed(*parts) -> int:
@@ -288,31 +302,32 @@ class Pipeline:
             prompt, count, context_tokens=self.context_tokens, reserved_tokens=reserved_tokens,
         )
 
-    def _score(self, log: list, count, qid: str, purpose: str, paragraph_index: int | None,
-               prompt: RenderedPrompt, continuation: str) -> float:
+    def _score(self, log: list, counts: _Counts, qid: str, purpose: str,
+               paragraph_index: int | None, prompt: RenderedPrompt, continuation: str) -> float:
         """log p(continuation | prompt), with the prompt fitted around the continuation."""
-        continuation_tokens = count(continuation)
-        fitted = self._fit(prompt, count, continuation_tokens)
+        continuation_tokens = counts.text(continuation)
+        fitted = self._fit(prompt, counts.prompt, continuation_tokens)
         value = self.backend.score(fitted.text, continuation)
-        self._log_call(log, qid, purpose, paragraph_index, count(fitted.text), continuation_tokens)
+        self._log_call(log, qid, purpose, paragraph_index, counts.prompt(fitted.text),
+                       continuation_tokens)
         return value
 
-    def _label_log_probs(self, log: list, count, record: QuestionRecord, purpose: str,
+    def _label_log_probs(self, log: list, counts: _Counts, record: QuestionRecord, purpose: str,
                          paragraph_index: int | None,
                          prompt: RenderedPrompt) -> list[tuple[str, float]]:
         """(label, log p(label)) with p the softmax over the label set's scores,
         all made against one fit of ``prompt``."""
-        fitted = self._fit(prompt, count, self.config.max_new_tokens)
+        fitted = self._fit(prompt, counts.prompt, self.config.max_new_tokens)
         scores = {}
         for label in record.label_set:
             continuation = " " + label
             scores[label] = self.backend.score(fitted.text, continuation)
-            self._log_call(log, record.id, purpose, paragraph_index, count(fitted.text),
-                           count(continuation))
+            self._log_call(log, record.id, purpose, paragraph_index, counts.prompt(fitted.text),
+                           counts.text(continuation))
         dist = softmax_scores(scores)
         return [(label, rerank.log_prior(dist[label])) for label in record.label_set]
 
-    def _candidates(self, record: QuestionRecord, log: list, count, kind: str,
+    def _candidates(self, record: QuestionRecord, log: list, counts: _Counts, kind: str,
                     paragraph_index: int | None, prompt: RenderedPrompt, n_samples: int,
                     seed: int) -> list[tuple[str, float]]:
         """(answer, log p(answer | prompt)) pairs answering ``prompt``.
@@ -323,12 +338,12 @@ class Pipeline:
         call-log purposes: ``sample_<kind>`` or ``label_<kind>``.
         """
         if record.task == CLASSIFICATION:
-            return self._label_log_probs(log, count, record, f"label_{kind}", paragraph_index,
+            return self._label_log_probs(log, counts, record, f"label_{kind}", paragraph_index,
                                          prompt)
-        fitted = self._fit(prompt, count, self.config.max_new_tokens)
+        fitted = self._fit(prompt, counts.prompt, self.config.max_new_tokens)
         samples = self.backend.sample(fitted.text, replace(self.params, n_samples=n_samples), seed)
-        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, count(fitted.text),
-                       sum(count(s.text) for s in samples))
+        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, counts.prompt(fitted.text),
+                       sum(counts.text(s.text) for s in samples))
         by_canon: dict[str, tuple[str, float]] = {}
         for s in samples:
             stripped = s.text.strip()
@@ -356,8 +371,9 @@ class Pipeline:
                     for i, text in enumerate(record.gold_evidence)
                 ]
             else:
-                documents = websearch.retrieve_documents(
-                    record.question, self.search_client, self.cache, num_urls=self.config.num_urls)
+                with self.cache.question_scope(record.id):
+                    documents = websearch.retrieve_documents(
+                        record.question, self.search_client, self.cache, num_urls=self.config.num_urls)
                 write_json_record(self._qpath("index", "questions", record.id), {
                     "question_id": record.id,
                     "question": record.question,
@@ -404,38 +420,37 @@ class Pipeline:
         q_p_bank = self.bank("q_given_p")
         a_p_bank = self.bank("a_given_p")
         q_cont = " " + question
+        count_text = functools.cache(self.backend.count_tokens)
         pool: list[dict] = []
         for i, para in enumerate(paragraphs):
-            # a paragraph's requests share most texts; a memo per question would
-            # hold every distinct prompt until the question ends
-            count = functools.cache(self.backend.count_tokens)
+            counts = _Counts(functools.cache(self.backend.count_tokens), count_text)
             text = para["text"]
             candidates = self._candidates(
-                record, log, count, "answer", i, render_qa_prompt(qa_bank, question, text),
+                record, log, counts, "answer", i, render_qa_prompt(qa_bank, question, text),
                 self.config.samples_per_paragraph,
                 stable_seed(self.config.seed, record.id, "answer", i),
             )
             if not candidates:
                 continue
 
-            lp_q_p = self._score(log, count, record.id, "score_q_given_p", i,
+            lp_q_p = self._score(log, counts, record.id, "score_q_given_p", i,
                                  render_prompt(q_p_bank, evidence=text), q_cont)
 
             a_p_prompt = render_prompt(a_p_bank, evidence=text)
             label_lp_a_p = None
             if record.task == CLASSIFICATION:
                 label_lp_a_p = dict(self._label_log_probs(
-                    log, count, record, "label_a_given_p", i, a_p_prompt))
+                    log, counts, record, "label_a_given_p", i, a_p_prompt))
 
             for answer_text, lp_a_qp in candidates:
                 lp_q_ap = self._score(
-                    log, count, record.id, "score_q_given_ap", i,
+                    log, counts, record.id, "score_q_given_ap", i,
                     render_prompt(q_ap_bank, evidence=text, answer=answer_text), q_cont,
                 )
                 if label_lp_a_p is not None:
                     lp_a_p = label_lp_a_p[answer_text]
                 else:
-                    lp_a_p = self._score(log, count, record.id, "score_a_given_p", i,
+                    lp_a_p = self._score(log, counts, record.id, "score_a_given_p", i,
                                          a_p_prompt, " " + answer_text)
                 pool.append(_pool_row(
                     answer_text, i, lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"])
@@ -444,8 +459,9 @@ class Pipeline:
 
     def _closed_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
         prompt = render_closed_book_prompt(self.bank("qa"), record.question)
+        count = functools.cache(self.backend.count_tokens)
         candidates = self._candidates(
-            record, log, functools.cache(self.backend.count_tokens), "closed", None, prompt,
+            record, log, _Counts(count, count), "closed", None, prompt,
             self.config.closed_book_samples,
             stable_seed(self.config.seed, record.id, "closed"),
         )

@@ -3,10 +3,11 @@ import json
 import shutil
 import sys
 import threading
+import zlib
 
 import pytest
 
-from webqa import cli
+from webqa import cli, websearch
 from webqa import cache as cache_module
 from webqa import pipeline as pipeline_module
 from webqa.cache import (
@@ -23,9 +24,11 @@ from webqa.cache import (
     request_digest,
     write_json_record,
 )
+from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, GenerationParams, MockBackend
 from webqa.pipeline import GOLD, Pipeline, PipelineConfig
+from webqa.websearch import FixtureSearchClient
 
 
 def test_canonical_json_is_order_insensitive():
@@ -108,9 +111,11 @@ def test_offline_cache_over_empty_root_raises_and_writes_nothing(tmp_path):
 
 def test_offline_scope_that_only_hits_writes_nothing(tmp_path):
     warm = RequestCache(tmp_path)
-    warm.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"}, lambda: {"body": "x"})
     with warm.question_scope("q1"):
+        warm.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"}, lambda: {"body": "x"})
         warm.get_or_fetch("lm", {"op": "score"}, lambda: -1.0)
+    packs = sorted(tmp_path.rglob(f"*{PACK_SUFFIX}"))
+    assert [p.relative_to(tmp_path).parts[0] for p in packs] == ["fetch", "lm"]
     before = sorted(tmp_path.rglob("*")), _tree(tmp_path)
     offline = RequestCache(tmp_path, offline=True)
     with offline.question_scope("q1"):
@@ -218,8 +223,8 @@ def recorded_run(tmp_path_factory, qa_dataset_path, banks_dir, web_root):
         yield {"workdir": workdir, "seen": seen, "prompts": prompts, "flags": flags}
 
 
-def _question_dir(cache_root, qid):
-    return cache_root / "lm" / hashlib.sha256(qid.encode("utf-8")).hexdigest()
+def _question_dir(cache_root, qid, namespace="lm"):
+    return cache_root / namespace / hashlib.sha256(qid.encode("utf-8")).hexdigest()
 
 
 def _pack_lines(path) -> list[str]:
@@ -228,37 +233,124 @@ def _pack_lines(path) -> list[str]:
 
 def test_cache_files_hold_only_canonical_responses(recorded_run):
     """Every cache byte is the canonical response of a request that went
-    through the cache: a loose gzip entry per search, fetch and describe
-    request, and pack lines for the LM requests made inside questions."""
+    through the cache: one loose gzip entry for the describe request, made
+    outside any question, and pack lines for every search, fetch and LM
+    request made inside questions."""
     cache_root = recorded_run["workdir"] / "cache"
     files = {p for p in cache_root.rglob("*") if p.is_file()}
     loose = {}
-    packed = {}
+    packed = {namespace: {} for namespace in ("search", "fetch", "lm")}
     for namespace, request, response in recorded_run["seen"]:
         key = CacheKey.for_request(namespace, request)
-        if namespace == "lm" and request["op"] != "describe":
-            packed[key.digest] = response
-        else:
+        if request["op"] == "describe":
             loose[cache_root / namespace / f"{key.digest}.response.json.gz"] = response
-    assert {ns for ns, _, _ in recorded_run["seen"]} == {"search", "fetch", "lm"}
-    assert packed
+        else:
+            packed[namespace][key.digest] = response
+    assert len(loose) == 1 and all(packed.values())
     for path, response in loose.items():
         assert path.read_bytes() == gzip_bytes((canonical_json(response) + "\n").encode("utf-8"))
-    packs = files - set(loose)
-    pack_digests = set()
-    for path in packs:
-        assert path.name.endswith(PACK_SUFFIX) and path.parent.parent == cache_root / "lm"
+    pack_digests = {namespace: set() for namespace in packed}
+    for path in files - set(loose):
+        namespace = path.relative_to(cache_root).parts[0]
+        assert path.name.endswith(PACK_SUFFIX) and path.parent.parent == cache_root / namespace
         content = gunzip_bytes(path.read_bytes())
         assert path.name == f"{hashlib.sha256(content).hexdigest()}{PACK_SUFFIX}"
         lines = _pack_lines(path)
         assert lines == sorted(lines)
         for line in lines:
             digest, response = line.split(" ", 1)
-            assert response == canonical_json(packed[digest])
-            pack_digests.add(digest)
+            assert response == canonical_json(packed[namespace][digest])
+            pack_digests[namespace].add(digest)
     # a request two questions both made is in both questions' packs
-    assert pack_digests == set(packed)
+    assert pack_digests == {namespace: set(responses) for namespace, responses in packed.items()}
     assert files >= set(loose)
+
+
+# --- per-question search and fetch packs -----------------------------------
+
+def test_retrieve_writes_one_search_and_one_fetch_pack_per_question(recorded_run, qa_dataset_path):
+    cache_root = recorded_run["workdir"] / "cache"
+    for record in load_dataset(qa_dataset_path):
+        for namespace in ("search", "fetch"):
+            assert len(list(_question_dir(cache_root, record.id, namespace).iterdir())) == 1
+    assert not list((cache_root / "search").glob("*.response.json.gz"))
+    assert not list((cache_root / "fetch").glob("*.response.json.gz"))
+
+
+def test_warm_and_offline_reruns_leave_the_cache_as_it_was(recorded_run, tmp_path):
+    workdir = tmp_path / "w"
+    shutil.copytree(recorded_run["workdir"], workdir)
+    before = _tree(workdir)
+    assert cli.main(recorded_run["flags"](workdir)) == 0
+    assert _tree(workdir) == before
+    assert cli.main(recorded_run["flags"](workdir, "--offline")) == 0
+    assert _tree(workdir) == before
+
+
+def test_url_listed_twice_for_a_question_is_fetched_once(tmp_path, qa_dataset_path, serve):
+    gets = []
+
+    def respond(handler):
+        gets.append(handler.path)
+        if handler.path.startswith("/search?"):
+            host = handler.headers["Host"]
+            body = json.dumps({"results": [f"http://{host}/page.html"] * 2})
+            handler.reply(200, body.encode("utf-8"), "application/json")
+        else:
+            handler.reply(200, b"<p>Aurora Falls drops 214 meters.</p>", "text/html")
+
+    base_url = serve(respond)
+    config = PipelineConfig(dataset_path=str(qa_dataset_path), dataset_id="fixtureqa",
+                            workdir=str(tmp_path), max_workers=1)
+    pipeline = Pipeline(config, MockBackend(), FixtureSearchClient(base_url))
+    pipeline.stage_retrieve()
+    assert not pipeline.failed
+    assert gets.count("/page.html") == len(pipeline.records)
+    for record in pipeline.records:
+        index = read_json_record(tmp_path / "index" / "questions" / f"{record.id}.json")
+        assert index["urls"] == [f"{base_url}/page.html"] * 2
+        [pack] = _question_dir(tmp_path / "cache", record.id, "fetch").iterdir()
+        assert len(_pack_lines(pack)) == 1
+
+
+def test_failed_retrieval_keeps_the_pages_it_fetched(tmp_path, qa_dataset_path, web_root,
+                                                      monkeypatch):
+    extracted = []
+    extract_text = websearch.extract_text
+
+    def failing_third(html):
+        extracted.append(html)
+        if len(extracted) == 3:
+            raise ValueError("unparseable page")
+        return extract_text(html)
+
+    monkeypatch.setattr(websearch, "extract_text", failing_third)
+    config = PipelineConfig(dataset_path=str(qa_dataset_path), dataset_id="fixtureqa",
+                            workdir=str(tmp_path), max_workers=1)
+    with FixtureServer(web_root) as server:
+        pipeline = Pipeline(config, MockBackend(), FixtureSearchClient(server.base_url))
+        pipeline.stage_retrieve()
+    first = pipeline.records[0].id
+    assert pipeline.failed == {first: "retrieve: unparseable page"}
+    assert not (tmp_path / "index" / "questions" / f"{first}.json").exists()
+    [pack] = _question_dir(tmp_path / "cache", first, "fetch").iterdir()
+    assert len(_pack_lines(pack)) == 3
+    assert len(list(_question_dir(tmp_path / "cache", first, "search").iterdir())) == 1
+
+
+def test_answer_pass_never_reads_fetch_packs(recorded_run, tmp_path):
+    """A fetch pack that cannot be parsed stops a retrieve pass, but not
+    the answer pass that follows it."""
+    workdir = tmp_path / "w"
+    shutil.copytree(recorded_run["workdir"], workdir)
+    for question_dir in (workdir / "cache" / "fetch").iterdir():
+        (question_dir / f"{'0' * 64}{PACK_SUFFIX}").write_bytes(b"not gzip")
+    offline = recorded_run["flags"](workdir, "--offline")[1:]
+    before = _tree(workdir)
+    assert cli.main(["answer", *offline]) == 0
+    assert _tree(workdir) == before
+    with pytest.raises(zlib.error):
+        cli.main(["retrieve", *offline])
 
 
 def test_lm_entries_hold_no_prompt(recorded_run):

@@ -209,7 +209,8 @@ class TestMainExitCodes:
             for entry in workdir.iterdir():
                 if entry.name != "cache":
                     shutil.rmtree(entry) if entry.is_dir() else entry.unlink()
-            min((workdir / "cache" / "fetch").glob("*.response.json.gz")).unlink()
+            [pack] = min((workdir / "cache" / "fetch").iterdir()).iterdir()
+            pack.unlink()
             capsys.readouterr()
             rc = cli.main(common + ["--offline"])
         assert rc == 3
@@ -405,6 +406,50 @@ class TestHTTPBackendRun:
             if path.is_file():
                 data = gunzip_bytes(path.read_bytes()) if path.suffix == ".gz" else path.read_bytes()
                 assert b"Infinity" not in data, path
+
+
+    @pytest.mark.parametrize("route, field", [("/v1/count_tokens", "tokens"), ("/v1/complete", "samples")])
+    def test_malformed_response_fails_one_question_and_is_never_stored(
+            self, tmp_path, qa_dataset_path, banks_dir, serve, route, field):
+        """A server answering ``{}`` to one question's first request on ``route``
+        fails that question alone; once the server is mended, the request is
+        asked again, so nothing of the bad answer was stored."""
+        record = load_dataset(qa_dataset_path)[0]
+        mock = MockBackend()
+        state = {"mended": False, "broken": [], "posts": []}
+
+        def respond(handler):
+            if handler.command == "GET":
+                handler.reply(200, json.dumps(mock.describe().to_json()).encode("utf-8"),
+                              "application/json")
+                return
+            raw = handler.rfile.read(int(handler.headers["Content-Length"]))
+            state["posts"].append(raw)
+            request = json.loads(raw)
+            text = request.get("prompt", request.get("text"))
+            if not state["mended"] and handler.path == route and record.question in text:
+                state["broken"].append(raw)
+                handler.reply(200, b"{}", "application/json")
+                return
+            answer = fixtures._LM_POSTS[handler.path](mock, request)
+            handler.reply(200, json.dumps(answer).encode("utf-8"), "application/json")
+
+        workdir = tmp_path / "w"
+        flags = ["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                 "--evidence", "gold", "--backend", serve(respond),
+                 "--banks-dir", str(banks_dir), "--paragraphs", "2",
+                 "--samples-per-paragraph", "2", "--closed-book-samples", "4",
+                 "--max-new-tokens", "16", "--cost-points", "0,1"]
+        assert cli.main(flags) == 0
+        failures = json.loads((workdir / "failures.json").read_text(encoding="utf-8"))
+        assert failures == {record.id: f"answer: {route} returned no {field!r}"}
+        [broken] = state["broken"]
+
+        state["mended"] = True
+        state["posts"].clear()
+        assert cli.main(flags) == 0
+        assert json.loads((workdir / "failures.json").read_text(encoding="utf-8")) == {}
+        assert broken in state["posts"]
 
 
 def test_cli_imports_only_the_standard_library():

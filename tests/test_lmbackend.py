@@ -1,4 +1,5 @@
 import json
+import re
 import math
 import random
 
@@ -335,3 +336,38 @@ class TestHTTPBackend:
 
         with pytest.raises(ValueError, match="^/v1/complete returned logprob None"):
             HTTPBackend(serve(respond)).sample(self.PROMPT, GenerationParams(), 7)
+
+    @pytest.mark.parametrize("route, body, message", [
+        ("/v1/count_tokens", b'{}', "no 'tokens'"),
+        ("/v1/count_tokens", b'[7]', "no 'tokens'"),
+        ("/v1/count_tokens", b'{"tokens": 1.5}', "tokens 1.5, not a non-negative integer"),
+        ("/v1/count_tokens", b'{"tokens": true}', "tokens True, not a non-negative integer"),
+        ("/v1/count_tokens", b'{"tokens": "7"}', "tokens '7', not a non-negative integer"),
+        ("/v1/count_tokens", b'{"tokens": -1}', "tokens -1, not a non-negative integer"),
+        ("/v1/complete", b'{}', "no 'samples'"),
+        ("/v1/complete", b'{"samples": {}}', "samples {}, not a list"),
+        ("/v1/complete", b'{"samples": [{"logprob": -1.5}]}', "no 'text'"),
+        ("/v1/complete", b'{"samples": ["x"]}', "no 'text'"),
+        ("/v1/complete", b'{"samples": [{"text": 7, "logprob": -1.5}]}', "text 7, not a string"),
+    ])
+    def test_malformed_response_is_a_value_error_and_never_cached(self, serve, tmp_path,
+                                                                   route, body, message):
+        def respond(handler):
+            handler.rfile.read(int(handler.headers["Content-Length"]))
+            handler.reply(200, body, "application/json")
+
+        cached = CachedBackend(HTTPBackend(serve(respond)), RequestCache(tmp_path))
+        call = {
+            "/v1/count_tokens": lambda: cached.count_tokens(self.PROMPT),
+            "/v1/complete": lambda: cached.sample(self.PROMPT, GenerationParams(), 7),
+        }[route]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{route} returned {message}')}$"):
+            call()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_tokens_is_a_count(self, serve):
+        def respond(handler):
+            handler.rfile.read(int(handler.headers["Content-Length"]))
+            handler.reply(200, b'{"tokens": 0}', "application/json")
+
+        assert HTTPBackend(serve(respond)).count_tokens("") == 0

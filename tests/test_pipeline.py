@@ -368,20 +368,22 @@ class _CountingMock(MockBackend):
 
 
 class TestTokenCountTraffic:
-    """Within one paragraph's requests, and within one closed-book request,
-    each distinct text is counted once, and every prompt sent and every
-    continuation and sampled text is among the counted texts."""
+    """Within one pool, each continuation and sampled text is counted once;
+    within one paragraph's requests, and within one closed-book request, each
+    prompt is counted once; every text a pool sends is among its counted texts."""
 
     @staticmethod
-    def _segments(pipeline, requests):
-        """The request stream split where a paragraph's or a closed-book pool's
-        requests begin: fitting first counts the answering prompt as rendered."""
+    def _segments(pipeline, requests, whole_pools: bool):
+        """The request stream split where a paragraph's (``whole_pools``: an
+        open-book pool's) or a closed-book pool's requests begin: fitting first
+        counts the answering prompt as rendered."""
         qa = pipeline.bank("qa")
         starts = set()
         for record in pipeline.records:
             starts.add(render_closed_book_prompt(qa, record.question).text)
+            paragraphs = pipeline.load_paragraphs(record.id)
             starts.update(render_qa_prompt(qa, record.question, p["text"]).text
-                          for p in pipeline.load_paragraphs(record.id))
+                          for p in (paragraphs[:1] if whole_pools else paragraphs))
         segments = []
         for request in requests:
             if request[0] == "count" and request[1] in starts:
@@ -391,14 +393,17 @@ class TestTokenCountTraffic:
 
     @staticmethod
     def _counted_and_sent(segment):
+        """Counted texts in order, sent prompts, and sent short texts."""
         counted = [r[1] for r in segment if r[0] == "count"]
-        sent = set()
+        prompts, short = set(), set()
         for request in segment:
             if request[0] == "sample":
-                sent.update([request[1], *request[2]])
+                prompts.add(request[1])
+                short.update(request[2])
             elif request[0] == "score":
-                sent.update(request[1:])
-        return counted, sent
+                prompts.add(request[1])
+                short.add(request[2])
+        return counted, prompts, short
 
     def _run(self, tmp_path, dataset_path, banks_dir, **kwargs):
         backend = _CountingMock()
@@ -406,29 +411,34 @@ class TestTokenCountTraffic:
         pipeline = Pipeline(config, backend)
         _build_pools(pipeline)
         assert any(r[0] == "score" for r in backend.requests)
-        return self._segments(pipeline, backend.requests)
+        return (self._segments(pipeline, backend.requests, whole_pools=True),
+                self._segments(pipeline, backend.requests, whole_pools=False))
 
     @pytest.mark.parametrize("dataset, dataset_id", [
         ("fixtureqa.jsonl", "fixtureqa"), ("fixturecls.jsonl", "fixturecls"),
     ])
     def test_each_text_counted_once_per_request(self, tmp_path, fixtures_dir, banks_dir,
                                                 dataset, dataset_id):
-        for segment in self._run(tmp_path, fixtures_dir / dataset, banks_dir,
-                                 dataset_id=dataset_id):
-            counted, sent = self._counted_and_sent(segment)
+        pools, _ = self._run(tmp_path, fixtures_dir / dataset, banks_dir, dataset_id=dataset_id)
+        for pool in pools:
+            counted, prompts, short = self._counted_and_sent(pool)
             assert len(counted) == len(set(counted))
             # the fixture prompts fit untruncated, so fitting counts only what is sent
-            assert set(counted) == sent
+            assert set(counted) == prompts | short
 
     def test_truncating_fits_count_each_text_once(self, tmp_path, qa_dataset_path, banks_dir):
+        pools, paragraphs = self._run(tmp_path, qa_dataset_path, banks_dir,
+                                      context_tokens=60, max_new_tokens=8)
         truncated = False
-        for segment in self._run(tmp_path, qa_dataset_path, banks_dir,
-                                 context_tokens=60, max_new_tokens=8):
-            counted, sent = self._counted_and_sent(segment)
-            assert len(counted) == len(set(counted))
-            assert sent <= set(counted)
-            truncated = truncated or len(set(counted)) > len(sent)
+        for pool in pools:
+            counted, prompts, short = self._counted_and_sent(pool)
+            assert prompts | short <= set(counted)
+            assert all(counted.count(text) == 1 for text in short)
+            truncated = truncated or len(set(counted)) > len(prompts | short)
         assert truncated
+        for segment in paragraphs:
+            counted, _, _ = self._counted_and_sent(segment)
+            assert len(counted) == len(set(counted))
 
 
 class TestEmptyClosedPool:
