@@ -15,7 +15,13 @@ never with their request:
   ``<namespace>/<digest>.response.json.gz``: the backend's ``describe``
   entry, and direct calls such as :func:`webqa.websearch.cached_fetch`.
 
-A warm cache makes every pipeline stage replayable offline and
+:meth:`RequestCache.get` and :meth:`RequestCache.put` are the one lookup
+path for both: they use the calling thread's packs inside a question and
+loose entries outside one.  A pack or entry that cannot be decompressed is
+a ``ValueError`` naming its file.
+
+A run builds one cache, and its LM backend, search and page fetches all go
+through it.  A warm cache makes every pipeline stage replayable offline and
 byte-identical across runs.  Whether a miss may fetch is a property of the
 cache: one built with ``offline=True`` raises :class:`OfflineCacheMiss` on
 every miss, in every namespace, and never writes.  Entries of older layouts
@@ -90,6 +96,15 @@ def gunzip_bytes(data: bytes) -> bytes:
     return zlib.decompress(data, 16 + zlib.MAX_WBITS)
 
 
+def _read_gzip_text(path: Path) -> str:
+    """The UTF-8 text of the gzip file at ``path``; ``ValueError`` naming the
+    file if it cannot be decompressed (``FileNotFoundError`` if absent)."""
+    try:
+        return gunzip_bytes(path.read_bytes()).decode("utf-8")
+    except (zlib.error, UnicodeDecodeError) as exc:
+        raise ValueError(f"unreadable cache file {path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class CacheKey:
     namespace: str
@@ -113,7 +128,7 @@ class _QuestionPacks:
         self.responses: dict[str, str] = {}
         for path in sorted(directory.glob(f"*{PACK_SUFFIX}")):
             # split on "\n" only: canonical JSON escapes it, but not U+2028 and the like
-            for line in gunzip_bytes(path.read_bytes()).decode("utf-8").split("\n")[:-1]:
+            for line in _read_gzip_text(path).split("\n")[:-1]:
                 digest, _, response = line.partition(" ")
                 self.responses[digest] = response
         self.misses: list[str] = []
@@ -165,14 +180,24 @@ class RequestCache:
         return self.root / key.namespace / f"{key.digest}.response.json.gz"
 
     def get(self, key: CacheKey):
+        """The cached response for ``key``: inside a question from its packs,
+        else from the loose entry."""
+        packs = self._packs(key.namespace)
+        if packs is not None:
+            return packs.get(key)
         try:
-            with open(self._path(key), "rb") as fp:
-                return json.loads(gunzip_bytes(fp.read()))
+            return json.loads(_read_gzip_text(self._path(key)))
         except FileNotFoundError:
             raise CacheMiss(f"{key.namespace}/{key.digest}") from None
 
     def put(self, key: CacheKey, response) -> None:
-        atomic_write_bytes(self._path(key), gzip_bytes((canonical_json(response) + "\n").encode("utf-8")))
+        """Store ``response``: inside a question in the pack its scope writes
+        when it closes, else as a loose entry now."""
+        packs = self._packs(key.namespace)
+        if packs is not None:
+            packs.put(key, response)
+        else:
+            atomic_write_bytes(self._path(key), gzip_bytes((canonical_json(response) + "\n").encode("utf-8")))
 
     @contextmanager
     def question_scope(self, question_id: str):
@@ -195,11 +220,11 @@ class RequestCache:
             for namespace_packs in packs.values():
                 namespace_packs.save()
 
-    def _store(self, namespace: str):
-        """This thread's packs for ``namespace`` inside a question, else ``self``."""
+    def _packs(self, namespace: str) -> _QuestionPacks | None:
+        """This thread's packs for ``namespace`` inside a question, else ``None``."""
         scope = getattr(self._local, "scope", None)
         if scope is None:
-            return self
+            return None
         question, packs = scope
         if namespace not in packs:
             packs[namespace] = _QuestionPacks(self.root / namespace / question)
@@ -209,9 +234,8 @@ class RequestCache:
         """Return the cached response for ``request``, calling ``fetch()`` on a
         miss; an offline cache raises :class:`OfflineCacheMiss` instead."""
         key = CacheKey.for_request(namespace, request)
-        store = self._store(namespace)
         try:
-            return store.get(key)
+            return self.get(key)
         except CacheMiss:
             if self.offline:
                 raise OfflineCacheMiss(
@@ -219,7 +243,7 @@ class RequestCache:
                     f"{canonical_json(request)[:200]}"
                 ) from None
         response = fetch()
-        store.put(key, response)
+        self.put(key, response)
         return response
 
 

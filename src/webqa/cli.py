@@ -52,6 +52,7 @@ DEFAULTS = {
     "search_endpoint": "google",
     "backend": "mock",
     "param_count": 1_000_000,
+    "offline": False,
 }
 
 COMMANDS = ("retrieve", "answer", "tune-weights", "rerank", "eval", "cost", "run")
@@ -172,7 +173,7 @@ def effective_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def make_backend(config: dict) -> LMBackend:
+def make_backend(config: dict) -> CachedBackend:
     cache = RequestCache(os.path.join(config["workdir"], "cache"), offline=config["offline"])
     if config["backend"] == "mock":
         inner: LMBackend = MockBackend(param_count=config["param_count"])

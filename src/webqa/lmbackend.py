@@ -9,7 +9,6 @@ included.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import random
@@ -104,11 +103,6 @@ class LMBackend(ABC):
     @abstractmethod
     def count_tokens(self, text: str) -> int:
         ...
-
-    def question_scope(self, question_id: str):
-        """Context manager around the requests made for one question; only
-        :class:`CachedBackend` uses it."""
-        return contextlib.nullcontext()
 
 
 def softmax_scores(scores: dict[str, float]) -> dict[str, float]:
@@ -315,10 +309,6 @@ class CachedBackend(LMBackend):
         self.inner = inner
         self.cache = cache
         self.identity = identity if identity is not None else type(inner).__name__
-
-    def question_scope(self, question_id: str):
-        """Cache this question's requests in its own packs (:meth:`RequestCache.question_scope`)."""
-        return self.cache.question_scope(question_id)
 
     def describe(self) -> BackendDescriptor:
         request = {"op": "describe", "backend": self.identity}

@@ -1,11 +1,12 @@
 """End-to-end stages: retrieve, answer, tune, rerank, evaluate, cost.
 
 Every stage reads and writes plain JSON artifacts under a working directory
-and routes all model and network traffic through the request cache, so a
-re-run over a warm cache reproduces every artifact byte for byte and an
-offline run works entirely from cache.  Stage outputs:
+and routes all model and network traffic through one request cache, its
+backend's (``Pipeline.cache`` is ``backend.cache``), so a re-run over a warm
+cache reproduces every artifact byte for byte and an offline run works
+entirely from cache.  Stage outputs:
 
-    cache/                      content-addressed response store, packs per question
+    cache/                      the backend's request cache, packs per question
     index/<qid>.json            question and the URLs retrieved for it
     paragraphs/<evidence>/      ranked conditioning paragraphs per question
     candidates/<evidence>/      scored (answer, paragraph) pools per question
@@ -29,7 +30,6 @@ from typing import Callable, NamedTuple
 
 from . import chunkrank, rerank, websearch
 from .cache import (
-    RequestCache,
     atomic_write_text,
     canonical_json,
     read_json_record,
@@ -59,8 +59,8 @@ from .lmbackend import (
     DEFAULT_NUCLEUS_P,
     DEFAULT_STOP,
     DEFAULT_TEMPERATURE,
+    CachedBackend,
     GenerationParams,
-    LMBackend,
     flops_for_tokens,
     softmax_scores,
 )
@@ -112,7 +112,6 @@ class PipelineConfig:
     stop: tuple[str, ...] = DEFAULT_STOP
     heldout_fraction: float = 0.1
     seed: int = 0
-    offline: bool = False
     max_workers: int = 8
     cost_points: tuple[int, ...] = DEFAULT_COST_POINTS
     context_tokens: int | None = None
@@ -172,7 +171,7 @@ def stable_seed(*parts) -> int:
 
 
 class Pipeline:
-    def __init__(self, config: PipelineConfig, backend: LMBackend, search_client=None):
+    def __init__(self, config: PipelineConfig, backend: CachedBackend, search_client=None):
         self.config = config
         try:
             self.params = GenerationParams(
@@ -185,8 +184,8 @@ class Pipeline:
             raise ConfigError(str(exc)) from None
         self.backend = backend
         self.search_client = search_client
+        self.cache = backend.cache
         self.workdir = Path(config.workdir)
-        self.cache = RequestCache(self.workdir / "cache", offline=config.offline)
         try:
             self.records = load_dataset(config.dataset_path)
         except (OSError, ValueError) as exc:
@@ -360,7 +359,7 @@ class Pipeline:
         """Build ranked conditioning paragraphs for every question."""
         if self.config.evidence == CLOSED:
             return
-        if self.config.evidence == SEARCH and self.search_client is None and not self.config.offline:
+        if self.config.evidence == SEARCH and self.search_client is None and not self.cache.offline:
             raise ConfigError("search evidence mode needs a search client")
 
         def worker(record: QuestionRecord) -> None:
@@ -469,7 +468,7 @@ class Pipeline:
 
     def _write_pool(self, source: str, record: QuestionRecord, build) -> None:
         log: list[dict] = []
-        with self.backend.question_scope(record.id):
+        with self.cache.question_scope(record.id):
             pool = build(record, log)
         write_json_record(self._qpath("candidates", source, record.id), {
             "question_id": record.id, "pool": pool,

@@ -5,9 +5,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from webqa import net
+from webqa.cache import RequestCache
+from webqa.lmbackend import CachedBackend
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def cached_backend(inner, workdir) -> CachedBackend:
+    """``inner`` behind a request cache at ``<workdir>/cache``, keyed as
+    ``webqa run --backend mock`` keys it; a pipeline over it uses that cache."""
+    return CachedBackend(inner, RequestCache(pathlib.Path(workdir) / "cache"), identity="mock")
 
 
 @pytest.fixture(scope="session")

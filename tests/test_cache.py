@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 import shutil
 import sys
 import threading
-import zlib
 
 import pytest
+from conftest import cached_backend
 
 from webqa import cli, websearch
 from webqa import cache as cache_module
@@ -302,7 +303,7 @@ def test_url_listed_twice_for_a_question_is_fetched_once(tmp_path, qa_dataset_pa
     base_url = serve(respond)
     config = PipelineConfig(dataset_path=str(qa_dataset_path), dataset_id="fixtureqa",
                             workdir=str(tmp_path), max_workers=1)
-    pipeline = Pipeline(config, MockBackend(), FixtureSearchClient(base_url))
+    pipeline = Pipeline(config, cached_backend(MockBackend(), tmp_path), FixtureSearchClient(base_url))
     pipeline.stage_retrieve()
     assert not pipeline.failed
     assert gets.count("/page.html") == len(pipeline.records)
@@ -328,7 +329,8 @@ def test_failed_retrieval_keeps_the_pages_it_fetched(tmp_path, qa_dataset_path, 
     config = PipelineConfig(dataset_path=str(qa_dataset_path), dataset_id="fixtureqa",
                             workdir=str(tmp_path), max_workers=1)
     with FixtureServer(web_root) as server:
-        pipeline = Pipeline(config, MockBackend(), FixtureSearchClient(server.base_url))
+        pipeline = Pipeline(config, cached_backend(MockBackend(), tmp_path),
+                            FixtureSearchClient(server.base_url))
         pipeline.stage_retrieve()
     first = pipeline.records[0].id
     assert pipeline.failed == {first: "retrieve: unparseable page"}
@@ -338,9 +340,9 @@ def test_failed_retrieval_keeps_the_pages_it_fetched(tmp_path, qa_dataset_path, 
     assert len(list(_question_dir(tmp_path / "cache", first, "search").iterdir())) == 1
 
 
-def test_answer_pass_never_reads_fetch_packs(recorded_run, tmp_path):
-    """A fetch pack that cannot be parsed stops a retrieve pass, but not
-    the answer pass that follows it."""
+def test_answer_pass_never_reads_fetch_packs(recorded_run, tmp_path, qa_dataset_path):
+    """A fetch pack that cannot be decompressed fails every question of a
+    retrieve pass, naming the pack, but not the answer pass that follows it."""
     workdir = tmp_path / "w"
     shutil.copytree(recorded_run["workdir"], workdir)
     for question_dir in (workdir / "cache" / "fetch").iterdir():
@@ -349,8 +351,27 @@ def test_answer_pass_never_reads_fetch_packs(recorded_run, tmp_path):
     before = _tree(workdir)
     assert cli.main(["answer", *offline]) == 0
     assert _tree(workdir) == before
-    with pytest.raises(zlib.error):
-        cli.main(["retrieve", *offline])
+    assert cli.main(["retrieve", *offline]) == 2
+    failures = read_json_record(workdir / "failures.json")
+    assert set(failures) == {record.id for record in load_dataset(qa_dataset_path)}
+    for qid, reason in failures.items():
+        corrupt = _question_dir(workdir / "cache", qid, "fetch") / f"{'0' * 64}{PACK_SUFFIX}"
+        assert reason.startswith("retrieve: unreadable cache file") and str(corrupt) in reason
+
+
+def test_unreadable_pack_or_entry_is_a_value_error_naming_its_file(tmp_path):
+    cache = RequestCache(tmp_path)
+    key = CacheKey.for_request("fetch", {"op": "fetch", "url": "http://x"})
+    cache.put(key, {"body": "x"})
+    entry = tmp_path / "fetch" / f"{key.digest}.response.json.gz"
+    entry.write_bytes(entry.read_bytes()[:-4])
+    pack = _question_dir(tmp_path, "q1", "fetch") / f"{'0' * 64}{PACK_SUFFIX}"
+    pack.parent.mkdir(parents=True)
+    pack.write_bytes(gzip_bytes(b"\xff\n"))
+    with pytest.raises(ValueError, match=re.escape(str(entry))):
+        cache.get(key)
+    with pytest.raises(ValueError, match=re.escape(str(pack))), cache.question_scope("q1"):
+        cache.get(key)
 
 
 def test_lm_entries_hold_no_prompt(recorded_run):
@@ -486,6 +507,33 @@ def test_offline_replay_never_encodes_a_prompt(tmp_path, qa_dataset_path, banks_
     assert 0 < longest < shortest
 
 
+def test_pipeline_is_offline_exactly_when_its_backend_is(tmp_path, qa_dataset_path):
+    """A pipeline has one cache, its backend's: over an offline backend whose
+    cache holds only the describe entry, retrieval misses on the first search
+    and never asks the search client."""
+    cached_backend(MockBackend(), tmp_path).describe()
+    before = _tree(tmp_path)
+
+    class NoSearch:
+        def search(self, query, num):
+            pytest.fail("an offline pipeline called its search client")
+
+    config = PipelineConfig(dataset_path=str(qa_dataset_path), dataset_id="fixtureqa",
+                            workdir=str(tmp_path), max_workers=1)
+    offline = CachedBackend(MockBackend(), RequestCache(tmp_path / "cache", offline=True),
+                            identity="mock")
+    pipeline = Pipeline(config, offline, NoSearch())
+    with pytest.raises(OfflineCacheMiss, match="search request"):
+        pipeline.stage_retrieve()
+    assert _tree(tmp_path) == before
+    assert pipeline.cache is offline.cache
+
+    flags = ["run", "--dataset", str(qa_dataset_path), "--workdir", str(tmp_path),
+             "--evidence", "gold", "--offline"]
+    built = cli.make_pipeline(cli.effective_config(cli.build_parser().parse_args(flags)))
+    assert built.cache is built.backend.cache and built.cache.offline
+
+
 # --- per-question packs ----------------------------------------------------
 
 class _RecordingMock(MockBackend):
@@ -525,8 +573,9 @@ class _RecordingMock(MockBackend):
 
 def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
     inner = _RecordingMock()
-    cached = CachedBackend(inner, RequestCache(tmp_path))
-    with cached.question_scope("q1"):
+    cache = RequestCache(tmp_path)
+    cached = CachedBackend(inner, cache)
+    with cache.question_scope("q1"):
         first = cached.score("p", " c")
         assert cached.score("p", " c") == first
         assert cached.count_tokens("a b") == 2
@@ -543,7 +592,7 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
     assert sorted(lines) == lines
     assert sorted(lines) == sorted([f"{digests[0]} {canonical_json(first)}", f"{digests[1]} 2"])
 
-    with cached.question_scope("q1"):
+    with cache.question_scope("q1"):
         assert cached.score("p", " c") == first
         assert cached.count_tokens("a b") == 2
     assert len(inner.requests) == 2
@@ -552,10 +601,11 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
 
 def test_question_reads_only_its_own_packs(tmp_path):
     inner = _RecordingMock()
-    cached = CachedBackend(inner, RequestCache(tmp_path))
-    with cached.question_scope("q1"):
+    cache = RequestCache(tmp_path)
+    cached = CachedBackend(inner, cache)
+    with cache.question_scope("q1"):
         cached.score("p", " c")
-    with cached.question_scope("q2"):
+    with cache.question_scope("q2"):
         cached.score("p", " c")
     assert len(inner.requests) == 2
     q1 = [p.read_bytes() for p in _question_dir(tmp_path, "q1").iterdir()]
@@ -572,12 +622,13 @@ def test_offline_scope_serves_its_pack_and_writes_nothing(tmp_path):
     with cache.question_scope("q1"):
         value = CachedBackend(MockBackend(), cache).score("p", " c")
     before = sorted(p for p in tmp_path.rglob("*"))
-    offline = CachedBackend(MockBackend(), RequestCache(tmp_path, offline=True))
-    with offline.question_scope("q1"):
+    offline_cache = RequestCache(tmp_path, offline=True)
+    offline = CachedBackend(MockBackend(), offline_cache)
+    with offline_cache.question_scope("q1"):
         assert offline.score("p", " c") == value
         with pytest.raises(OfflineCacheMiss):
             offline.score("p", " other")
-    with offline.question_scope("q2"), pytest.raises(OfflineCacheMiss):
+    with offline_cache.question_scope("q2"), pytest.raises(OfflineCacheMiss):
         offline.score("p", " c")
     assert sorted(p for p in tmp_path.rglob("*")) == before
 
@@ -593,14 +644,16 @@ def test_pack_keeps_responses_with_unicode_line_separators(tmp_path):
 
 def test_failing_scope_still_saves_what_it_fetched(tmp_path):
     inner = _RecordingMock(fail_at=3)
-    cached = CachedBackend(inner, RequestCache(tmp_path))
-    with pytest.raises(OSError), cached.question_scope("q1"):
+    cache = RequestCache(tmp_path)
+    cached = CachedBackend(inner, cache)
+    with pytest.raises(OSError), cache.question_scope("q1"):
         for i in range(5):
             cached.score("p", f" {i}")
     assert len(list(_question_dir(tmp_path, "q1").iterdir())) == 1
     again = _RecordingMock()
-    resumed = CachedBackend(again, RequestCache(tmp_path))
-    with resumed.question_scope("q1"):
+    resumed_cache = RequestCache(tmp_path)
+    resumed = CachedBackend(again, resumed_cache)
+    with resumed_cache.question_scope("q1"):
         for i in range(5):
             resumed.score("p", f" {i}")
     assert again.requests == [("score", "p", f" {i}") for i in (2, 3, 4)]

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from conftest import cached_backend
 
-from webqa.lmbackend import MockBackend, extractive_completion
+from webqa.cache import RequestCache
+from webqa.lmbackend import CachedBackend, MockBackend, extractive_completion
 from webqa.pipeline import (
     CLOSED,
     GOLD,
@@ -39,7 +41,7 @@ def gold_run(tmp_path_factory, qa_dataset_path_module, banks_dir_module):
     workdir = tmp_path_factory.mktemp("gold")
     config = _config(qa_dataset_path_module, workdir,
                      banks_dir=str(banks_dir_module))
-    pipeline = Pipeline(config, MockBackend())
+    pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
     report = pipeline.run()
     return pipeline, report, workdir
 
@@ -79,7 +81,7 @@ class TestConfigValidation:
     def test_missing_dataset_file(self, tmp_path):
         config = _config(tmp_path / "absent.jsonl", tmp_path)
         with pytest.raises(ConfigError):
-            Pipeline(config, MockBackend())
+            Pipeline(config, cached_backend(MockBackend(), config.workdir))
 
     def test_gold_mode_requires_gold_evidence(self, tmp_path, banks_dir):
         path = tmp_path / "nogold.jsonl"
@@ -90,40 +92,40 @@ class TestConfigValidation:
         config = _config(path, tmp_path / "w", dataset_id="nogold",
                          banks_dir=str(banks_dir))
         with pytest.raises(ConfigError) as err:
-            Pipeline(config, MockBackend())
+            Pipeline(config, cached_backend(MockBackend(), config.workdir))
         assert "gold_evidence" in str(err.value)
 
     def test_scoring_backend_required_for_open_book(self, qa_dataset_path,
                                                     tmp_path, banks_dir):
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
         with pytest.raises(ConfigError):
-            Pipeline(config, MockBackend(can_score=False))
+            Pipeline(config, cached_backend(MockBackend(can_score=False), config.workdir))
 
     def test_closed_book_tolerates_no_scoring(self, qa_dataset_path,
                                               tmp_path, banks_dir):
         config = _config(qa_dataset_path, tmp_path, evidence=CLOSED,
                          scorer="answer_prob", banks_dir=str(banks_dir))
-        Pipeline(config, MockBackend(can_score=False))
+        Pipeline(config, cached_backend(MockBackend(can_score=False), config.workdir))
 
     def test_closed_book_labels_need_scoring(self, cls_dataset_path, tmp_path, banks_dir):
         config = _config(cls_dataset_path, tmp_path, dataset_id="fixturecls", evidence=CLOSED,
                          scorer="answer_prob", banks_dir=str(banks_dir))
         with pytest.raises(ConfigError, match="cannot score"):
-            Pipeline(config, MockBackend(can_score=False))
+            Pipeline(config, cached_backend(MockBackend(can_score=False), config.workdir))
 
 
 class TestBanks:
     def test_banks_dir_takes_precedence(self, qa_dataset_path, tmp_path,
                                         banks_dir):
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         assert pipeline.bank("qa").dataset_id == "fixtureqa"
         assert pipeline.bank("qa").k == 3
 
     def test_scorer_banks_derive_from_qa(self, qa_dataset_path, tmp_path,
                                          banks_dir):
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         derived = pipeline.bank("q_given_ap")
         assert derived.kind == "q_given_ap"
         assert derived.k == pipeline.bank("qa").k
@@ -131,7 +133,7 @@ class TestBanks:
     def test_unknown_dataset_without_banks_fails(self, qa_dataset_path,
                                                  tmp_path):
         config = _config(qa_dataset_path, tmp_path, dataset_id="mystery")
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         with pytest.raises(ConfigError):
             pipeline.bank("qa")
 
@@ -223,7 +225,7 @@ class TestGoldRun:
         config = _config(pipeline.config.dataset_path, workdir,
                          banks_dir=pipeline.config.banks_dir,
                          scorer="answer_prob")
-        again = Pipeline(config, MockBackend())
+        again = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         path = again.stage_rerank()
         assert path.name == "gold_answer_prob.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -235,7 +237,7 @@ class TestClosedRun:
         config = _config(qa_dataset_path, tmp_path, evidence=CLOSED,
                          scorer="answer_prob", banks_dir=str(banks_dir),
                          closed_book_samples=6)
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         report = pipeline.run()
         assert report.recall_at is None
         assert report.extractiveness is None
@@ -255,7 +257,7 @@ class TestClassificationGoldRun:
                                       banks_dir):
         config = _config(cls_dataset_path, tmp_path, dataset_id="fixturecls",
                          banks_dir=str(banks_dir), heldout_fraction=0.25)
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         report = pipeline.run()
         assert report.metric_name == "accuracy"
         assert report.n_questions == 3
@@ -270,13 +272,13 @@ class TestResolveWeights:
     def test_explicit_weights_win(self, qa_dataset_path, tmp_path, banks_dir):
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir),
                          poe_weights=(2.0, 1.0, 1.0, 1.0, 0.5))
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         assert pipeline.resolve_weights() == (2.0, 1.0, 1.0, 1.0, 0.5)
 
     def test_default_without_tuning(self, qa_dataset_path, tmp_path,
                                     banks_dir):
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         assert pipeline.resolve_weights() == DEFAULT_WEIGHTS
 
     def test_weights_tuned_under_other_evidence_refused(self, gold_run,
@@ -285,7 +287,7 @@ class TestResolveWeights:
         weights = json.loads((workdir / "weights.json").read_text(encoding="utf-8"))
         assert weights["evidence"] == GOLD
         config = _config(qa_dataset_path, workdir, evidence=SEARCH, banks_dir=str(banks_dir))
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         with pytest.raises(ConfigError, match="'gold'.*'search'"):
             pipeline.resolve_weights()
 
@@ -313,7 +315,7 @@ class TestCallLogSequence:
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir),
                          samples_per_paragraph=len(samples),
                          closed_book_samples=len(samples))
-        pipeline = Pipeline(config, backend)
+        pipeline = Pipeline(config, cached_backend(backend, config.workdir))
         _build_pools(pipeline)
         # empty samples are dropped and "alpha"/" alpha " share one answer
         distinct_answers = 2
@@ -330,7 +332,7 @@ class TestCallLogSequence:
     def test_classification_record(self, tmp_path, cls_dataset_path, banks_dir):
         config = _config(cls_dataset_path, tmp_path, dataset_id="fixturecls",
                          banks_dir=str(banks_dir))
-        pipeline = Pipeline(config, MockBackend())
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         _build_pools(pipeline)
         for record in pipeline.records:
             n_labels = len(record.label_set)
@@ -345,12 +347,13 @@ class TestCallLogSequence:
             assert _call_rows(tmp_path, CLOSED, record.id) == [("label_closed", None)] * n_labels
 
 
-class _CountingMock(MockBackend):
-    """Records every request: ("count", text), ("sample", prompt, texts),
-    ("score", prompt, continuation)."""
+class _CountingBackend(CachedBackend):
+    """Records every request the pipeline makes of its backend, cache hits
+    included: ("count", text), ("sample", prompt, texts), ("score", prompt,
+    continuation)."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, workdir):
+        super().__init__(MockBackend(), RequestCache(workdir / "cache"))
         self.requests = []
 
     def count_tokens(self, text):
@@ -406,7 +409,7 @@ class TestTokenCountTraffic:
         return counted, prompts, short
 
     def _run(self, tmp_path, dataset_path, banks_dir, **kwargs):
-        backend = _CountingMock()
+        backend = _CountingBackend(tmp_path)
         config = _config(dataset_path, tmp_path, banks_dir=str(banks_dir), max_workers=1, **kwargs)
         pipeline = Pipeline(config, backend)
         _build_pools(pipeline)
@@ -453,7 +456,7 @@ class TestEmptyClosedPool:
 
     def test_open_book_cost_names_question(self, tmp_path, qa_dataset_path, banks_dir):
         config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
-        pipeline = Pipeline(config, self._backend())
+        pipeline = Pipeline(config, cached_backend(self._backend(), config.workdir))
         _build_pools(pipeline)
         pipeline.stage_rerank()
         with pytest.raises(ConfigError, match=pipeline.main_records[0].id):
@@ -463,7 +466,7 @@ class TestEmptyClosedPool:
                                                        banks_dir):
         config = _config(qa_dataset_path, tmp_path, evidence=CLOSED,
                          scorer="answer_prob", banks_dir=str(banks_dir))
-        pipeline = Pipeline(config, self._backend())
+        pipeline = Pipeline(config, cached_backend(self._backend(), config.workdir))
         _build_pools(pipeline)
         with pytest.raises(ConfigError, match=pipeline.records[0].id):
             pipeline.stage_rerank()
@@ -493,7 +496,8 @@ def test_cost_loads_each_pool_once(gold_run, monkeypatch):
 
 
 def test_cost_without_call_log_is_refused(tmp_path, qa_dataset_path, banks_dir):
-    pipeline = Pipeline(_config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir)), MockBackend())
+    config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
+    pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
     _build_pools(pipeline)
     pipeline.stage_rerank()
     qid = pipeline.main_records[0].id
