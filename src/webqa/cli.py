@@ -57,6 +57,14 @@ DEFAULTS = {
 
 COMMANDS = ("retrieve", "answer", "tune-weights", "rerank", "eval", "cost", "run")
 
+# config-file keys whose value is a JSON list of items of this type; all but stop
+# also take a comma-separated string, as their flags do
+_LIST_ITEMS = {"stop": str, "weights": float, "cost_points": int, "recall_ks": int}
+# the type of the config-file keys whose default is null
+_NULLABLE = {"dataset_id": str, "context_tokens": int, "banks_dir": str}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_LIST_NAMES = {int: "a list of integers", float: "a list of numbers", str: "a list of strings"}
+
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True, help="line-delimited JSON dataset")
@@ -138,6 +146,35 @@ def _parse_number_list(raw, flag: str, cast) -> list:
         raise ConfigError(f"{flag} expects comma-separated values, got {raw!r}") from None
 
 
+def _is_a(value, kind: type) -> bool:
+    """Whether a JSON ``value`` is a ``kind``; an integer is a float, a bool is neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_file_value(key: str, value) -> None:
+    """Raise :class:`ConfigError` unless config-file ``value`` has the type of ``DEFAULTS[key]``."""
+    default = DEFAULTS[key]
+    if value is None and default is None:
+        return
+    if key in _LIST_ITEMS:
+        item = _LIST_ITEMS[key]
+        if isinstance(value, list) and all(_is_a(v, item) for v in value):
+            return
+        if key != "stop" and isinstance(value, str):
+            return
+        expected = _LIST_NAMES[item]
+        if key != "stop":
+            expected += " or a comma-separated string"
+    else:
+        kind = _NULLABLE.get(key, type(default))
+        if _is_a(value, kind):
+            return
+        expected = _TYPE_NAMES[kind] + (" or null" if default is None else "")
+    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def effective_config(args: argparse.Namespace) -> dict:
     """Merge defaults, the JSON config file, and explicit flags."""
     merged = dict(DEFAULTS)
@@ -147,9 +184,13 @@ def effective_config(args: argparse.Namespace) -> dict:
                 file_values = json.load(fp)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            _check_file_value(key, value)
         merged.update(file_values)
     for key in DEFAULTS:
         value = getattr(args, key, None)

@@ -4,7 +4,8 @@ Points the retrieval stack at a directory instead of the live web: a
 ``search.json`` file maps each query string to an ordered list of page
 paths, and the pages themselves live beside it as files.  The LM routes
 serve a ``MockBackend``, so one URL is both ``--search-endpoint`` and
-``--backend``.  Run standalone with ``python -m webqa.fixtures --root DIR``
+``--backend``; they answer 413 to a request that would overflow the mock's
+context, as a real server does.  Run standalone with ``python -m webqa.fixtures --root DIR``
 or embed :class:`FixtureServer` in a test.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from .lmbackend import GenerationParams, LMBackend, MockBackend
+from .lmbackend import GenerationParams, LMBackend, MockBackend, PromptTooLong
 
 logger = logging.getLogger(__name__)
 
@@ -32,15 +33,28 @@ _CONTENT_TYPES = {
 }
 
 
+def _check_context(backend: LMBackend, prompt: str, reserved_tokens: int) -> None:
+    """Raise :class:`PromptTooLong` unless ``prompt`` and ``reserved_tokens`` fit the context."""
+    context = backend.describe().context_tokens
+    if backend.count_tokens(prompt) + reserved_tokens > context:
+        raise PromptTooLong(f"prompt plus {reserved_tokens} tokens exceeds the context of {context}")
+
+
 def _complete(backend: LMBackend, r: dict) -> dict:
+    _check_context(backend, r["prompt"], r["max_new_tokens"])
     params = GenerationParams(r["nucleus_p"], r["temperature"], r["max_new_tokens"], tuple(r["stop"]), r["n"])
-    samples = backend.sample(r["prompt"], params, r["seed"])
-    return {"samples": [{"text": s.text, "logprob": s.logprob} for s in samples]}
+    return backend.sample(r["prompt"], params, r["seed"]).to_json()
 
 
+def _score(backend: LMBackend, r: dict) -> dict:
+    _check_context(backend, r["prompt"], backend.count_tokens(r["continuation"]))
+    return backend.score(r["prompt"], r["continuation"]).to_json()
+
+
+# each raises PromptTooLong for a request the backend's context cannot hold
 _LM_POSTS = {
     "/v1/complete": _complete,
-    "/v1/score": lambda backend, r: {"logprob": backend.score(r["prompt"], r["continuation"])},
+    "/v1/score": _score,
     "/v1/count_tokens": lambda backend, r: {"tokens": backend.count_tokens(r["text"])},
 }
 
@@ -90,7 +104,18 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             self._send(404, "text/plain; charset=utf-8", b"not found")
             return
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self._send_json(route(self.backend, request))
+        try:
+            response = route(self.backend, request)
+        except PromptTooLong as exc:
+            self._send(413, "text/plain; charset=utf-8", str(exc).encode("utf-8"))
+            return
+        self._send_json(response)
+
+
+class _Server(ThreadingHTTPServer):
+    # the default listen backlog of 5 makes the 6th of many concurrent connections
+    # wait about a second for a SYN retry; runs with --max-workers 8 open more
+    request_queue_size = 128
 
 
 class FixtureServer:
@@ -103,7 +128,7 @@ class FixtureServer:
             raise FileNotFoundError(f"fixture root {self.root} has no {SEARCH_FILE}")
         index = json.loads(index_path.read_text(encoding="utf-8"))
         handler = type("Handler", (_FixtureHandler,), {"root": self.root, "index": index})
-        self._server = ThreadingHTTPServer(("127.0.0.1", port), handler)
+        self._server = _Server(("127.0.0.1", port), handler)
         self._thread: threading.Thread | None = None
 
     @property

@@ -1,9 +1,11 @@
 """Language model backends: sampling, scoring, token counting.
 
 The pipeline talks to one interface: sample completions for a prompt, score
-an exact continuation string, count tokens.  Besides the HTTP client for a
-real completion server, the module ships a deterministic mock backend with
-a hash-driven scorer for offline runs and tests.  Continuations are scored
+an exact continuation string, count tokens.  Samples and scores come back
+with the token counts of what was sent and generated, so a caller needs no
+separate count to log or budget them.  Besides the HTTP client for a real
+completion server, the module ships a deterministic mock backend with a
+hash-driven scorer for offline runs and tests.  Continuations are scored
 verbatim; callers are responsible for any leading separator they want
 included.
 """
@@ -56,10 +58,55 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class Sample:
-    """One completion; ``logprob`` is the model log-probability of ``text``."""
+    """One completion; ``logprob`` is the model log-probability of ``text``
+    and ``tokens`` its length in tokens."""
 
     text: str
     logprob: float
+    tokens: int
+
+
+@dataclass(frozen=True)
+class Completion:
+    """What ``sample`` returns: the samples in order (iterating a completion
+    yields them) and the length of the prompt in tokens."""
+
+    samples: tuple[Sample, ...]
+    prompt_tokens: int
+
+    def __iter__(self):
+        return iter(self.samples)
+
+    def to_json(self) -> dict:
+        """The ``/v1/complete`` response body."""
+        return {
+            "samples": [{"text": s.text, "logprob": s.logprob, "tokens": s.tokens} for s in self.samples],
+            "prompt_tokens": self.prompt_tokens,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Completion":
+        return cls(tuple(Sample(s["text"], float(s["logprob"]), int(s["tokens"])) for s in obj["samples"]),
+                   int(obj["prompt_tokens"]))
+
+
+@dataclass(frozen=True)
+class Score:
+    """What ``score`` returns: log p(continuation | prompt) and the lengths
+    of prompt and continuation in tokens."""
+
+    logprob: float
+    prompt_tokens: int
+    continuation_tokens: int
+
+    def to_json(self) -> dict:
+        """The ``/v1/score`` response body."""
+        return {"logprob": self.logprob, "prompt_tokens": self.prompt_tokens,
+                "continuation_tokens": self.continuation_tokens}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Score":
+        return cls(float(obj["logprob"]), int(obj["prompt_tokens"]), int(obj["continuation_tokens"]))
 
 
 @dataclass(frozen=True)
@@ -87,17 +134,21 @@ class ScoringUnsupported(RuntimeError):
     """The configured backend cannot score continuations."""
 
 
+class PromptTooLong(ValueError):
+    """The server refused a request whose prompt overflows its context (HTTP 413)."""
+
+
 class LMBackend(ABC):
     @abstractmethod
     def describe(self) -> BackendDescriptor:
         ...
 
     @abstractmethod
-    def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
+    def sample(self, prompt: str, params: GenerationParams, seed: int) -> Completion:
         ...
 
     @abstractmethod
-    def score(self, prompt: str, continuation: str) -> float:
+    def score(self, prompt: str, continuation: str) -> Score:
         """log p(continuation | prompt), continuation taken verbatim."""
 
     @abstractmethod
@@ -157,6 +208,11 @@ def hash_score(prompt: str, continuation: str) -> float:
 
 # --- configurable test double ----------------------------------------------
 
+def _whitespace_tokens(text: str) -> int:
+    """The mock's tokenizer: one token per whitespace-separated word."""
+    return len(text.split())
+
+
 def extractive_completion(prompt: str, seed: int, index: int) -> str:
     """Pick a short word span from the prompt's final evidence line.
 
@@ -207,17 +263,21 @@ class MockBackend(LMBackend):
         return self._descriptor
 
     def count_tokens(self, text: str) -> int:
-        return len(text.split())
+        return _whitespace_tokens(text)
 
-    def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
+    def sample(self, prompt: str, params: GenerationParams, seed: int) -> Completion:
         texts = [self.completion_fn(prompt, seed, i) for i in range(params.n_samples)]
         logprobs = {text: hash_score(prompt, text) for text in set(texts)}
-        return [Sample(text=text, logprob=logprobs[text]) for text in texts]
+        return Completion(
+            tuple(Sample(text, logprobs[text], _whitespace_tokens(text)) for text in texts),
+            _whitespace_tokens(prompt),
+        )
 
-    def score(self, prompt: str, continuation: str) -> float:
+    def score(self, prompt: str, continuation: str) -> Score:
         if not self._descriptor.can_score:
             raise ScoringUnsupported(f"backend {self._descriptor.name!r} cannot score")
-        return hash_score(prompt, continuation)
+        return Score(hash_score(prompt, continuation), _whitespace_tokens(prompt),
+                     _whitespace_tokens(continuation))
 
 
 def _field(obj, name: str, route: str):
@@ -225,6 +285,14 @@ def _field(obj, name: str, route: str):
     if not isinstance(obj, dict) or name not in obj:
         raise ValueError(f"{route} returned no {name!r}")
     return obj[name]
+
+
+def _tokens(obj: dict, name: str, route: str) -> int:
+    """``obj[name]`` as a token count; anything but a non-negative integer is a ``ValueError``."""
+    value = _field(obj, name, route)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{route} returned {name} {value!r}, not a non-negative integer")
+    return value
 
 
 def _logprob(obj: dict, route: str) -> float:
@@ -239,6 +307,8 @@ class HTTPBackend(LMBackend):
     """Client for a completion server.
 
     Endpoints: POST /v1/complete, /v1/score, /v1/count_tokens; GET /v1/model.
+    A 413 status, the server refusing a prompt longer than its context, is
+    :class:`PromptTooLong`.
     """
 
     def __init__(self, base_url: str):
@@ -246,14 +316,19 @@ class HTTPBackend(LMBackend):
         self._descriptor: BackendDescriptor | None = None
 
     def _request(self, path: str, payload: dict | None = None):
-        return net.request_json(f"{self.base_url}{path}", payload, timeout=LM_TIMEOUT_SECONDS)
+        try:
+            return net.request_json(f"{self.base_url}{path}", payload, timeout=LM_TIMEOUT_SECONDS)
+        except net.HTTPStatusError as exc:
+            if exc.status == 413:
+                raise PromptTooLong(f"{path} refused the prompt as longer than the model context") from None
+            raise
 
     def describe(self) -> BackendDescriptor:
         if self._descriptor is None:
             self._descriptor = BackendDescriptor.from_json(self._request("/v1/model"))
         return self._descriptor
 
-    def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
+    def sample(self, prompt: str, params: GenerationParams, seed: int) -> Completion:
         obj = self._request("/v1/complete", {
             "prompt": prompt,
             "n": params.n_samples,
@@ -271,20 +346,18 @@ class HTTPBackend(LMBackend):
             text = _field(s, "text", "/v1/complete")
             if not isinstance(text, str):
                 raise ValueError(f"/v1/complete returned text {text!r}, not a string")
-            out.append(Sample(text=text, logprob=_logprob(s, "/v1/complete")))
-        return out
+            out.append(Sample(text, _logprob(s, "/v1/complete"), _tokens(s, "tokens", "/v1/complete")))
+        return Completion(tuple(out), _tokens(obj, "prompt_tokens", "/v1/complete"))
 
-    def score(self, prompt: str, continuation: str) -> float:
+    def score(self, prompt: str, continuation: str) -> Score:
         if not self.describe().can_score:
             raise ScoringUnsupported(f"backend {self.describe().name!r} cannot score")
         obj = self._request("/v1/score", {"prompt": prompt, "continuation": continuation})
-        return _logprob(obj, "/v1/score")
+        return Score(_logprob(obj, "/v1/score"), _tokens(obj, "prompt_tokens", "/v1/score"),
+                     _tokens(obj, "continuation_tokens", "/v1/score"))
 
     def count_tokens(self, text: str) -> int:
-        tokens = _field(self._request("/v1/count_tokens", {"text": text}), "tokens", "/v1/count_tokens")
-        if isinstance(tokens, bool) or not isinstance(tokens, int) or tokens < 0:
-            raise ValueError(f"/v1/count_tokens returned tokens {tokens!r}, not a non-negative integer")
-        return tokens
+        return _tokens(self._request("/v1/count_tokens", {"text": text}), "tokens", "/v1/count_tokens")
 
 
 def _sha256(text: str) -> str:
@@ -295,10 +368,12 @@ class CachedBackend(LMBackend):
     """Content-addressed cache in front of any backend (namespace ``lm``).
 
     Each request (operation, ``identity`` and arguments) is hashed into the
-    cache key, and only the response is stored: a sample list, a score, a
-    token count or the model descriptor.  A prompt or counted text enters
-    the key as the SHA-256 of its UTF-8 bytes, so a lookup never
-    JSON-encodes a whole prompt.
+    cache key, and only the response is stored: a completion or score with
+    its token counts, a token count or the model descriptor.  A prompt or
+    counted text enters the key as the SHA-256 of its UTF-8 bytes, so a
+    lookup never JSON-encodes a whole prompt.  Samples and scores are keyed
+    as ``sample_with_tokens`` and ``score_with_tokens``: entries stored
+    before their responses carried token counts are never read.
 
     ``identity`` distinguishes cache entries of different models behind the
     same client class; pass something stable like the server URL or model
@@ -315,24 +390,23 @@ class CachedBackend(LMBackend):
         response = self.cache.get_or_fetch("lm", request, lambda: self.inner.describe().to_json())
         return BackendDescriptor.from_json(response)
 
-    def sample(self, prompt: str, params: GenerationParams, seed: int) -> list[Sample]:
+    def sample(self, prompt: str, params: GenerationParams, seed: int) -> Completion:
         request = {
-            "op": "sample", "backend": self.identity,
+            "op": "sample_with_tokens", "backend": self.identity,
             "prompt_sha256": _sha256(prompt), "params": params.to_json(), "seed": seed,
         }
         response = self.cache.get_or_fetch(
-            "lm", request,
-            lambda: [{"text": s.text, "logprob": s.logprob} for s in self.inner.sample(prompt, params, seed)],
-        )
-        return [Sample(text=s["text"], logprob=float(s["logprob"])) for s in response]
+            "lm", request, lambda: self.inner.sample(prompt, params, seed).to_json())
+        return Completion.from_json(response)
 
-    def score(self, prompt: str, continuation: str) -> float:
+    def score(self, prompt: str, continuation: str) -> Score:
         request = {
-            "op": "score", "backend": self.identity,
+            "op": "score_with_tokens", "backend": self.identity,
             "prompt_sha256": _sha256(prompt), "continuation": continuation,
         }
-        response = self.cache.get_or_fetch("lm", request, lambda: self.inner.score(prompt, continuation))
-        return float(response)
+        response = self.cache.get_or_fetch(
+            "lm", request, lambda: self.inner.score(prompt, continuation).to_json())
+        return Score.from_json(response)
 
     def count_tokens(self, text: str) -> int:
         request = {"op": "count_tokens", "backend": self.identity, "text_sha256": _sha256(text)}

@@ -23,6 +23,14 @@ class NetError(OSError):
     """A request failed on every attempt, its URL is not http(s), or a JSON call got an error status."""
 
 
+class HTTPStatusError(NetError):
+    """A JSON call got a status other than 200."""
+
+    def __init__(self, status: int, url: str):
+        super().__init__(f"HTTP {status} from {url}")
+        self.status = status
+
+
 def quote_url(url: str) -> str:
     """Percent-encode spaces and non-ASCII in the path and query as UTF-8; escapes and host stay."""
     parts = urlsplit(url)
@@ -59,5 +67,5 @@ def request_json(url: str, payload=None, timeout: float = WEB_TIMEOUT_SECONDS):
     """Like :func:`request`, but returns the parsed body of a 200 response."""
     status, _, body = request(url, payload, timeout)
     if status != 200:
-        raise NetError(f"HTTP {status} from {url}")
+        raise HTTPStatusError(status, url)
     return json.loads(body)

@@ -26,7 +26,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, TypeVar
 
 from . import chunkrank, rerank, websearch
 from .cache import (
@@ -61,6 +61,7 @@ from .lmbackend import (
     DEFAULT_TEMPERATURE,
     CachedBackend,
     GenerationParams,
+    PromptTooLong,
     flops_for_tokens,
     softmax_scores,
 )
@@ -78,6 +79,8 @@ DEFAULT_COST_POINTS = (0, 1, 5, 10, 20, 50)
 CLOSED_PARAGRAPH_INDEX = -1
 # closed-book pools carry only lp_a_qp, so they are always ranked by it
 CLOSED_RERANK = rerank.RerankConfig(scorer=rerank.ANSWER_PROB)
+
+_Response = TypeVar("_Response")  # a backend's Score or Completion
 
 
 class ConfigError(ValueError):
@@ -150,19 +153,6 @@ def _pool_row(text: str, paragraph_index: int, lp_a_qp: float, lp_q_ap: float = 
         "lp_q_p": lp_q_p,
         "lp_prior": lp_prior,
     }
-
-
-class _Counts(NamedTuple):
-    """Memoized token counters for one question's requests.
-
-    ``text`` counts continuations and sampled answers, which recur across
-    paragraphs, through one memo per question.  ``prompt`` counts prompts
-    through a memo renewed per paragraph, so that a question never holds
-    all of its prompts.
-    """
-
-    prompt: Callable[[str], int]
-    text: Callable[[str], int]
 
 
 def stable_seed(*parts) -> int:
@@ -296,37 +286,55 @@ class Pipeline:
             "generated_tokens": generated_tokens,
         })
 
-    def _fit(self, prompt: RenderedPrompt, count, reserved_tokens: int) -> RenderedPrompt:
-        return fit_to_context(
-            prompt, count, context_tokens=self.context_tokens, reserved_tokens=reserved_tokens,
-        )
+    def _send(self, prompt: RenderedPrompt, send: Callable[[str], _Response],
+              reserve: Callable[[_Response | None], int]) -> tuple[str, _Response]:
+        """``(text, send(text))`` for the prompt text that fits the context.
 
-    def _score(self, log: list, counts: _Counts, qid: str, purpose: str,
-               paragraph_index: int | None, prompt: RenderedPrompt, continuation: str) -> float:
+        ``prompt`` is sent as rendered, and its response's ``prompt_tokens``
+        decide whether it fitted ``context_tokens - reserve(response)``.  Only
+        when it did not, or the server refused it as too long (then
+        ``reserve(None)``), is it fitted with ``count_tokens`` and sent again.
+        """
+        response = None
+        try:
+            response = send(prompt.text)
+        except PromptTooLong:
+            pass
+        else:
+            if response.prompt_tokens <= self.context_tokens - reserve(response):
+                return prompt.text, response
+        fitted = fit_to_context(prompt, self.backend.count_tokens, context_tokens=self.context_tokens,
+                                reserved_tokens=reserve(response))
+        return fitted.text, send(fitted.text)
+
+    def _score(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
+               prompt: RenderedPrompt, continuation: str) -> float:
         """log p(continuation | prompt), with the prompt fitted around the continuation."""
-        continuation_tokens = counts.text(continuation)
-        fitted = self._fit(prompt, counts.prompt, continuation_tokens)
-        value = self.backend.score(fitted.text, continuation)
-        self._log_call(log, qid, purpose, paragraph_index, counts.prompt(fitted.text),
-                       continuation_tokens)
-        return value
+        _, score = self._send(
+            prompt, lambda text: self.backend.score(text, continuation),
+            lambda score: self.backend.count_tokens(continuation) if score is None
+            else score.continuation_tokens,
+        )
+        self._log_call(log, qid, purpose, paragraph_index, score.prompt_tokens,
+                       score.continuation_tokens)
+        return score.logprob
 
-    def _label_log_probs(self, log: list, counts: _Counts, record: QuestionRecord, purpose: str,
+    def _label_log_probs(self, log: list, record: QuestionRecord, purpose: str,
                          paragraph_index: int | None,
                          prompt: RenderedPrompt) -> list[tuple[str, float]]:
         """(label, log p(label)) with p the softmax over the label set's scores,
         all made against one fit of ``prompt``."""
-        fitted = self._fit(prompt, counts.prompt, self.config.max_new_tokens)
-        scores = {}
-        for label in record.label_set:
-            continuation = " " + label
-            scores[label] = self.backend.score(fitted.text, continuation)
-            self._log_call(log, record.id, purpose, paragraph_index, counts.prompt(fitted.text),
-                           counts.text(continuation))
-        dist = softmax_scores(scores)
-        return [(label, rerank.log_prior(dist[label])) for label in record.label_set]
+        labels = record.label_set
+        text, first = self._send(prompt, lambda text: self.backend.score(text, " " + labels[0]),
+                                 lambda _: self.config.max_new_tokens)
+        scores = [first] + [self.backend.score(text, " " + label) for label in labels[1:]]
+        for score in scores:
+            self._log_call(log, record.id, purpose, paragraph_index, score.prompt_tokens,
+                           score.continuation_tokens)
+        dist = softmax_scores({label: score.logprob for label, score in zip(labels, scores)})
+        return [(label, rerank.log_prior(dist[label])) for label in labels]
 
-    def _candidates(self, record: QuestionRecord, log: list, counts: _Counts, kind: str,
+    def _candidates(self, record: QuestionRecord, log: list, kind: str,
                     paragraph_index: int | None, prompt: RenderedPrompt, n_samples: int,
                     seed: int) -> list[tuple[str, float]]:
         """(answer, log p(answer | prompt)) pairs answering ``prompt``.
@@ -337,12 +345,12 @@ class Pipeline:
         call-log purposes: ``sample_<kind>`` or ``label_<kind>``.
         """
         if record.task == CLASSIFICATION:
-            return self._label_log_probs(log, counts, record, f"label_{kind}", paragraph_index,
-                                         prompt)
-        fitted = self._fit(prompt, counts.prompt, self.config.max_new_tokens)
-        samples = self.backend.sample(fitted.text, replace(self.params, n_samples=n_samples), seed)
-        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, counts.prompt(fitted.text),
-                       sum(counts.text(s.text) for s in samples))
+            return self._label_log_probs(log, record, f"label_{kind}", paragraph_index, prompt)
+        params = replace(self.params, n_samples=n_samples)
+        _, samples = self._send(prompt, lambda text: self.backend.sample(text, params, seed),
+                                lambda _: self.config.max_new_tokens)
+        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, samples.prompt_tokens,
+                       sum(s.tokens for s in samples))
         by_canon: dict[str, tuple[str, float]] = {}
         for s in samples:
             stripped = s.text.strip()
@@ -419,37 +427,35 @@ class Pipeline:
         q_p_bank = self.bank("q_given_p")
         a_p_bank = self.bank("a_given_p")
         q_cont = " " + question
-        count_text = functools.cache(self.backend.count_tokens)
         pool: list[dict] = []
         for i, para in enumerate(paragraphs):
-            counts = _Counts(functools.cache(self.backend.count_tokens), count_text)
             text = para["text"]
             candidates = self._candidates(
-                record, log, counts, "answer", i, render_qa_prompt(qa_bank, question, text),
+                record, log, "answer", i, render_qa_prompt(qa_bank, question, text),
                 self.config.samples_per_paragraph,
                 stable_seed(self.config.seed, record.id, "answer", i),
             )
             if not candidates:
                 continue
 
-            lp_q_p = self._score(log, counts, record.id, "score_q_given_p", i,
+            lp_q_p = self._score(log, record.id, "score_q_given_p", i,
                                  render_prompt(q_p_bank, evidence=text), q_cont)
 
             a_p_prompt = render_prompt(a_p_bank, evidence=text)
             label_lp_a_p = None
             if record.task == CLASSIFICATION:
                 label_lp_a_p = dict(self._label_log_probs(
-                    log, counts, record, "label_a_given_p", i, a_p_prompt))
+                    log, record, "label_a_given_p", i, a_p_prompt))
 
             for answer_text, lp_a_qp in candidates:
                 lp_q_ap = self._score(
-                    log, counts, record.id, "score_q_given_ap", i,
+                    log, record.id, "score_q_given_ap", i,
                     render_prompt(q_ap_bank, evidence=text, answer=answer_text), q_cont,
                 )
                 if label_lp_a_p is not None:
                     lp_a_p = label_lp_a_p[answer_text]
                 else:
-                    lp_a_p = self._score(log, counts, record.id, "score_a_given_p", i,
+                    lp_a_p = self._score(log, record.id, "score_a_given_p", i,
                                          a_p_prompt, " " + answer_text)
                 pool.append(_pool_row(
                     answer_text, i, lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"])
@@ -458,9 +464,8 @@ class Pipeline:
 
     def _closed_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
         prompt = render_closed_book_prompt(self.bank("qa"), record.question)
-        count = functools.cache(self.backend.count_tokens)
         candidates = self._candidates(
-            record, log, _Counts(count, count), "closed", None, prompt,
+            record, log, "closed", None, prompt,
             self.config.closed_book_samples,
             stable_seed(self.config.seed, record.id, "closed"),
         )

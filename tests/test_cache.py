@@ -438,7 +438,7 @@ def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_pat
     capsys.readouterr()
     assert cli.main(recorded_run["flags"](workdir, "--offline")) == 3
     err = capsys.readouterr().err
-    assert '"text_sha256":"' in err  # a question's first request counts its prompt's tokens
+    assert '"op":"sample_with_tokens"' in err  # a question's first LM request samples answers
 
     fetched = []
     original = RequestCache.get_or_fetch
@@ -463,8 +463,8 @@ def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_pat
 # A change to any of these digests makes every existing LM cache unreadable.
 PINNED_LM_DIGESTS = {
     "describe": "5f9d6ac35e84761b3e11c8ee68d6e17536a5dcf64b13958eb82a9ff583e63723",
-    "score": "7eac1e726f1ec5b36add0affbee2bf37b819e3fd5ccb76fc7f579f9e6cefe289",
-    "sample": "e9a8f9ba2583cf0042233d4e0cb5c5107019391f255f8bc42e39d4a6bf4a5d0a",
+    "score": "48cf8991ca942f1b86684952c2bdf0dadb2e23e8257e315979723995271a8d4b",
+    "sample": "4e1d60d91cc8b787987405024e84d605ee45fbea38f0359a9b7b93b097bc221a",
     "count_tokens": "df9ce11bf8016bb1960d23a021686e6c4e68942f9efe62294af9f29247f9b3e2",
 }
 
@@ -482,6 +482,25 @@ def test_lm_request_digests_are_pinned(tmp_path, op):
     call()
     [entry] = (tmp_path / "lm").iterdir()
     assert entry.name == f"{PINNED_LM_DIGESTS[op]}.response.json.gz"
+
+
+def test_sample_and_score_entries_without_token_counts_are_not_read(tmp_path):
+    """Entries stored under the keys that samples and scores had before their
+    responses carried token counts are never read as the new responses."""
+    cache = RequestCache(tmp_path)
+    prompt = "Question: Who wrote Hamlet?\nAnswer:"
+    params = GenerationParams(n_samples=2)
+    prompt_sha256 = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    cache.put(CacheKey.for_request("lm", {"op": "score", "backend": "mock", "prompt_sha256": prompt_sha256,
+                                          "continuation": " Shakespeare"}), -1.0)
+    cache.put(CacheKey.for_request("lm", {"op": "sample", "backend": "mock", "prompt_sha256": prompt_sha256,
+                                          "params": params.to_json(), "seed": 7}),
+              [{"text": "old", "logprob": -1.0}])
+    inner = _RecordingMock()
+    cached = CachedBackend(inner, cache, identity="mock")
+    assert cached.score(prompt, " Shakespeare") == MockBackend().score(prompt, " Shakespeare")
+    assert cached.sample(prompt, params, seed=7) == MockBackend().sample(prompt, params, seed=7)
+    assert [request[0] for request in inner.requests] == ["score", "sample"]
 
 
 def test_offline_replay_never_encodes_a_prompt(tmp_path, qa_dataset_path, banks_dir, monkeypatch):
@@ -584,13 +603,13 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
     [pack] = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert pack.parent == _question_dir(tmp_path, "q1")
     lines = _pack_lines(pack)
-    digests = [request_digest({"op": "score", "backend": "_RecordingMock",
+    digests = [request_digest({"op": "score_with_tokens", "backend": "_RecordingMock",
                                "prompt_sha256": hashlib.sha256(b"p").hexdigest(),
                                "continuation": " c"}),
                request_digest({"op": "count_tokens", "backend": "_RecordingMock",
                                "text_sha256": hashlib.sha256(b"a b").hexdigest()})]
     assert sorted(lines) == lines
-    assert sorted(lines) == sorted([f"{digests[0]} {canonical_json(first)}", f"{digests[1]} 2"])
+    assert sorted(lines) == sorted([f"{digests[0]} {canonical_json(first.to_json())}", f"{digests[1]} 2"])
 
     with cache.question_scope("q1"):
         assert cached.score("p", " c") == first

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from webqa import cli, fixtures
 from webqa.cache import gunzip_bytes
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
-from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend
+from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend, PromptTooLong
 from webqa.pipeline import ConfigError
 from webqa.websearch import FixtureSearchClient, GoogleCustomSearchClient, SearchError
 
@@ -62,6 +63,58 @@ class TestEffectiveConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"paragraphz": 9}), encoding="utf-8")
         with pytest.raises(ConfigError):
+            cli.effective_config(_args(*BASE, "--config", str(path)))
+
+    @pytest.mark.parametrize("values, message", [
+        ({"top_paragraphs": "50"}, "'top_paragraphs' must be an integer, got '50'"),
+        ({"stop": "Q:"}, "'stop' must be a list of strings, got 'Q:'"),
+        ({"stop": ["Q:", 1]}, "'stop' must be a list of strings, got ['Q:', 1]"),
+        ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+        ({"max_workers": True}, "'max_workers' must be an integer, got True"),
+        ({"nucleus_p": "0.9"}, "'nucleus_p' must be a number, got '0.9'"),
+        ({"offline": 1}, "'offline' must be true or false, got 1"),
+        ({"evidence": None}, "'evidence' must be a string, got None"),
+        ({"context_tokens": "60"}, "'context_tokens' must be an integer or null, got '60'"),
+        ({"cost_points": [0, "1"]},
+         "'cost_points' must be a list of integers or a comma-separated string, got [0, '1']"),
+        ({"weights": {"w": 1}},
+         "'weights' must be a list of numbers or a comma-separated string, got {'w': 1}"),
+    ])
+    def test_config_file_value_of_the_wrong_type_is_refused(self, tmp_path, values, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^config key {re.escape(message)}$"):
+            cli.effective_config(_args(*BASE, "--config", str(path)))
+
+    @pytest.mark.parametrize("values, key", [({"top_paragraphs": "50"}, "top_paragraphs"),
+                                             ({"stop": "Q:"}, "stop")])
+    def test_config_file_type_error_exits_1_naming_the_key(self, tmp_path, capsys, values, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        assert cli.main([*BASE[:3], "--workdir", str(tmp_path / "w"), "--config", str(path)]) == 1
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
+    def test_config_file_values_of_the_right_type_are_taken(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "stop": ["Q:", "\n"], "nucleus_p": 1, "temperature": 0.5, "cost_points": "0,1",
+            "recall_ks": [1, 2], "weights": [1, 0.5, 0, 2, 1], "context_tokens": None,
+            "banks_dir": "b", "offline": True,
+        }), encoding="utf-8")
+        config = cli.effective_config(_args(*BASE, "--config", str(path)))
+        assert config["stop"] == ("Q:", "\n")
+        assert config["nucleus_p"] == 1
+        assert config["cost_points"] == (0, 1)
+        assert config["recall_ks"] == (1, 2)
+        assert config["weights"] == (1.0, 0.5, 0.0, 2.0, 1.0)
+        assert config["context_tokens"] is None
+        assert config["offline"] is True
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(["top_paragraphs"]), encoding="utf-8")
+        with pytest.raises(ConfigError, match="JSON object"):
             cli.effective_config(_args(*BASE, "--config", str(path)))
 
     def test_weights_parse(self):
@@ -408,12 +461,23 @@ class TestHTTPBackendRun:
                 assert b"Infinity" not in data, path
 
 
-    @pytest.mark.parametrize("route, field", [("/v1/count_tokens", "tokens"), ("/v1/complete", "samples")])
+    @staticmethod
+    def _gold_flags(dataset_path, workdir, banks_dir, backend, *extra):
+        return ["run", "--dataset", str(dataset_path), "--workdir", str(workdir),
+                "--evidence", "gold", "--backend", backend,
+                "--banks-dir", str(banks_dir), "--paragraphs", "2",
+                "--samples-per-paragraph", "2", "--closed-book-samples", "4",
+                "--max-new-tokens", "16", "--cost-points", "0,1", *extra]
+
+    @pytest.mark.parametrize("route, body, message", [
+        ("/v1/score", b'{"logprob": -1.5, "continuation_tokens": 1}', "returned no 'prompt_tokens'"),
+        ("/v1/complete", b'{}', "returned no 'samples'"),
+    ])
     def test_malformed_response_fails_one_question_and_is_never_stored(
-            self, tmp_path, qa_dataset_path, banks_dir, serve, route, field):
-        """A server answering ``{}`` to one question's first request on ``route``
-        fails that question alone; once the server is mended, the request is
-        asked again, so nothing of the bad answer was stored."""
+            self, tmp_path, qa_dataset_path, banks_dir, serve, route, body, message):
+        """A server answering ``body`` to one question's first request on
+        ``route`` fails that question alone; once the server is mended, the
+        request is asked again, so nothing of the bad answer was stored."""
         record = load_dataset(qa_dataset_path)[0]
         mock = MockBackend()
         state = {"mended": False, "broken": [], "posts": []}
@@ -426,23 +490,20 @@ class TestHTTPBackendRun:
             raw = handler.rfile.read(int(handler.headers["Content-Length"]))
             state["posts"].append(raw)
             request = json.loads(raw)
-            text = request.get("prompt", request.get("text"))
+            # a score request carries the question as its continuation, not in its prompt
+            text = request.get("prompt", "") + request.get("continuation", "")
             if not state["mended"] and handler.path == route and record.question in text:
                 state["broken"].append(raw)
-                handler.reply(200, b"{}", "application/json")
+                handler.reply(200, body, "application/json")
                 return
             answer = fixtures._LM_POSTS[handler.path](mock, request)
             handler.reply(200, json.dumps(answer).encode("utf-8"), "application/json")
 
         workdir = tmp_path / "w"
-        flags = ["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
-                 "--evidence", "gold", "--backend", serve(respond),
-                 "--banks-dir", str(banks_dir), "--paragraphs", "2",
-                 "--samples-per-paragraph", "2", "--closed-book-samples", "4",
-                 "--max-new-tokens", "16", "--cost-points", "0,1"]
+        flags = self._gold_flags(qa_dataset_path, workdir, banks_dir, serve(respond))
         assert cli.main(flags) == 0
         failures = json.loads((workdir / "failures.json").read_text(encoding="utf-8"))
-        assert failures == {record.id: f"answer: {route} returned no {field!r}"}
+        assert failures == {record.id: f"answer: {route} {message}"}
         [broken] = state["broken"]
 
         state["mended"] = True
@@ -450,6 +511,70 @@ class TestHTTPBackendRun:
         assert cli.main(flags) == 0
         assert json.loads((workdir / "failures.json").read_text(encoding="utf-8")) == {}
         assert broken in state["posts"]
+
+    @staticmethod
+    def _small_context_server(serve, described: MockBackend, posts: list) -> str:
+        """A server whose LM routes answer as a mock with a 60-token context
+        (413 past it), describing itself as ``described``; ``posts`` gets
+        each LM request's (path, status)."""
+        small = MockBackend(context_tokens=60)
+
+        def respond(handler):
+            if handler.command == "GET":
+                handler.reply(200, json.dumps(described.describe().to_json()).encode("utf-8"),
+                              "application/json")
+                return
+            request = json.loads(handler.rfile.read(int(handler.headers["Content-Length"])))
+            try:
+                answer = fixtures._LM_POSTS[handler.path](small, request)
+            except PromptTooLong:
+                posts.append((handler.path, 413))
+                handler.reply(413, b"prompt too long")
+                return
+            posts.append((handler.path, 200))
+            handler.reply(200, json.dumps(answer).encode("utf-8"), "application/json")
+
+        return serve(respond)
+
+    @pytest.mark.parametrize("dataset", ["fixtureqa.jsonl", "fixturecls.jsonl"])
+    def test_server_refusing_long_prompts_writes_the_mock_artifacts(
+            self, tmp_path, fixtures_dir, banks_dir, serve, dataset):
+        """A server with a 60-token context answers 413 to each request that
+        overflows it; the run fits those prompts, sends them again, and writes
+        what ``--backend mock`` writes at ``--context-tokens 60``."""
+        posts = []
+        url = self._small_context_server(serve, MockBackend(context_tokens=60), posts)
+        small_context = ("--context-tokens", "60", "--max-new-tokens", "8")
+        dataset_path = fixtures_dir / dataset
+        assert cli.main(self._gold_flags(dataset_path, tmp_path / "mock", banks_dir, "mock",
+                                         *small_context)) == 0
+        assert cli.main(self._gold_flags(dataset_path, tmp_path / "http", banks_dir, url,
+                                         *small_context)) == 0
+        assert ("/v1/count_tokens", 200) in posts
+        refused = {path for path, status in posts if status == 413}
+        assert refused == ({"/v1/score"} if dataset == "fixturecls.jsonl"
+                           else {"/v1/complete", "/v1/score"})
+        mock = self._artifacts(tmp_path / "mock")
+        assert "predictions/gold_poe.json" in mock
+        assert self._artifacts(tmp_path / "http") == mock
+
+    def test_prompt_still_refused_after_fitting_fails_its_question(
+            self, tmp_path, qa_dataset_path, banks_dir, serve, capsys):
+        """A server that claims a 2048-token context but refuses past 60
+        tokens: fitting to 2048 changes nothing, the second 413 fails every
+        question, and ``answer`` exits 2 naming the refusal."""
+        posts = []
+        url = self._small_context_server(serve, MockBackend(), posts)
+        workdir = tmp_path / "w"
+        _, *flags = self._gold_flags(qa_dataset_path, workdir, banks_dir, url)
+        assert cli.main(["retrieve", *flags]) == 0
+        assert cli.main(["answer", *flags]) == 2
+        failures = json.loads((workdir / "failures.json").read_text(encoding="utf-8"))
+        assert set(failures) == {r.id for r in load_dataset(qa_dataset_path)}
+        assert all(reason.startswith("answer: /v1/complete refused the prompt")
+                   for reason in failures.values())
+        assert {status for path, status in posts if path != "/v1/count_tokens"} == {413}
+        assert "10/10 questions failed" in capsys.readouterr().err
 
 
 def test_cli_imports_only_the_standard_library():

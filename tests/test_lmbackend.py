@@ -2,6 +2,7 @@ import json
 import re
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,8 @@ from webqa.lmbackend import (
     GenerationParams,
     HTTPBackend,
     MockBackend,
+    PromptTooLong,
+    Score,
     ScoringUnsupported,
     extractive_completion,
     flops_for_tokens,
@@ -114,14 +117,14 @@ class TestHashLM:
         lm = MockBackend()
         prompt = "evidence. the answer is"
         cont = " 42 ok"
-        whole = lm.score(prompt, cont)
-        split = sum(lm.score(prompt + cont[:i], cont[i])
+        whole = lm.score(prompt, cont).logprob
+        split = sum(lm.score(prompt + cont[:i], cont[i]).logprob
                     for i in range(len(cont)))
         assert whole == pytest.approx(split, abs=1e-12)
 
     def test_score_is_negative_and_finite(self):
         lm = MockBackend()
-        lp = lm.score("a prompt", " continuation")
+        lp = lm.score("a prompt", " continuation").logprob
         assert math.isfinite(lp) and lp < 0.0
 
     def test_count_tokens_is_whitespace_words(self):
@@ -162,9 +165,9 @@ class TestMockBackend:
         backend = MockBackend()
         prompt = "Question: q\nAnswer:"
         cont = " forty two"
-        whole = backend.score(prompt, cont)
-        split = backend.score(prompt, " forty") + \
-            backend.score(prompt + " forty", " two")
+        whole = backend.score(prompt, cont).logprob
+        split = backend.score(prompt, " forty").logprob + \
+            backend.score(prompt + " forty", " two").logprob
         assert whole == pytest.approx(split, abs=1e-12)
 
     def test_repeated_samples_keep_pinned_logprobs(self):
@@ -261,19 +264,69 @@ class TestCachedBackend:
                 self.value = value
 
             def score(self, prompt, continuation):
-                return self.value
+                return Score(self.value, 1, 1)
 
         cache = RequestCache(tmp_path)
         a = CachedBackend(FixedScore(-1.0), cache, identity="model-a")
         b = CachedBackend(FixedScore(-2.0), cache, identity="model-b")
-        assert a.score("p", " c") == -1.0
-        assert b.score("p", " c") == -2.0
+        assert a.score("p", " c").logprob == -1.0
+        assert b.score("p", " c").logprob == -2.0
 
     def test_count_tokens_cached(self, tmp_path):
         inner = MockBackend()
         cached = CachedBackend(inner, RequestCache(tmp_path))
         assert cached.count_tokens("a b c") == 3
         assert cached.count_tokens("a b c") == 3
+
+
+# a well-formed response on each LM route
+_GOOD_BODIES = {
+    "/v1/count_tokens": {"tokens": 7},
+    "/v1/complete": {"samples": [{"text": "Aurora Falls", "logprob": -1.5, "tokens": 2}],
+                     "prompt_tokens": 9},
+    "/v1/score": {"logprob": -1.5, "prompt_tokens": 9, "continuation_tokens": 2},
+}
+
+
+def _with_field(route: str, field: str, value, in_sample: bool) -> bytes:
+    """The good ``route`` body with ``field`` (of its one sample) set to
+    ``value``, or removed when ``value`` is ``...``."""
+    body = json.loads(json.dumps(_GOOD_BODIES[route]))
+    target = body["samples"][0] if in_sample else body
+    if value is ...:
+        del target[field]
+    else:
+        target[field] = value
+    return json.dumps(body).encode("utf-8")
+
+
+def _answering(status: int, body: bytes, posts: list | None = None):
+    """``respond`` for ``serve``: the mock's description to a GET, ``status``
+    and ``body`` to each POST, whose path goes to ``posts``."""
+    model = json.dumps(MockBackend().describe().to_json()).encode("utf-8")
+
+    def respond(handler):
+        if handler.command == "GET":
+            handler.reply(200, model, "application/json")
+            return
+        if posts is not None:
+            posts.append(handler.path)
+        handler.rfile.read(int(handler.headers["Content-Length"]))
+        handler.reply(status, body, "application/json")
+
+    return respond
+
+
+_COUNT_FIELDS = [("/v1/complete", "prompt_tokens", False), ("/v1/complete", "tokens", True),
+                 ("/v1/score", "prompt_tokens", False), ("/v1/score", "continuation_tokens", False)]
+# (route, body, message) for a token count that is missing, negative, a bool, a float or a string
+_MALFORMED_TOKEN_COUNTS = [
+    (route, _with_field(route, field, value, in_sample), message)
+    for route, field, in_sample in _COUNT_FIELDS
+    for value, message in [(..., f"no {field!r}"),
+                           *[(bad, f"{field} {bad!r}, not a non-negative integer")
+                             for bad in (-1, True, 1.5, "7")]]
+]
 
 
 class TestHTTPBackend:
@@ -293,6 +346,14 @@ class TestHTTPBackend:
         assert http.sample(self.PROMPT, params, 7) == mock.sample(self.PROMPT, params, 7)
         assert http.score(self.PROMPT, " Aurora Falls") == mock.score(self.PROMPT, " Aurora Falls")
         assert http.count_tokens(self.PROMPT) == mock.count_tokens(self.PROMPT)
+
+    def test_responses_carry_the_token_counts(self):
+        mock = MockBackend()
+        completion = mock.sample(self.PROMPT, GenerationParams(n_samples=3), 7)
+        assert completion.prompt_tokens == mock.count_tokens(self.PROMPT)
+        assert [s.tokens for s in completion] == [mock.count_tokens(s.text) for s in completion]
+        score = mock.score(self.PROMPT, " Aurora Falls")
+        assert (score.prompt_tokens, score.continuation_tokens) == (mock.count_tokens(self.PROMPT), 2)
 
     def test_one_503_is_retried_to_the_same_score(self, server, monkeypatch, no_backoff):
         posts = []
@@ -315,16 +376,7 @@ class TestHTTPBackend:
         b'{"logprob": -Infinity}', b'{"logprob": NaN}', b'{}', b'{"logprob": "-1.5"}',
     ])
     def test_bad_score_is_a_value_error_and_never_cached(self, serve, tmp_path, body):
-        model = json.dumps(MockBackend().describe().to_json()).encode("utf-8")
-
-        def respond(handler):
-            if handler.command == "GET":
-                handler.reply(200, model, "application/json")
-            else:
-                handler.rfile.read(int(handler.headers["Content-Length"]))
-                handler.reply(200, body, "application/json")
-
-        cached = CachedBackend(HTTPBackend(serve(respond)), RequestCache(tmp_path))
+        cached = CachedBackend(HTTPBackend(serve(_answering(200, body))), RequestCache(tmp_path))
         with pytest.raises(ValueError, match="^/v1/score returned logprob .*, not a finite number$"):
             cached.score(self.PROMPT, " Aurora Falls")
         assert list(tmp_path.iterdir()) == []
@@ -349,21 +401,52 @@ class TestHTTPBackend:
         ("/v1/complete", b'{"samples": [{"logprob": -1.5}]}', "no 'text'"),
         ("/v1/complete", b'{"samples": ["x"]}', "no 'text'"),
         ("/v1/complete", b'{"samples": [{"text": 7, "logprob": -1.5}]}', "text 7, not a string"),
+        *_MALFORMED_TOKEN_COUNTS,
     ])
     def test_malformed_response_is_a_value_error_and_never_cached(self, serve, tmp_path,
                                                                    route, body, message):
-        def respond(handler):
-            handler.rfile.read(int(handler.headers["Content-Length"]))
-            handler.reply(200, body, "application/json")
-
-        cached = CachedBackend(HTTPBackend(serve(respond)), RequestCache(tmp_path))
+        cached = CachedBackend(HTTPBackend(serve(_answering(200, body))), RequestCache(tmp_path))
         call = {
             "/v1/count_tokens": lambda: cached.count_tokens(self.PROMPT),
             "/v1/complete": lambda: cached.sample(self.PROMPT, GenerationParams(), 7),
+            "/v1/score": lambda: cached.score(self.PROMPT, " Aurora Falls"),
         }[route]
         with pytest.raises(ValueError, match=f"^{re.escape(f'{route} returned {message}')}$"):
             call()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("route", sorted(_GOOD_BODIES))
+    def test_well_formed_response_is_read(self, serve, route):
+        http = HTTPBackend(serve(_answering(200, json.dumps(_GOOD_BODIES[route]).encode("utf-8"))))
+        got = {
+            "/v1/count_tokens": lambda: {"tokens": http.count_tokens(self.PROMPT)},
+            "/v1/complete": lambda: http.sample(self.PROMPT, GenerationParams(), 7).to_json(),
+            "/v1/score": lambda: http.score(self.PROMPT, " Aurora Falls").to_json(),
+        }[route]()
+        assert got == _GOOD_BODIES[route]
+
+    def test_413_is_prompt_too_long_and_never_cached(self, serve, tmp_path, no_backoff):
+        posts = []
+        cached = CachedBackend(HTTPBackend(serve(_answering(413, b"too long", posts))),
+                               RequestCache(tmp_path))
+        with pytest.raises(PromptTooLong, match="^/v1/score refused the prompt"):
+            cached.score(self.PROMPT, " Aurora Falls")
+        with pytest.raises(PromptTooLong, match="^/v1/complete refused the prompt"):
+            cached.sample(self.PROMPT, GenerationParams(), 7)
+        assert posts == ["/v1/score", "/v1/complete"]  # a 413 is not retried
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fixture_server_answers_413_past_the_mock_context(self, server):
+        http = HTTPBackend(server.base_url)
+        context = MockBackend().describe().context_tokens
+        fits = " ".join(["w"] * (context - 2))
+        assert http.score(fits, " a b").prompt_tokens == context - 2
+        with pytest.raises(PromptTooLong):
+            http.score(fits, " a b c")
+        params = GenerationParams(max_new_tokens=2)
+        assert http.sample(fits, params, 7).prompt_tokens == context - 2
+        with pytest.raises(PromptTooLong):
+            http.sample(fits, replace(params, max_new_tokens=3), 7)
 
     def test_zero_tokens_is_a_count(self, serve):
         def respond(handler):

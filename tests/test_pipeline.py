@@ -1,9 +1,13 @@
+import hashlib
 import json
+import threading
+from collections import Counter
 
 import pytest
 from conftest import cached_backend
 
 from webqa.cache import RequestCache
+from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, MockBackend, extractive_completion
 from webqa.pipeline import (
     CLOSED,
@@ -14,8 +18,8 @@ from webqa.pipeline import (
     PipelineConfig,
     stable_seed,
 )
-from webqa.prompting import render_closed_book_prompt, render_qa_prompt
 from webqa.rerank import DEFAULT_WEIGHTS
+from webqa.websearch import FixtureSearchClient
 
 
 def _config(dataset_path, workdir, **kwargs):
@@ -348,100 +352,83 @@ class TestCallLogSequence:
 
 
 class _CountingBackend(CachedBackend):
-    """Records every request the pipeline makes of its backend, cache hits
-    included: ("count", text), ("sample", prompt, texts), ("score", prompt,
-    continuation)."""
+    """Counts every request the pipeline makes of its backend by operation,
+    cache hits included."""
 
     def __init__(self, workdir):
-        super().__init__(MockBackend(), RequestCache(workdir / "cache"))
-        self.requests = []
+        super().__init__(MockBackend(), RequestCache(workdir / "cache"), identity="mock")
+        self.requests = Counter()
+        self._lock = threading.Lock()
+
+    def _count(self, op):
+        with self._lock:
+            self.requests[op] += 1
 
     def count_tokens(self, text):
-        self.requests.append(("count", text))
+        self._count("count_tokens")
         return super().count_tokens(text)
 
     def sample(self, prompt, params, seed):
-        samples = super().sample(prompt, params, seed)
-        self.requests.append(("sample", prompt, [s.text for s in samples]))
-        return samples
+        self._count("sample")
+        return super().sample(prompt, params, seed)
 
     def score(self, prompt, continuation):
-        self.requests.append(("score", prompt, continuation))
+        self._count("score")
         return super().score(prompt, continuation)
 
 
-class TestTokenCountTraffic:
-    """Within one pool, each continuation and sampled text is counted once;
-    within one paragraph's requests, and within one closed-book request, each
-    prompt is counted once; every text a pool sends is among its counted texts."""
+def _artifact_digest(workdir) -> str:
+    """SHA-256 over the paths and bytes of candidates/, calls/ and predictions/."""
+    h = hashlib.sha256()
+    for top in ("candidates", "calls", "predictions"):
+        for path in sorted((workdir / top).rglob("*")):
+            if path.is_file():
+                h.update(path.relative_to(workdir).as_posix().encode("utf-8") + b"\0")
+                h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
 
-    @staticmethod
-    def _segments(pipeline, requests, whole_pools: bool):
-        """The request stream split where a paragraph's (``whole_pools``: an
-        open-book pool's) or a closed-book pool's requests begin: fitting first
-        counts the answering prompt as rendered."""
-        qa = pipeline.bank("qa")
-        starts = set()
-        for record in pipeline.records:
-            starts.add(render_closed_book_prompt(qa, record.question).text)
-            paragraphs = pipeline.load_paragraphs(record.id)
-            starts.update(render_qa_prompt(qa, record.question, p["text"]).text
-                          for p in (paragraphs[:1] if whole_pools else paragraphs))
-        segments = []
-        for request in requests:
-            if request[0] == "count" and request[1] in starts:
-                segments.append([])
-            segments[-1].append(request)
-        return segments
 
-    @staticmethod
-    def _counted_and_sent(segment):
-        """Counted texts in order, sent prompts, and sent short texts."""
-        counted = [r[1] for r in segment if r[0] == "count"]
-        prompts, short = set(), set()
-        for request in segment:
-            if request[0] == "sample":
-                prompts.add(request[1])
-                short.update(request[2])
-            elif request[0] == "score":
-                prompts.add(request[1])
-                short.add(request[2])
-        return counted, prompts, short
+class TestLMTraffic:
+    """Token counts come from the score and sample responses: a prompt that
+    fits is sent once and never counted on its own."""
 
-    def _run(self, tmp_path, dataset_path, banks_dir, **kwargs):
-        backend = _CountingBackend(tmp_path)
-        config = _config(dataset_path, tmp_path, banks_dir=str(banks_dir), max_workers=1, **kwargs)
-        pipeline = Pipeline(config, backend)
-        _build_pools(pipeline)
-        assert any(r[0] == "score" for r in backend.requests)
-        return (self._segments(pipeline, backend.requests, whole_pools=True),
-                self._segments(pipeline, backend.requests, whole_pools=False))
-
-    @pytest.mark.parametrize("dataset, dataset_id", [
-        ("fixtureqa.jsonl", "fixtureqa"), ("fixturecls.jsonl", "fixturecls"),
+    @pytest.mark.parametrize("dataset_id, evidence", [
+        ("fixtureqa", GOLD), ("fixturecls", GOLD), ("fixtureqa", SEARCH),
     ])
-    def test_each_text_counted_once_per_request(self, tmp_path, fixtures_dir, banks_dir,
-                                                dataset, dataset_id):
-        pools, _ = self._run(tmp_path, fixtures_dir / dataset, banks_dir, dataset_id=dataset_id)
-        for pool in pools:
-            counted, prompts, short = self._counted_and_sent(pool)
-            assert len(counted) == len(set(counted))
-            # the fixture prompts fit untruncated, so fitting counts only what is sent
-            assert set(counted) == prompts | short
+    def test_fitting_run_sends_one_request_per_call_row_and_no_count(
+            self, tmp_path, fixtures_dir, banks_dir, web_root, dataset_id, evidence):
+        backend = _CountingBackend(tmp_path)
+        config = _config(fixtures_dir / f"{dataset_id}.jsonl", tmp_path, dataset_id=dataset_id,
+                         evidence=evidence, banks_dir=str(banks_dir))
+        with FixtureServer(web_root) as server:
+            pipeline = Pipeline(config, backend, FixtureSearchClient(server.base_url))
+            _build_pools(pipeline)
+        rows = sum(len(path.read_text(encoding="utf-8").splitlines())
+                   for path in (tmp_path / "calls").rglob("*.jsonl"))
+        assert {path.name for path in (tmp_path / "calls").iterdir()} == {evidence, CLOSED}
+        assert backend.requests["count_tokens"] == 0
+        assert backend.requests["score"] > 0
+        assert backend.requests["sample"] + backend.requests["score"] == rows
 
-    def test_truncating_fits_count_each_text_once(self, tmp_path, qa_dataset_path, banks_dir):
-        pools, paragraphs = self._run(tmp_path, qa_dataset_path, banks_dir,
-                                      context_tokens=60, max_new_tokens=8)
-        truncated = False
-        for pool in pools:
-            counted, prompts, short = self._counted_and_sent(pool)
-            assert prompts | short <= set(counted)
-            assert all(counted.count(text) == 1 for text in short)
-            truncated = truncated or len(set(counted)) > len(prompts | short)
-        assert truncated
-        for segment in paragraphs:
-            counted, _, _ = self._counted_and_sent(segment)
-            assert len(counted) == len(set(counted))
+    # candidates/, calls/ and predictions/ as written before responses carried token counts
+    PINNED_TRUNCATED = {
+        "fixtureqa": "c2f5cfa8d2da5003b75c1f9b875a17c29e7f86472726d24c9458731a741750cb",
+        "fixturecls": "2de9fe2ab241cdb4374aa1a89d905a9cd15c9e495ad5832befe32198fb57641b",
+    }
+
+    @pytest.mark.parametrize("dataset_id", sorted(PINNED_TRUNCATED))
+    def test_truncating_run_writes_the_pinned_artifacts(self, tmp_path, fixtures_dir, banks_dir,
+                                                        dataset_id):
+        backend = _CountingBackend(tmp_path)
+        config = _config(fixtures_dir / f"{dataset_id}.jsonl", tmp_path, dataset_id=dataset_id,
+                         banks_dir=str(banks_dir), context_tokens=60, max_new_tokens=8)
+        Pipeline(config, backend).run()
+        assert backend.requests["count_tokens"] > 0  # prompts that overflow are fitted
+        for path in (tmp_path / "calls").rglob("*.jsonl"):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                row = json.loads(line)
+                assert row["prompt_tokens"] + row["generated_tokens"] <= 60
+        assert _artifact_digest(tmp_path) == self.PINNED_TRUNCATED[dataset_id]
 
 
 class TestEmptyClosedPool:

@@ -1,10 +1,12 @@
 import json
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
-from webqa import websearch
+from webqa import net, websearch
 from webqa.cache import OfflineCacheMiss, RequestCache
 from webqa.fixtures import FixtureServer
 from webqa.net import NetError
@@ -82,6 +84,23 @@ class TestFixtureServer:
             started = time.monotonic()
             server.stop()
         assert time.monotonic() - started < 0.25
+
+    def test_many_concurrent_requests_finish_promptly(self, server):
+        """32 requests at once all finish within 0.5 s: none waits about a
+        second for a connection retry behind a full listen backlog."""
+        url = f"{server.base_url}/search.json"
+        barrier = threading.Barrier(32)
+
+        def get(_):
+            barrier.wait()
+            return net.request(url)[0]
+
+        for _ in range(3):
+            started = time.monotonic()
+            with ThreadPoolExecutor(max_workers=32) as pool:
+                statuses = list(pool.map(get, range(32)))
+            assert time.monotonic() - started < 0.5
+            assert statuses == [200] * 32
 
     def test_search_returns_indexed_urls(self, server):
         client = FixtureSearchClient(server.base_url)
