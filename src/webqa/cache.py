@@ -1,24 +1,25 @@
 """Content-addressed request/response cache backing all network-facing stages.
 
 Every cacheable request (search query, page fetch, LM call) is canonicalized
-to JSON and hashed into a digest.  Responses are stored gzip-compressed and
-never with their request:
+to JSON and hashed into a digest.  Responses are stored gzip-compressed in
+immutable packs ``<namespace>/<directory>/<name>.pack2.gz``, never with
+their request, one directory per namespace (``search``, ``fetch``, ``lm``).
+Each pack holds one ``<digest> <response>`` line per request that missed
+when it was written, and is named by the SHA-256 of those lines.  Its
+directory is either
 
-- per question, inside :meth:`RequestCache.question_scope`, responses go
-  to immutable packs ``<namespace>/<sha256(question id)>/<name>.pack2.gz``,
-  one directory per namespace (``search``, ``fetch``, ``lm``).  Each pack
-  holds one ``<digest> <response>`` line per request of its namespace that
-  missed in the scope that wrote it, and is named by the SHA-256 of those
-  lines.  A scope loads a namespace's packs on its first request there, so
-  a pass that makes only LM requests never reads page bodies;
-- outside any question, one file per request,
-  ``<namespace>/<digest>.response.json.gz``: the backend's ``describe``
-  entry, and direct calls such as :func:`webqa.websearch.cached_fetch`.
+- ``<sha256(question id)>`` inside :meth:`RequestCache.question_scope`: a
+  scope loads a namespace's packs on its first request there, so a pass
+  that makes only LM requests never reads page bodies, and writes all its
+  misses of the namespace as one pack when it closes; or
+- ``shared`` outside any question (the backend's ``describe`` request and
+  direct calls such as :func:`webqa.websearch.cached_fetch`): it is read on
+  each lookup, and each miss is written at once as a one-line pack.
 
 :meth:`RequestCache.get` and :meth:`RequestCache.put` are the one lookup
-path for both: they use the calling thread's packs inside a question and
-loose entries outside one.  A pack or entry that cannot be decompressed is
-a ``ValueError`` naming its file.
+path for both.  A question never reads ``shared``, nor another question's
+packs.  A pack that cannot be decompressed is a ``ValueError`` naming its
+file.
 
 A run builds one cache, and its LM backend, search and page fetches all go
 through it.  A warm cache makes every pipeline stage replayable offline and
@@ -30,7 +31,6 @@ every miss, in every namespace, and never writes.  Entries of older layouts
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import struct
@@ -43,6 +43,8 @@ from pathlib import Path
 
 NAMESPACES = ("search", "fetch", "lm")
 PACK_SUFFIX = ".pack2.gz"
+# the pack directory of requests made outside any question
+SHARED = "shared"
 # zlib level 1 compresses page bodies in under a third of level 9's time, for 18% more bytes
 GZIP_LEVEL = 1
 # a gzip header with no file name, mtime 0, no extra flags and OS "unknown"
@@ -85,13 +87,6 @@ def _write_gzip(fp, chunks) -> None:
     fp.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
 
 
-def gzip_bytes(data: bytes) -> bytes:
-    """``data`` as one gzip member (see :func:`_write_gzip`)."""
-    buffer = io.BytesIO()
-    _write_gzip(buffer, [data])
-    return buffer.getvalue()
-
-
 def gunzip_bytes(data: bytes) -> bytes:
     return zlib.decompress(data, 16 + zlib.MAX_WBITS)
 
@@ -119,9 +114,9 @@ class CacheKey:
         return cls(namespace, request_digest(request))
 
 
-class _QuestionPacks:
-    """One question's responses in one namespace: every pack already on
-    disk, plus the misses of the open scope."""
+class _Packs:
+    """The responses of one pack directory: every pack already on disk, plus
+    the misses not yet saved."""
 
     def __init__(self, directory: Path):
         self.directory = directory
@@ -167,7 +162,7 @@ class RequestCache:
     """Request cache with atomic writes and concurrent readers.
 
     Writers stage content in a temp file and ``os.replace`` it into place,
-    so an entry or pack is either absent or complete; duplicate concurrent
+    so a pack or artifact is either absent or complete; duplicate concurrent
     misses are safe (identical content, last write wins).
     """
 
@@ -176,28 +171,18 @@ class RequestCache:
         self.offline = offline
         self._local = threading.local()
 
-    def _path(self, key: CacheKey) -> Path:
-        return self.root / key.namespace / f"{key.digest}.response.json.gz"
-
     def get(self, key: CacheKey):
         """The cached response for ``key``: inside a question from its packs,
-        else from the loose entry."""
-        packs = self._packs(key.namespace)
-        if packs is not None:
-            return packs.get(key)
-        try:
-            return json.loads(_read_gzip_text(self._path(key)))
-        except FileNotFoundError:
-            raise CacheMiss(f"{key.namespace}/{key.digest}") from None
+        else from the shared packs."""
+        return self._packs(key.namespace).get(key)
 
     def put(self, key: CacheKey, response) -> None:
         """Store ``response``: inside a question in the pack its scope writes
-        when it closes, else as a loose entry now."""
+        when it closes, else now as a one-line shared pack."""
         packs = self._packs(key.namespace)
-        if packs is not None:
-            packs.put(key, response)
-        else:
-            atomic_write_bytes(self._path(key), gzip_bytes((canonical_json(response) + "\n").encode("utf-8")))
+        packs.put(key, response)
+        if getattr(self._local, "scope", None) is None:
+            packs.save()
 
     @contextmanager
     def question_scope(self, question_id: str):
@@ -211,7 +196,7 @@ class RequestCache:
         packs, so its packs' bytes depend only on its own requests.
         """
         question = hashlib.sha256(question_id.encode("utf-8")).hexdigest()
-        packs: dict[str, _QuestionPacks] = {}
+        packs: dict[str, _Packs] = {}
         self._local.scope = question, packs
         try:
             yield
@@ -220,14 +205,15 @@ class RequestCache:
             for namespace_packs in packs.values():
                 namespace_packs.save()
 
-    def _packs(self, namespace: str) -> _QuestionPacks | None:
-        """This thread's packs for ``namespace`` inside a question, else ``None``."""
+    def _packs(self, namespace: str) -> _Packs:
+        """This thread's packs for ``namespace`` inside a question, else the
+        shared packs as they are on disk now."""
         scope = getattr(self._local, "scope", None)
         if scope is None:
-            return None
+            return _Packs(self.root / namespace / SHARED)
         question, packs = scope
         if namespace not in packs:
-            packs[namespace] = _QuestionPacks(self.root / namespace / question)
+            packs[namespace] = _Packs(self.root / namespace / question)
         return packs[namespace]
 
     def get_or_fetch(self, namespace: str, request: dict, fetch):
@@ -270,17 +256,13 @@ def _write_then_rename(directory: Path, write) -> None:
         raise
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file and rename."""
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a same-directory temp file and rename."""
     def write(fp) -> Path:
-        fp.write(data)
+        fp.write(text.encode("utf-8"))
         return path
 
     _write_then_rename(path.parent, write)
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_json_record(path: Path, obj) -> None:

@@ -218,7 +218,8 @@ def make_backend(config: dict) -> CachedBackend:
     cache = RequestCache(os.path.join(config["workdir"], "cache"), offline=config["offline"])
     if config["backend"] == "mock":
         inner: LMBackend = MockBackend(param_count=config["param_count"])
-        identity = "mock"
+        # the description names the parameter count, so a new count must miss
+        identity = f"mock(param_count={config['param_count']})"
     else:
         inner = HTTPBackend(config["backend"])
         identity = config["backend"]

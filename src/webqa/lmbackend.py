@@ -56,6 +56,37 @@ class GenerationParams:
         }
 
 
+def _field(obj, name: str, route: str):
+    """``obj[name]``; a server response that is not an object or lacks the field is a ``ValueError``."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"{route} returned no {name!r}")
+    return obj[name]
+
+
+def _tokens(obj, name: str, route: str) -> int:
+    """``obj[name]`` as a token count; anything but a non-negative integer is a ``ValueError``."""
+    value = _field(obj, name, route)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{route} returned {name} {value!r}, not a non-negative integer")
+    return value
+
+
+def _logprob(obj, route: str) -> float:
+    """``obj["logprob"]`` as a float; a server's missing or non-finite value is a ``ValueError``."""
+    value = obj.get("logprob") if isinstance(obj, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{route} returned logprob {value!r}, not a finite number")
+    return float(value)
+
+
+def _text(obj, name: str, route: str) -> str:
+    """``obj[name]``; anything but a string is a ``ValueError``."""
+    value = _field(obj, name, route)
+    if not isinstance(value, str):
+        raise ValueError(f"{route} returned {name} {value!r}, not a string")
+    return value
+
+
 @dataclass(frozen=True)
 class Sample:
     """One completion; ``logprob`` is the model log-probability of ``text``
@@ -85,9 +116,14 @@ class Completion:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Completion":
-        return cls(tuple(Sample(s["text"], float(s["logprob"]), int(s["tokens"])) for s in obj["samples"]),
-                   int(obj["prompt_tokens"]))
+    def from_json(cls, obj) -> "Completion":
+        """Decode a ``/v1/complete`` body; a malformed one is a ``ValueError`` naming the route."""
+        route = "/v1/complete"
+        samples = _field(obj, "samples", route)
+        if not isinstance(samples, list):
+            raise ValueError(f"{route} returned samples {samples!r}, not a list")
+        return cls(tuple(Sample(_text(s, "text", route), _logprob(s, route), _tokens(s, "tokens", route))
+                         for s in samples), _tokens(obj, "prompt_tokens", route))
 
 
 @dataclass(frozen=True)
@@ -105,8 +141,11 @@ class Score:
                 "continuation_tokens": self.continuation_tokens}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Score":
-        return cls(float(obj["logprob"]), int(obj["prompt_tokens"]), int(obj["continuation_tokens"]))
+    def from_json(cls, obj) -> "Score":
+        """Decode a ``/v1/score`` body; a malformed one is a ``ValueError`` naming the route."""
+        route = "/v1/score"
+        return cls(_logprob(obj, route), _tokens(obj, "prompt_tokens", route),
+                   _tokens(obj, "continuation_tokens", route))
 
 
 @dataclass(frozen=True)
@@ -125,13 +164,14 @@ class BackendDescriptor:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BackendDescriptor":
-        return cls(name=obj["name"], param_count=int(obj["param_count"]),
-                   context_tokens=int(obj["context_tokens"]), can_score=bool(obj.get("can_score", True)))
-
-
-class ScoringUnsupported(RuntimeError):
-    """The configured backend cannot score continuations."""
+    def from_json(cls, obj) -> "BackendDescriptor":
+        """Decode a ``/v1/model`` body; a malformed one is a ``ValueError`` naming the route."""
+        route = "/v1/model"
+        can_score = obj.get("can_score", True) if isinstance(obj, dict) else True
+        if not isinstance(can_score, bool):
+            raise ValueError(f"{route} returned can_score {can_score!r}, not true or false")
+        return cls(_text(obj, "name", route), _tokens(obj, "param_count", route),
+                   _tokens(obj, "context_tokens", route), can_score)
 
 
 class PromptTooLong(ValueError):
@@ -274,33 +314,8 @@ class MockBackend(LMBackend):
         )
 
     def score(self, prompt: str, continuation: str) -> Score:
-        if not self._descriptor.can_score:
-            raise ScoringUnsupported(f"backend {self._descriptor.name!r} cannot score")
         return Score(hash_score(prompt, continuation), _whitespace_tokens(prompt),
                      _whitespace_tokens(continuation))
-
-
-def _field(obj, name: str, route: str):
-    """``obj[name]``; a server response that is not an object or lacks the field is a ``ValueError``."""
-    if not isinstance(obj, dict) or name not in obj:
-        raise ValueError(f"{route} returned no {name!r}")
-    return obj[name]
-
-
-def _tokens(obj: dict, name: str, route: str) -> int:
-    """``obj[name]`` as a token count; anything but a non-negative integer is a ``ValueError``."""
-    value = _field(obj, name, route)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{route} returned {name} {value!r}, not a non-negative integer")
-    return value
-
-
-def _logprob(obj: dict, route: str) -> float:
-    """``obj["logprob"]`` as a float; a server's missing or non-finite value is a ``ValueError``."""
-    value = obj.get("logprob")
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{route} returned logprob {value!r}, not a finite number")
-    return float(value)
 
 
 class HTTPBackend(LMBackend):
@@ -313,7 +328,6 @@ class HTTPBackend(LMBackend):
 
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self._descriptor: BackendDescriptor | None = None
 
     def _request(self, path: str, payload: dict | None = None):
         try:
@@ -324,12 +338,10 @@ class HTTPBackend(LMBackend):
             raise
 
     def describe(self) -> BackendDescriptor:
-        if self._descriptor is None:
-            self._descriptor = BackendDescriptor.from_json(self._request("/v1/model"))
-        return self._descriptor
+        return BackendDescriptor.from_json(self._request("/v1/model"))
 
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> Completion:
-        obj = self._request("/v1/complete", {
+        return Completion.from_json(self._request("/v1/complete", {
             "prompt": prompt,
             "n": params.n_samples,
             "nucleus_p": params.nucleus_p,
@@ -337,24 +349,10 @@ class HTTPBackend(LMBackend):
             "max_new_tokens": params.max_new_tokens,
             "stop": list(params.stop),
             "seed": seed,
-        })
-        samples = _field(obj, "samples", "/v1/complete")
-        if not isinstance(samples, list):
-            raise ValueError(f"/v1/complete returned samples {samples!r}, not a list")
-        out = []
-        for s in samples:
-            text = _field(s, "text", "/v1/complete")
-            if not isinstance(text, str):
-                raise ValueError(f"/v1/complete returned text {text!r}, not a string")
-            out.append(Sample(text, _logprob(s, "/v1/complete"), _tokens(s, "tokens", "/v1/complete")))
-        return Completion(tuple(out), _tokens(obj, "prompt_tokens", "/v1/complete"))
+        }))
 
     def score(self, prompt: str, continuation: str) -> Score:
-        if not self.describe().can_score:
-            raise ScoringUnsupported(f"backend {self.describe().name!r} cannot score")
-        obj = self._request("/v1/score", {"prompt": prompt, "continuation": continuation})
-        return Score(_logprob(obj, "/v1/score"), _tokens(obj, "prompt_tokens", "/v1/score"),
-                     _tokens(obj, "continuation_tokens", "/v1/score"))
+        return Score.from_json(self._request("/v1/score", {"prompt": prompt, "continuation": continuation}))
 
     def count_tokens(self, text: str) -> int:
         return _tokens(self._request("/v1/count_tokens", {"text": text}), "tokens", "/v1/count_tokens")

@@ -192,7 +192,10 @@ class Pipeline:
         self.failed: dict[str, str] = {}
         self._banks: dict[str, PromptBank] = {}
         self.stopwords = load_stopwords()
-        descriptor = backend.describe()
+        try:
+            descriptor = backend.describe()
+        except ValueError as exc:
+            raise ConfigError(f"cannot describe the backend: {exc}") from None
         needs_scores = config.evidence != CLOSED or any(
             r.task == CLASSIFICATION for r in self.records)
         if not descriptor.can_score and needs_scores:
@@ -719,13 +722,14 @@ class Pipeline:
     # --- orchestration ------------------------------------------------------
 
     def run(self) -> EvalReport:
-        """All stages in order; raises :class:`PartialFailure` at >10% failures."""
+        """All stages in order; above 10% failed questions, raises
+        :class:`PartialFailure` before ``rerank`` writes anything."""
         self.stage_retrieve()
         self.stage_answer()
         self.stage_closed()
+        self.check_failures()
         self.stage_tune()
         self.stage_rerank()
         report = self.stage_eval()
         self.stage_cost()
-        self.check_failures()
         return report

@@ -12,10 +12,11 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
-def cached_backend(inner, workdir) -> CachedBackend:
+def cached_backend(inner, workdir, offline: bool = False) -> CachedBackend:
     """``inner`` behind a request cache at ``<workdir>/cache``, keyed as
     ``webqa run --backend mock`` keys it; a pipeline over it uses that cache."""
-    return CachedBackend(inner, RequestCache(pathlib.Path(workdir) / "cache"), identity="mock")
+    return CachedBackend(inner, RequestCache(pathlib.Path(workdir) / "cache", offline=offline),
+                         identity="mock(param_count=1000000)")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import re
@@ -13,6 +14,7 @@ from webqa import cache as cache_module
 from webqa import pipeline as pipeline_module
 from webqa.cache import (
     PACK_SUFFIX,
+    SHARED,
     CacheKey,
     CacheMiss,
     OfflineCacheMiss,
@@ -20,7 +22,6 @@ from webqa.cache import (
     atomic_write_text,
     canonical_json,
     gunzip_bytes,
-    gzip_bytes,
     read_json_record,
     request_digest,
     write_json_record,
@@ -163,7 +164,8 @@ def test_concurrent_put_same_key(tmp_path):
 
 
 def test_first_puts_create_missing_namespace_directory(tmp_path):
-    """Concurrent first writes into a namespace with no directory yet all land."""
+    """Concurrent first writes into a namespace with no directory yet all
+    land, each as its own shared pack."""
     cache = RequestCache(tmp_path)
     cache.put(CacheKey.for_request("fetch", {"url": "http://x"}), {"body": "x"})
     keys = [CacheKey.for_request("lm", {"op": "score", "i": i}) for i in range(8)]
@@ -181,7 +183,8 @@ def test_first_puts_create_missing_namespace_directory(tmp_path):
         t.join(timeout=10)
         assert not t.is_alive()
     assert [cache.get(key) for key in keys] == [{"i": key.digest} for key in keys]
-    assert len(list((tmp_path / "lm").iterdir())) == len(keys)
+    assert [p.name for p in (tmp_path / "lm").iterdir()] == [SHARED]
+    assert len(list((tmp_path / "lm" / SHARED).iterdir())) == len(keys)
 
 
 @pytest.fixture(scope="module")
@@ -233,49 +236,44 @@ def _pack_lines(path) -> list[str]:
 
 
 def test_cache_files_hold_only_canonical_responses(recorded_run):
-    """Every cache byte is the canonical response of a request that went
-    through the cache: one loose gzip entry for the describe request, made
-    outside any question, and pack lines for every search, fetch and LM
+    """Every cache file is a pack of canonical responses of requests that went
+    through the cache: a one-line shared pack for the describe request, made
+    outside any question, and question packs for every search, fetch and LM
     request made inside questions."""
     cache_root = recorded_run["workdir"] / "cache"
-    files = {p for p in cache_root.rglob("*") if p.is_file()}
-    loose = {}
-    packed = {namespace: {} for namespace in ("search", "fetch", "lm")}
+    expected = {}
     for namespace, request, response in recorded_run["seen"]:
-        key = CacheKey.for_request(namespace, request)
-        if request["op"] == "describe":
-            loose[cache_root / namespace / f"{key.digest}.response.json.gz"] = response
-        else:
-            packed[namespace][key.digest] = response
-    assert len(loose) == 1 and all(packed.values())
-    for path, response in loose.items():
-        assert path.read_bytes() == gzip_bytes((canonical_json(response) + "\n").encode("utf-8"))
-    pack_digests = {namespace: set() for namespace in packed}
-    for path in files - set(loose):
-        namespace = path.relative_to(cache_root).parts[0]
-        assert path.name.endswith(PACK_SUFFIX) and path.parent.parent == cache_root / namespace
+        where = SHARED if request["op"] == "describe" else "question"
+        expected.setdefault((namespace, where), {})[request_digest(request)] = response
+    assert set(expected) == {("lm", SHARED), *((ns, "question") for ns in ("search", "fetch", "lm"))}
+    assert len(expected["lm", SHARED]) == 1
+    stored = {}
+    for path in (p for p in cache_root.rglob("*") if p.is_file()):
+        namespace, directory, name = path.relative_to(cache_root).parts
         content = gunzip_bytes(path.read_bytes())
-        assert path.name == f"{hashlib.sha256(content).hexdigest()}{PACK_SUFFIX}"
+        assert name == f"{hashlib.sha256(content).hexdigest()}{PACK_SUFFIX}"
         lines = _pack_lines(path)
         assert lines == sorted(lines)
+        where = SHARED if directory == SHARED else "question"
         for line in lines:
             digest, response = line.split(" ", 1)
-            assert response == canonical_json(packed[namespace][digest])
-            pack_digests[namespace].add(digest)
+            assert response == canonical_json(expected[namespace, where][digest])
+            stored.setdefault((namespace, where), set()).add(digest)
     # a request two questions both made is in both questions' packs
-    assert pack_digests == {namespace: set(responses) for namespace, responses in packed.items()}
-    assert files >= set(loose)
+    assert stored == {place: set(responses) for place, responses in expected.items()}
+    assert len(list((cache_root / "lm" / SHARED).iterdir())) == 1
 
 
 # --- per-question search and fetch packs -----------------------------------
 
 def test_retrieve_writes_one_search_and_one_fetch_pack_per_question(recorded_run, qa_dataset_path):
     cache_root = recorded_run["workdir"] / "cache"
-    for record in load_dataset(qa_dataset_path):
-        for namespace in ("search", "fetch"):
+    records = load_dataset(qa_dataset_path)
+    for namespace in ("search", "fetch"):
+        assert sorted((cache_root / namespace).iterdir()) == sorted(
+            _question_dir(cache_root, record.id, namespace) for record in records)
+        for record in records:
             assert len(list(_question_dir(cache_root, record.id, namespace).iterdir())) == 1
-    assert not list((cache_root / "search").glob("*.response.json.gz"))
-    assert not list((cache_root / "fetch").glob("*.response.json.gz"))
 
 
 def test_warm_and_offline_reruns_leave_the_cache_as_it_was(recorded_run, tmp_path):
@@ -360,15 +358,17 @@ def test_answer_pass_never_reads_fetch_packs(recorded_run, tmp_path, qa_dataset_
 
 
 def test_unreadable_pack_or_entry_is_a_value_error_naming_its_file(tmp_path):
+    """A shared or question pack that cannot be decompressed is a
+    ``ValueError`` naming its file."""
     cache = RequestCache(tmp_path)
     key = CacheKey.for_request("fetch", {"op": "fetch", "url": "http://x"})
     cache.put(key, {"body": "x"})
-    entry = tmp_path / "fetch" / f"{key.digest}.response.json.gz"
-    entry.write_bytes(entry.read_bytes()[:-4])
+    [shared] = (tmp_path / "fetch" / SHARED).iterdir()
+    shared.write_bytes(shared.read_bytes()[:-4])
     pack = _question_dir(tmp_path, "q1", "fetch") / f"{'0' * 64}{PACK_SUFFIX}"
     pack.parent.mkdir(parents=True)
-    pack.write_bytes(gzip_bytes(b"\xff\n"))
-    with pytest.raises(ValueError, match=re.escape(str(entry))):
+    pack.write_bytes(gzip.compress(b"\xff\n"))
+    with pytest.raises(ValueError, match=re.escape(str(shared))):
         cache.get(key)
     with pytest.raises(ValueError, match=re.escape(str(pack))), cache.question_scope("q1"):
         cache.get(key)
@@ -379,8 +379,6 @@ def test_lm_entries_hold_no_prompt(recorded_run):
     prompts = {canonical_json(prompt)[1:-1] for prompt in recorded_run["prompts"]}
     assert prompts
     lines = [line for path in (cache_root / "lm").rglob(f"*{PACK_SUFFIX}") for line in _pack_lines(path)]
-    lines += [gunzip_bytes(path.read_bytes()).decode("utf-8")
-              for path in (cache_root / "lm").glob("*.response.json.gz")]
     assert len(lines) >= len(prompts)
     for line in lines:
         assert not any(prompt in line for prompt in prompts)
@@ -427,18 +425,18 @@ def test_offline_run_over_old_layout_cache_exits_3(recorded_run, tmp_path, capsy
 def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_path, capsys):
     """Packs with the older suffix are never read, even when their lines
     would match: online every LM request is asked for again, and offline
-    the first LM miss in a question exits 3."""
+    the first LM miss, the model description, exits 3."""
     workdir = tmp_path / "w"
     shutil.copytree(recorded_run["workdir"], workdir)
     packs = list((workdir / "cache" / "lm").rglob(f"*{PACK_SUFFIX}"))
-    assert packs
+    assert packs and any(path.parent.name == SHARED for path in packs)
     old_packs = [path.with_name(path.name[:-len(PACK_SUFFIX)] + ".pack.gz") for path in packs]
     for path, old in zip(packs, old_packs):
         path.rename(old)
     capsys.readouterr()
     assert cli.main(recorded_run["flags"](workdir, "--offline")) == 3
     err = capsys.readouterr().err
-    assert '"op":"sample_with_tokens"' in err  # a question's first LM request samples answers
+    assert '"op":"describe"' in err  # a run's first LM request describes the model
 
     fetched = []
     original = RequestCache.get_or_fetch
@@ -452,9 +450,8 @@ def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_pat
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RequestCache, "get_or_fetch", recording)
         assert cli.main(recorded_run["flags"](workdir)) == 0
-    in_questions = {request_digest(request) for namespace, request, _ in recorded_run["seen"]
-                    if namespace == "lm" and request["op"] != "describe"}
-    assert set(fetched) == in_questions
+    assert set(fetched) == {request_digest(request) for namespace, request, _ in recorded_run["seen"]
+                            if namespace == "lm"}
     assert all(old.exists() for old in old_packs)
 
 
@@ -480,8 +477,10 @@ def test_lm_request_digests_are_pinned(tmp_path, op):
         "count_tokens": lambda: cached.count_tokens("Question: Who wrote Hamlet?"),
     }[op]
     call()
-    [entry] = (tmp_path / "lm").iterdir()
-    assert entry.name == f"{PINNED_LM_DIGESTS[op]}.response.json.gz"
+    [directory] = (tmp_path / "lm").iterdir()
+    [pack] = directory.iterdir()
+    assert directory.name == SHARED
+    assert [line.split(" ")[0] for line in _pack_lines(pack)] == [PINNED_LM_DIGESTS[op]]
 
 
 def test_sample_and_score_entries_without_token_counts_are_not_read(tmp_path):
@@ -539,8 +538,7 @@ def test_pipeline_is_offline_exactly_when_its_backend_is(tmp_path, qa_dataset_pa
 
     config = PipelineConfig(dataset_path=str(qa_dataset_path), dataset_id="fixtureqa",
                             workdir=str(tmp_path), max_workers=1)
-    offline = CachedBackend(MockBackend(), RequestCache(tmp_path / "cache", offline=True),
-                            identity="mock")
+    offline = cached_backend(MockBackend(), tmp_path, offline=True)
     pipeline = Pipeline(config, offline, NoSearch())
     with pytest.raises(OfflineCacheMiss, match="search request"):
         pipeline.stage_retrieve()
@@ -619,21 +617,23 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
 
 
 def test_question_reads_only_its_own_packs(tmp_path):
+    """A question reads neither the shared packs nor another question's;
+    outside any question the shared packs are read again."""
     inner = _RecordingMock()
     cache = RequestCache(tmp_path)
     cached = CachedBackend(inner, cache)
+    cached.score("p", " c")
     with cache.question_scope("q1"):
         cached.score("p", " c")
     with cache.question_scope("q2"):
         cached.score("p", " c")
-    assert len(inner.requests) == 2
+    assert len(inner.requests) == 3
     q1 = [p.read_bytes() for p in _question_dir(tmp_path, "q1").iterdir()]
     q2 = [p.read_bytes() for p in _question_dir(tmp_path, "q2").iterdir()]
-    assert q1 == q2 and len(q1) == 1
-    # outside any question the request is a loose entry again
+    shared = [p.read_bytes() for p in (tmp_path / "lm" / SHARED).iterdir()]
+    assert q1 == q2 == shared and len(q1) == 1
     cached.score("p", " c")
     assert len(inner.requests) == 3
-    assert len(list((tmp_path / "lm").glob("*.response.json.gz"))) == 1
 
 
 def test_offline_scope_serves_its_pack_and_writes_nothing(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 import webqa
 from webqa import cli, fixtures
-from webqa.cache import gunzip_bytes
+from webqa.cache import PACK_SUFFIX, gunzip_bytes
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend, PromptTooLong
@@ -158,6 +158,18 @@ class TestMakeBackend:
         backend = cli.make_backend(config)
         assert backend.describe().param_count == 7_000_000_000
 
+    def test_new_param_count_reaches_cost(self, tmp_path, qa_dataset_path, banks_dir):
+        """The mock's cache identity names its parameter count, so a later
+        command with another count asks for the description again."""
+        common = ["--dataset", str(qa_dataset_path), "--workdir", str(tmp_path),
+                  "--evidence", "gold", "--banks-dir", str(banks_dir), "--paragraphs", "2",
+                  "--samples-per-paragraph", "2", "--closed-book-samples", "4",
+                  "--max-new-tokens", "16", "--cost-points", "0,1"]
+        assert cli.main(["run", *common]) == 0
+        assert cli.main(["cost", *common, "--param-count", "7000"]) == 0
+        cost = json.loads((tmp_path / "cost" / "gold_poe.json").read_text(encoding="utf-8"))
+        assert cost["param_count"] == 7000
+
 
 class TestMakeSearchClient:
     def test_none_for_gold_and_closed(self):
@@ -281,6 +293,20 @@ class TestMainExitCodes:
         assert len(err) == 1
         assert err[0].startswith("error: GET http://127.0.0.1:9/v1/model failed after 3 attempts")
 
+    @pytest.mark.parametrize("body", [
+        b"{}", b'{"name": "m", "param_count": "7", "context_tokens": 2048, "can_score": true}',
+    ])
+    def test_malformed_model_description_is_1_and_never_stored(
+            self, tmp_path, qa_dataset_path, banks_dir, serve, capsys, body):
+        backend = serve(lambda handler: handler.reply(200, body, "application/json"))
+        workdir = tmp_path / "w"
+        rc = cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                       "--evidence", "gold", "--banks-dir", str(banks_dir), "--backend", backend])
+        assert rc == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: cannot describe the backend: /v1/model returned ")
+        assert not (workdir / "cache").exists()
+
     def test_gold_run_exits_0(self, tmp_path, qa_dataset_path, banks_dir,
                               capsys):
         rc = cli.main(["run", "--dataset", str(qa_dataset_path),
@@ -375,6 +401,16 @@ class TestFailureTolerance:
         assert self._failures(tmp_path) == {
             r.id: "retrieve: provider down" for r in load_dataset(qa_dataset_path)[:2]}
 
+    def test_every_question_failing_exits_2_before_rerank(
+            self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, capsys):
+        rc = self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+                       10, SearchError("provider down"))
+        assert rc == 2
+        assert "10/10 questions failed" in capsys.readouterr().err
+        assert self._failures(tmp_path) == {
+            r.id: "retrieve: provider down" for r in load_dataset(qa_dataset_path)}
+        assert not (tmp_path / "w" / "predictions").exists()
+
     def test_worker_type_error_is_raised(self, tmp_path, qa_dataset_path, banks_dir,
                                          web_root, monkeypatch):
         with pytest.raises(TypeError, match="a bug"):
@@ -382,12 +418,16 @@ class TestFailureTolerance:
                       1, TypeError("a bug"))
 
 
+def _files(root) -> dict:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestHTTPBackendRun:
     """One fixture server is both the search endpoint and the LM backend."""
 
     @staticmethod
-    def _run(workdir, qa_dataset_path, banks_dir, server, backend):
-        return cli.main(["run", "--dataset", str(qa_dataset_path),
+    def _run(workdir, qa_dataset_path, banks_dir, server, backend, *extra):
+        return cli.main(["run", *extra, "--dataset", str(qa_dataset_path),
                          "--workdir", str(workdir),
                          "--search-endpoint", server.base_url,
                          "--backend", backend,
@@ -410,9 +450,16 @@ class TestHTTPBackendRun:
             assert self._run(tmp_path / "mock", qa_dataset_path, banks_dir, server, "mock") == 0
             assert self._run(tmp_path / "http", qa_dataset_path, banks_dir, server,
                              server.base_url) == 0
+            written = _files(tmp_path / "http")
+            assert self._run(tmp_path / "http", qa_dataset_path, banks_dir, server,
+                             server.base_url, "--offline") == 0
+            assert _files(tmp_path / "http") == written
         mock = self._artifacts(tmp_path / "mock")
         assert "predictions/search_poe.json" in mock
         assert self._artifacts(tmp_path / "http") == mock
+        for workdir in (tmp_path / "mock", tmp_path / "http"):
+            cache_files = [p for p in (workdir / "cache").rglob("*") if p.is_file()]
+            assert cache_files and all(p.name.endswith(PACK_SUFFIX) for p in cache_files)
 
     def test_server_never_answering_one_question_is_tolerated(
             self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, no_backoff):

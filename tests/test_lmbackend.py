@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import math
@@ -7,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from webqa import fixtures, lmbackend
-from webqa.cache import RequestCache
+from webqa.cache import CacheKey, RequestCache
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import (
     CachedBackend,
@@ -16,7 +17,6 @@ from webqa.lmbackend import (
     MockBackend,
     PromptTooLong,
     Score,
-    ScoringUnsupported,
     extractive_completion,
     flops_for_tokens,
     hash_score,
@@ -188,8 +188,6 @@ class TestMockBackend:
     def test_scoring_unsupported(self):
         backend = MockBackend(can_score=False)
         assert not backend.describe().can_score
-        with pytest.raises(ScoringUnsupported):
-            backend.score("p", " c")
 
 
 def test_extractive_completion_spans_evidence():
@@ -272,6 +270,29 @@ class TestCachedBackend:
         assert a.score("p", " c").logprob == -1.0
         assert b.score("p", " c").logprob == -2.0
 
+    @pytest.mark.parametrize("op, response, message", [
+        ("score_with_tokens", {"logprob": "x"}, "/v1/score returned logprob 'x', not a finite number"),
+        ("sample_with_tokens", {"samples": [], "prompt_tokens": -1},
+         "/v1/complete returned prompt_tokens -1, not a non-negative integer"),
+        ("describe", {"name": "mock"}, "/v1/model returned no 'param_count'"),
+    ])
+    def test_malformed_cached_response_is_a_value_error(self, tmp_path, op, response, message):
+        prompt_sha256 = hashlib.sha256(b"p").hexdigest()
+        request = {
+            "score_with_tokens": {"prompt_sha256": prompt_sha256, "continuation": " c"},
+            "sample_with_tokens": {"prompt_sha256": prompt_sha256,
+                                   "params": GenerationParams().to_json(), "seed": 7},
+            "describe": {},
+        }[op]
+        cache = RequestCache(tmp_path)
+        cache.put(CacheKey.for_request("lm", {"op": op, "backend": "mock", **request}), response)
+        cached = CachedBackend(MockBackend(), cache, identity="mock")
+        call = {"score_with_tokens": lambda: cached.score("p", " c"),
+                "sample_with_tokens": lambda: cached.sample("p", GenerationParams(), 7),
+                "describe": cached.describe}[op]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_count_tokens_cached(self, tmp_path):
         inner = MockBackend()
         cached = CachedBackend(inner, RequestCache(tmp_path))
@@ -298,6 +319,11 @@ def _with_field(route: str, field: str, value, in_sample: bool) -> bytes:
     else:
         target[field] = value
     return json.dumps(body).encode("utf-8")
+
+
+def _model_with(field: str, value) -> bytes:
+    """The mock's ``/v1/model`` body with ``field`` set to ``value``."""
+    return json.dumps({**MockBackend().describe().to_json(), field: value}).encode("utf-8")
 
 
 def _answering(status: int, body: bytes, posts: list | None = None):
@@ -373,7 +399,7 @@ class TestHTTPBackend:
         assert posts == ["/v1/score", "/v1/score"]
 
     @pytest.mark.parametrize("body", [
-        b'{"logprob": -Infinity}', b'{"logprob": NaN}', b'{}', b'{"logprob": "-1.5"}',
+        b'{"logprob": -Infinity}', b'{"logprob": NaN}', b'{}', b'{"logprob": "-1.5"}', b'[]',
     ])
     def test_bad_score_is_a_value_error_and_never_cached(self, serve, tmp_path, body):
         cached = CachedBackend(HTTPBackend(serve(_answering(200, body))), RequestCache(tmp_path))
@@ -413,6 +439,22 @@ class TestHTTPBackend:
         }[route]
         with pytest.raises(ValueError, match=f"^{re.escape(f'{route} returned {message}')}$"):
             call()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("body, message", [
+        (b"{}", "no 'name'"),
+        (b"[]", "no 'name'"),
+        (_model_with("name", 7), "name 7, not a string"),
+        (_model_with("param_count", "7"), "param_count '7', not a non-negative integer"),
+        (_model_with("context_tokens", 1.5), "context_tokens 1.5, not a non-negative integer"),
+        (_model_with("can_score", "false"), "can_score 'false', not true or false"),
+    ])
+    def test_malformed_model_description_is_a_value_error_and_never_cached(
+            self, serve, tmp_path, body, message):
+        backend = serve(lambda handler: handler.reply(200, body, "application/json"))
+        cached = CachedBackend(HTTPBackend(backend), RequestCache(tmp_path))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'/v1/model returned {message}')}$"):
+            cached.describe()
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("route", sorted(_GOOD_BODIES))
