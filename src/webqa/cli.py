@@ -3,8 +3,11 @@
 Subcommands mirror the pipeline stages (retrieve, answer, tune-weights,
 rerank, eval, cost) plus ``run`` for the whole sequence.  Settings come
 from built-in defaults, then an optional JSON config file, then explicit
-flags, in that order of precedence.  Exit codes: 0 success, 1 bad
-configuration, 2 too many failed questions, 3 cache miss in offline mode.
+flags, in that order of precedence.  Each setting is a field of
+:class:`PipelineConfig` or :class:`RunSettings`, and its flag, its
+config-file type check and its list parsing follow from the field's type
+hint, default and metadata.  Exit codes: 0 success, 1 bad configuration,
+2 too many failed questions, 3 cache miss in offline mode.
 """
 from __future__ import annotations
 
@@ -14,19 +17,14 @@ import json
 import logging
 import os
 import sys
+import typing
 
 from .cache import OfflineCacheMiss, RequestCache
 from .corpus import CorpusError
 from .lmbackend import CachedBackend, HTTPBackend, LMBackend, MockBackend
 from .net import NetError
-from .pipeline import (
-    EVIDENCE_MODES,
-    ConfigError,
-    PartialFailure,
-    Pipeline,
-    PipelineConfig,
-)
-from .rerank import SCORERS, WEIGHT_NAMES
+from .pipeline import ConfigError, PartialFailure, Pipeline, PipelineConfig, setting
+from .rerank import WEIGHT_NAMES
 from .websearch import FixtureSearchClient, GoogleCustomSearchClient, SearchError
 
 logger = logging.getLogger(__name__)
@@ -34,84 +32,79 @@ logger = logging.getLogger(__name__)
 GOOGLE_API_KEY_VAR = "WEBQA_GOOGLE_API_KEY"
 GOOGLE_CSE_ID_VAR = "WEBQA_GOOGLE_CSE_ID"
 
-# config keys that differ from the PipelineConfig field they set
-_CONFIG_KEYS = {"dataset_path": "dataset", "poe_weights": "weights"}
+
+@dataclasses.dataclass(frozen=True)
+class RunSettings:
+    """The settings that are not :class:`PipelineConfig` fields: the backend
+    and search provider a run talks to."""
+
+    search_endpoint: str = setting("google", "'google' or the base URL of a fixture search server")
+    backend: str = setting("mock", "'mock' or the base URL of a completion server")
+    param_count: int = setting(1_000_000, "parameter count reported by the mock backend")
+    offline: bool = setting(False, "serve everything from cache; misses are an error")
 
 
-def _config_key(field: dataclasses.Field) -> str:
-    return _CONFIG_KEYS.get(field.name, field.name)
+class Setting(typing.NamedTuple):
+    """One settings field as its flag and the config file see it."""
+
+    key: str  # config-file key, flag dest and effective-config key
+    flag: str | None  # None: config file only
+    kind: type  # a scalar's type, or a tuple's item type
+    many: bool  # a tuple: a JSON list, or with a flag also a comma-separated string
+    size: int | None  # a fixed-length tuple's length
+    nullable: bool
+    default: object  # MISSING: a required flag and no config-file key
+    field: dataclasses.Field
 
 
-DEFAULTS = {
-    **{
-        _config_key(f): f.default
-        for f in dataclasses.fields(PipelineConfig)
-        if f.default is not dataclasses.MISSING
-    },
-    "dataset_id": None,
-    "search_endpoint": "google",
-    "backend": "mock",
-    "param_count": 1_000_000,
-    "offline": False,
+def _key(field: dataclasses.Field) -> str:
+    return field.metadata.get("key", field.name)
+
+
+def _setting(field: dataclasses.Field, hint) -> Setting:
+    args = typing.get_args(hint)
+    default = field.metadata.get("cli_default", field.default)
+    nullable = type(None) in args or default is None
+    if type(None) in args:
+        [hint] = [arg for arg in args if arg is not type(None)]
+        args = typing.get_args(hint)
+    many = typing.get_origin(hint) is tuple
+    key = _key(field)
+    flag = field.metadata.get("flag", "--" + key.replace("_", "-"))
+    size = len(args) if many and ... not in args else None
+    return Setting(key, flag, args[0] if many else hint, many, size, nullable, default, field)
+
+
+SETTINGS = {_key(f): _setting(f, hints[f.name]) for schema in (PipelineConfig, RunSettings)
+            for hints in [typing.get_type_hints(schema)] for f in dataclasses.fields(schema)}
+DEFAULTS = {key: s.default for key, s in SETTINGS.items() if s.default is not dataclasses.MISSING}
+
+COMMANDS = {
+    "retrieve": "search, fetch, chunk, and rank evidence paragraphs",
+    "answer": "sample candidate answers and compute rerank scores",
+    "tune-weights": "fit product-of-experts weights on the held-out split",
+    "rerank": "select one answer per question",
+    "eval": "score predictions and write the metrics report",
+    "cost": "sweep accuracy against compute over paragraph counts",
+    "run": "all stages in order",
 }
 
-COMMANDS = ("retrieve", "answer", "tune-weights", "rerank", "eval", "cost", "run")
-
-# config-file keys whose value is a JSON list of items of this type; all but stop
-# also take a comma-separated string, as their flags do
-_LIST_ITEMS = {"stop": str, "weights": float, "cost_points": int, "recall_ks": int}
-# the type of the config-file keys whose default is null
-_NULLABLE = {"dataset_id": str, "context_tokens": int, "banks_dir": str}
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
-_LIST_NAMES = {int: "a list of integers", float: "a list of numbers", str: "a list of strings"}
+# how a config-file error names a type, and a list of it
+_KIND_NAMES = {bool: ("true or false", None), int: ("an integer", "integers"),
+               float: ("a number", "numbers"), str: ("a string", "strings")}
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", required=True, help="line-delimited JSON dataset")
-    parser.add_argument("--workdir", required=True, help="directory for cache and artifacts")
     parser.add_argument("--config", help="JSON file with defaults for any flag below")
-    parser.add_argument("--dataset-id", dest="dataset_id",
-                        help="bank lookup key (default: dataset file stem)")
-    parser.add_argument("--evidence", choices=EVIDENCE_MODES,
-                        help="conditioning evidence: search, gold, or closed")
-    parser.add_argument("--scorer", choices=SCORERS, help="answer selection scorer")
-    parser.add_argument("--weights",
-                        help=f"comma-separated fixed weights for poe ({','.join(WEIGHT_NAMES)})")
-    parser.add_argument("--search-endpoint", dest="search_endpoint",
-                        help="'google' or the base URL of a fixture search server")
-    parser.add_argument("--backend", help="'mock' or the base URL of a completion server")
-    parser.add_argument("--param-count", dest="param_count", type=int,
-                        help="parameter count reported by the mock backend")
-    parser.add_argument("--top-urls", dest="num_urls", type=int,
-                        help="search results fetched per question")
-    parser.add_argument("--chunk-sentences", dest="chunk_sentences", type=int,
-                        help="sentences per evidence paragraph")
-    parser.add_argument("--paragraphs", dest="top_paragraphs", type=int,
-                        help="paragraphs kept after ranking")
-    parser.add_argument("--samples-per-paragraph", dest="samples_per_paragraph", type=int,
-                        help="answers sampled from each paragraph")
-    parser.add_argument("--closed-book-samples", dest="closed_book_samples", type=int,
-                        help="answers sampled without evidence")
-    parser.add_argument("--nucleus-p", dest="nucleus_p", type=float,
-                        help="nucleus sampling probability cut-off")
-    parser.add_argument("--temperature", type=float, help="sampling temperature")
-    parser.add_argument("--max-new-tokens", dest="max_new_tokens", type=int,
-                        help="generation budget per sample")
-    parser.add_argument("--heldout-fraction", dest="heldout_fraction", type=float,
-                        help="share of questions held out for weight tuning")
-    parser.add_argument("--seed", type=int, help="base seed for sampling and splits")
-    parser.add_argument("--offline", action=argparse.BooleanOptionalAction,
-                        help="serve everything from cache; misses are an error")
-    parser.add_argument("--max-workers", dest="max_workers", type=int,
-                        help="questions processed concurrently")
-    parser.add_argument("--cost-points", dest="cost_points",
-                        help="comma-separated paragraph counts for the cost sweep")
-    parser.add_argument("--context-tokens", dest="context_tokens", type=int,
-                        help="prompt budget override (default: backend context size)")
-    parser.add_argument("--recall-ks", dest="recall_ks",
-                        help="comma-separated cut-offs for answer recall")
-    parser.add_argument("--banks-dir", dest="banks_dir",
-                        help="directory with <dataset_id>_<kind>.txt prompt banks")
+    for s in SETTINGS.values():
+        if s.flag is None:
+            continue
+        if s.kind is bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {"type": str if s.many else s.kind, "choices": s.field.metadata.get("choices")}
+        parser.add_argument(s.flag, dest=s.key, required=s.default is dataclasses.MISSING,
+                            help=s.field.metadata["help"], **kind)
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v for info, -vv for debug logging")
 
@@ -122,28 +115,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Few-shot question answering over web search results.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "retrieve": "search, fetch, chunk, and rank evidence paragraphs",
-        "answer": "sample candidate answers and compute rerank scores",
-        "tune-weights": "fit product-of-experts weights on the held-out split",
-        "rerank": "select one answer per question",
-        "eval": "score predictions and write the metrics report",
-        "cost": "sweep accuracy against compute over paragraph counts",
-        "run": "all stages in order",
-    }
-    for command in COMMANDS:
-        sub = subparsers.add_parser(command, help=helps[command])
-        _add_common_arguments(sub)
+    for command, summary in COMMANDS.items():
+        _add_common_arguments(subparsers.add_parser(command, help=summary))
     return parser
 
 
-def _parse_number_list(raw, flag: str, cast) -> list:
+def _parse_list(s: Setting, raw) -> tuple:
+    """The tuple a JSON list or a comma-separated string gives ``s``."""
     if isinstance(raw, (list, tuple)):
-        return [cast(v) for v in raw]
-    try:
-        return [cast(part) for part in str(raw).split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated values, got {raw!r}") from None
+        values = [s.kind(v) for v in raw]
+    else:
+        try:
+            values = [s.kind(part) for part in raw.split(",") if part.strip()]
+        except ValueError:
+            raise ConfigError(f"{s.flag} expects comma-separated values, got {raw!r}") from None
+    if s.size is not None and len(values) != s.size:
+        raise ConfigError(f"{s.flag} needs {s.size} values, got {len(values)}")
+    return tuple(values)
 
 
 def _is_a(value, kind: type) -> bool:
@@ -153,26 +141,22 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_file_value(key: str, value) -> None:
-    """Raise :class:`ConfigError` unless config-file ``value`` has the type of ``DEFAULTS[key]``."""
-    default = DEFAULTS[key]
-    if value is None and default is None:
+def _check_file_value(s: Setting, value) -> None:
+    """Raise :class:`ConfigError` unless config-file ``value`` has the type of ``s``."""
+    if value is None and s.nullable:
         return
-    if key in _LIST_ITEMS:
-        item = _LIST_ITEMS[key]
-        if isinstance(value, list) and all(_is_a(v, item) for v in value):
+    one, many = _KIND_NAMES[s.kind]
+    if s.many:
+        comma = s.flag is not None
+        if (isinstance(value, list) and all(_is_a(v, s.kind) for v in value)
+                or comma and isinstance(value, str)):
             return
-        if key != "stop" and isinstance(value, str):
-            return
-        expected = _LIST_NAMES[item]
-        if key != "stop":
-            expected += " or a comma-separated string"
+        expected = f"a list of {many}" + (" or a comma-separated string" if comma else "")
     else:
-        kind = _NULLABLE.get(key, type(default))
-        if _is_a(value, kind):
+        if _is_a(value, s.kind):
             return
-        expected = _TYPE_NAMES[kind] + (" or null" if default is None else "")
-    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+        expected = one + (" or null" if s.nullable else "")
+    raise ConfigError(f"config key {s.key!r} must be {expected}, got {value!r}")
 
 
 def effective_config(args: argparse.Namespace) -> dict:
@@ -190,27 +174,16 @@ def effective_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
-            _check_file_value(key, value)
+            _check_file_value(SETTINGS[key], value)
         merged.update(file_values)
-    for key in DEFAULTS:
+    for key, s in SETTINGS.items():
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-
-    merged["dataset"] = args.dataset
-    merged["workdir"] = args.workdir
+        if s.many and merged[key] is not None:
+            merged[key] = _parse_list(s, merged[key])
     if not merged["dataset_id"]:
-        stem = os.path.basename(args.dataset)
-        merged["dataset_id"] = stem.split(".")[0]
-    if merged["weights"] is not None:
-        weights = _parse_number_list(merged["weights"], "--weights", float)
-        if len(weights) != len(WEIGHT_NAMES):
-            raise ConfigError(f"--weights needs {len(WEIGHT_NAMES)} values, got {len(weights)}")
-        merged["weights"] = tuple(weights)
-    merged["cost_points"] = tuple(_parse_number_list(merged["cost_points"], "--cost-points", int))
-    merged["recall_ks"] = tuple(_parse_number_list(merged["recall_ks"], "--recall-ks", int))
-    merged["stop"] = tuple(merged["stop"])
-    merged["offline"] = bool(merged["offline"])
+        merged["dataset_id"] = os.path.basename(merged["dataset"]).split(".")[0]
     return merged
 
 
@@ -248,7 +221,7 @@ def make_search_client(config: dict):
 
 def make_pipeline(config: dict) -> Pipeline:
     pipeline_config = PipelineConfig(
-        **{f.name: config[_config_key(f)] for f in dataclasses.fields(PipelineConfig)}
+        **{f.name: config[_key(f)] for f in dataclasses.fields(PipelineConfig)}
     )
     return Pipeline(pipeline_config, make_backend(config), make_search_client(config))
 

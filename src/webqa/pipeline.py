@@ -24,7 +24,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -96,30 +96,45 @@ class PartialFailure(RuntimeError):
         super().__init__(f"{len(failed)}/{total} questions failed")
 
 
+def setting(default=MISSING, help: str = "", **metadata):
+    """A settings field with its flag's help.  ``metadata`` may add a config-file
+    ``key`` other than the field name, a ``flag`` other than ``--<key>`` (None:
+    config file only), ``choices``, and a ``cli_default`` for a field without a
+    default whose command-line value is derived when left out; ``webqa.cli``
+    derives the rest from the type."""
+    return field(default=default, metadata={"help": help, **metadata})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    dataset_path: str
-    dataset_id: str
-    workdir: str
-    evidence: str = SEARCH
-    scorer: str = rerank.POE
-    poe_weights: tuple[float, float, float, float, float] | None = None
-    num_urls: int = websearch.DEFAULT_TOP_URLS
-    chunk_sentences: int = chunkrank.DEFAULT_CHUNK_SENTENCES
-    top_paragraphs: int = chunkrank.DEFAULT_TOP_PARAGRAPHS
-    samples_per_paragraph: int = 4
-    closed_book_samples: int = 200
-    nucleus_p: float = DEFAULT_NUCLEUS_P
-    temperature: float = DEFAULT_TEMPERATURE
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-    stop: tuple[str, ...] = DEFAULT_STOP
-    heldout_fraction: float = 0.1
-    seed: int = 0
-    max_workers: int = 8
-    cost_points: tuple[int, ...] = DEFAULT_COST_POINTS
-    context_tokens: int | None = None
-    recall_ks: tuple[int, ...] = DEFAULT_RECALL_KS
-    banks_dir: str | None = None
+    """Every pipeline setting: its type, default and command-line help."""
+
+    dataset_path: str = setting(help="line-delimited JSON dataset", key="dataset")
+    dataset_id: str = setting(help="bank lookup key (default: dataset file stem)", cli_default=None)
+    workdir: str = setting(help="directory for cache and artifacts")
+    evidence: str = setting(SEARCH, "conditioning evidence: search, gold, or closed", choices=EVIDENCE_MODES)
+    scorer: str = setting(rerank.POE, "answer selection scorer", choices=rerank.SCORERS)
+    poe_weights: tuple[float, float, float, float, float] | None = setting(
+        None, f"comma-separated fixed weights for poe ({','.join(rerank.WEIGHT_NAMES)})", key="weights")
+    num_urls: int = setting(websearch.DEFAULT_TOP_URLS, "search results fetched per question",
+                            flag="--top-urls")
+    chunk_sentences: int = setting(chunkrank.DEFAULT_CHUNK_SENTENCES, "sentences per evidence paragraph")
+    top_paragraphs: int = setting(chunkrank.DEFAULT_TOP_PARAGRAPHS, "paragraphs kept after ranking",
+                                  flag="--paragraphs")
+    samples_per_paragraph: int = setting(4, "answers sampled from each paragraph")
+    closed_book_samples: int = setting(200, "answers sampled without evidence")
+    nucleus_p: float = setting(DEFAULT_NUCLEUS_P, "nucleus sampling probability cut-off")
+    temperature: float = setting(DEFAULT_TEMPERATURE, "sampling temperature")
+    max_new_tokens: int = setting(DEFAULT_MAX_NEW_TOKENS, "generation budget per sample")
+    stop: tuple[str, ...] = setting(DEFAULT_STOP, flag=None)
+    heldout_fraction: float = setting(0.1, "share of questions held out for weight tuning")
+    seed: int = setting(0, "base seed for sampling and splits")
+    max_workers: int = setting(8, "questions processed concurrently")
+    cost_points: tuple[int, ...] = setting(DEFAULT_COST_POINTS,
+                                           "comma-separated paragraph counts for the cost sweep")
+    context_tokens: int | None = setting(None, "prompt budget override (default: backend context size)")
+    recall_ks: tuple[int, ...] = setting(DEFAULT_RECALL_KS, "comma-separated cut-offs for answer recall")
+    banks_dir: str | None = setting(None, "directory with <dataset_id>_<kind>.txt prompt banks")
 
     def __post_init__(self):
         if self.evidence not in EVIDENCE_MODES:
@@ -132,6 +147,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.context_tokens is not None and self.context_tokens < 1:
             raise ConfigError("context_tokens must be >= 1")
+        if any(k < 1 for k in self.recall_ks):
+            raise ConfigError("recall_ks entries must be >= 1")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
         if self.poe_weights is not None:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +17,7 @@ from webqa.cache import PACK_SUFFIX, gunzip_bytes
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend, PromptTooLong
-from webqa.pipeline import ConfigError
+from webqa.pipeline import ConfigError, PipelineConfig
 from webqa.websearch import FixtureSearchClient, GoogleCustomSearchClient, SearchError
 
 
@@ -136,6 +138,53 @@ class TestEffectiveConfig:
         assert config["stop"] == ("\n",)
 
 
+def _other_value(setting):
+    """A valid value for ``setting`` other than its default."""
+    default = setting.default
+    if setting.many:
+        if setting.size is not None:
+            return tuple(setting.kind(i + 1) for i in range(setting.size))
+        return ("Q:",) if setting.kind is str else (1, 2)
+    if "choices" in setting.field.metadata:
+        return next(c for c in setting.field.metadata["choices"] if c != default)
+    if setting.kind is str:
+        return "elsewhere"
+    if default is None:
+        return setting.kind(60)
+    return default / 2 if setting.kind is float else default + 1
+
+
+@pytest.mark.parametrize("field", [f for f in dataclasses.fields(PipelineConfig)
+                                   if f.default is not dataclasses.MISSING],
+                         ids=lambda f: f.name)
+def test_every_setting_is_wired_from_flag_and_config_file(tmp_path, monkeypatch, field):
+    """Each PipelineConfig field with a default has one config-file key and,
+    except ``stop``, one flag, and a value set through either reaches the
+    PipelineConfig that make_pipeline builds."""
+    [key] = [key for key, s in cli.SETTINGS.items() if s.field is field]
+    assert key in cli.DEFAULTS
+    run = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)).choices["run"]
+    flags = [action.option_strings for action in run._actions if action.dest == key]
+    assert len(flags) == (field.name != "stop")
+
+    value = _other_value(cli.SETTINGS[key])
+    assert value != field.default
+    monkeypatch.setattr(cli, "Pipeline", lambda config, backend, search_client: config)
+    monkeypatch.setenv(cli.GOOGLE_API_KEY_VAR, "k")
+    monkeypatch.setenv(cli.GOOGLE_CSE_ID_VAR, "c")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    routes = [["--config", str(path)]]
+    if flags:
+        [[flag]] = flags
+        routes.append([flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)])
+    for route in routes:
+        config = cli.make_pipeline(cli.effective_config(
+            _args("run", "--dataset", "d.jsonl", "--workdir", str(tmp_path / "w"), *route)))
+        assert getattr(config, field.name) == value, route
+
+
 class TestMakeBackend:
     def test_mock_is_cached(self, tmp_path):
         config = cli.effective_config(
@@ -244,6 +293,16 @@ class TestMainExitCodes:
         assert rc == 1
         assert setting in capsys.readouterr().err
         assert not (workdir / "paragraphs").exists()
+
+    @pytest.mark.parametrize("value", ["0,-1", "1,0"])
+    def test_recall_k_below_1_is_1_before_any_work(self, tmp_path, qa_dataset_path, banks_dir,
+                                                   capsys, value):
+        workdir = tmp_path / "w"
+        rc = cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                       "--evidence", "gold", "--banks-dir", str(banks_dir), f"--recall-ks={value}"])
+        assert rc == 1
+        assert "recall_ks entries must be >= 1" in capsys.readouterr().err
+        assert not workdir.exists()
 
     def test_offline_cache_miss_is_3(self, tmp_path, qa_dataset_path,
                                      banks_dir, capsys):
