@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import re
+import string
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .numeric import left_sum
@@ -113,24 +116,39 @@ def chunk(clean_text: str, source_url: str = "", size: int = DEFAULT_CHUNK_SENTE
     ]
 
 
+# bytes.translate table that keeps ASCII a-z and 0-9 and blanks every other byte
+_TOKEN_BYTES = bytes(c if chr(c) in string.ascii_lowercase + string.digits else 0x20
+                     for c in range(256))
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumerics, no stemming."""
-    return re.findall(r"[a-z0-9]+", text.lower())
+    """Lowercase, split on non-alphanumerics, no stemming.
+
+    The tokens are the runs of ASCII ``[a-z0-9]`` in ``text.lower()``, as
+    ``re.findall`` would give them; every other character, non-ASCII ones
+    included, separates tokens.
+    """
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
-def _weight_vector(counts: Counter, idf: dict[str, float]) -> dict[str, float]:
-    return {term: count * idf[term] for term, count in counts.items()}
+def _norm(weights: Collection[float]) -> float:
+    return math.sqrt(left_sum(map(operator.mul, weights, weights)))
 
 
-def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    dot = left_sum(w * b[t] for t, w in a.items() if t in b)
-    norm_a = math.sqrt(left_sum(w * w for w in a.values()))
-    norm_b = math.sqrt(left_sum(w * w for w in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
+def _cosine(question: dict[str, float], question_norm: float, counts: Counter,
+            idf: dict[str, float]) -> float:
+    """Cosine of the question's weight vector and a paragraph's, whose weights
+    are its ``counts`` times ``idf``.  The dot product adds over the shorter
+    vector's terms (the question's on a tie) in insertion order."""
+    weights = list(map(operator.mul, counts.values(), map(idf.__getitem__, counts)))
+    if len(counts) < len(question):
+        dot = left_sum(w * question[t] for t, w in zip(counts, weights) if t in question)
+    else:
+        dot = left_sum(w * (counts[t] * idf[t]) for t, w in question.items() if t in counts)
+    paragraph_norm = _norm(weights)
+    if question_norm == 0.0 or paragraph_norm == 0.0:
         return 0.0
-    return dot / (norm_a * norm_b)
+    return dot / (question_norm * paragraph_norm)
 
 
 def rank_paragraphs(
@@ -160,8 +178,9 @@ def rank_paragraphs(
         df.update(counts.keys())
     idf = {term: math.log((1 + n_docs) / (1 + d)) + 1.0 for term, d in df.items()}
 
-    question_vec = _weight_vector(question_counts, idf)
-    cosines = [_cosine(question_vec, _weight_vector(c, idf)) for c in paragraph_counts]
+    question_vec = {term: count * idf[term] for term, count in question_counts.items()}
+    question_norm = _norm(question_vec.values())
+    cosines = [_cosine(question_vec, question_norm, c, idf) for c in paragraph_counts]
 
     order = sorted(range(len(paragraphs)), key=lambda i: -cosines[i])[:n]
     clipped = [max(cosines[i], 0.0) for i in order]

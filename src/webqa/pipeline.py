@@ -130,8 +130,9 @@ class PipelineConfig:
     heldout_fraction: float = setting(0.1, "share of questions held out for weight tuning")
     seed: int = setting(0, "base seed for sampling and splits")
     max_workers: int = setting(8, "questions processed concurrently")
-    cost_points: tuple[int, ...] = setting(DEFAULT_COST_POINTS,
-                                           "comma-separated paragraph counts for the cost sweep")
+    cost_points: tuple[int, ...] = setting(
+        DEFAULT_COST_POINTS,
+        "comma-separated paragraph counts for the cost sweep; counts above --paragraphs are left out")
     context_tokens: int | None = setting(None, "prompt budget override (default: backend context size)")
     recall_ks: tuple[int, ...] = setting(DEFAULT_RECALL_KS, "comma-separated cut-offs for answer recall")
     banks_dir: str | None = setting(None, "directory with <dataset_id>_<kind>.txt prompt banks")
@@ -149,6 +150,8 @@ class PipelineConfig:
             raise ConfigError("context_tokens must be >= 1")
         if any(k < 1 for k in self.recall_ks):
             raise ConfigError("recall_ks entries must be >= 1")
+        if any(m < 0 for m in self.cost_points):
+            raise ConfigError("cost_points entries must be >= 0")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
         if self.poe_weights is not None:
@@ -699,7 +702,7 @@ class Pipeline:
         if self.config.evidence == CLOSED:
             points = [0]
         else:
-            points = sorted({m for m in self.config.cost_points if 0 <= m <= self.config.top_paragraphs})
+            points = sorted({m for m in self.config.cost_points if m <= self.config.top_paragraphs})
         correct: dict[int, list[float]] = {m: [] for m in points}
         tokens = {m: [0, 0] for m in points}  # [prompt, generated]
         for record in eval_records:

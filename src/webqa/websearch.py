@@ -1,16 +1,32 @@
 """Web retrieval: search for a question, fetch result pages, extract text.
 
 A search client returns ranked URLs for a query; each URL is fetched and
-reduced to plain text with a tag-stripping HTML parser.  Both the search
-response and every fetched page go through the request cache, so a warm run
-never touches the network and an offline run fails loudly on a miss.
+reduced to plain text by :func:`extract_text`.  Both the search response and
+every fetched page go through the request cache, so a warm run never touches
+the network and an offline run fails loudly on a miss.
+
+:func:`extract_text` scans the page with compiled regexes, one match per
+tag.  It drops the text inside skip tags (nested ones counted; a stray skip
+end tag is ignored), breaks the line at every block tag (inside skipped
+regions too), treats ``script`` and ``style`` as raw text that ends only at
+their own end tag, drops comments, declarations, CDATA sections and
+processing instructions, and unescapes character references in each run of
+text between two tags on its own.  These are the rules of the
+``html.parser``-based extractor it replaced, as CPython 3.10 to 3.13.0 ship
+that parser, so the result no longer depends on the interpreter's
+``html.parser``.  The one departure: a ``<![`` section with an unknown
+keyword, on which ``html.parser`` raised ``AssertionError``, is dropped up
+to its first ``>``.
 """
 from __future__ import annotations
 
 import json
 import logging
+import re
+import string
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from html import unescape
+from typing import NamedTuple
 from urllib.parse import urlencode
 
 from . import net
@@ -52,43 +68,168 @@ _BLOCK_TAGS = {
     "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "section", "article",
     "main", "blockquote", "pre", "hr", "figure", "figcaption", "title",
 }
+# What a tag does to the text: a skip tag hides everything up to its end tag
+# (nested ones counted), a block tag ends the line, and a raw-text tag is a
+# skip tag whose content ends only at its own end tag.
+_SKIP, _BLOCK, _RAW = 1, 2, 3
+_TAG_KINDS = {**dict.fromkeys(_SKIP_TAGS, _SKIP), **dict.fromkeys(_BLOCK_TAGS, _BLOCK),
+              "script": _RAW, "style": _RAW}
+
+# The tags nearly every page is made of: a start tag whose attributes each
+# follow whitespace and are a name, name=value, name="value" or name='value',
+# or an end tag with nothing but whitespace around its name.  Any other
+# markup goes through :func:`_markup`.
+_TAG = re.compile(r"""
+    <(?:([a-zA-Z][^\t\n\r\f />\x00]*)(?![^\t\n\r\f />\x00])  # start tag name, all of it
+        (?:\s+[^\s/>="'<]+(?:\s*=\s*(?:"[^"]*"|'[^']*'|[^\s>"'=][^\s>]*))?)*
+        \s*(/?)>                                         # the "/" of <br/>
+      | /\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>)              # end tag name
+    """, re.VERBOSE)
+# ASCII letters of either case only: an end tag spelled with a lookalike such
+# as U+017F (long s) does not end the raw text
+_RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % "".join(f"[{c}{c.upper()}]" for c in tag))
+                 for tag in ("script", "style")}
+
+# The tolerant grammar html.parser uses for odd markup (CPython 3.10 to 3.13.0).
+_LOCATE_START_TAG_END = re.compile(r"""
+    <[a-zA-Z][^\t\n\r\f />\x00]*
+    (?:[\s/]*(?:(?<=['"\s/])[^\s/>][^\s/=>]*
+        (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?
+    \s*""", re.VERBOSE)
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRIBUTE = re.compile(
+    r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
+# where html.parser's located start tag stops short of ">" because it is unfinished
+_INCOMPLETE_AT = frozenset(string.ascii_letters + "=")
+_COMMENT_END = re.compile(r"--\s*>")
+_SECTION_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*")
+_SECTION_END = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
 
 
-class _TextExtractor(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self._pieces: list[str] = []
-        self._skip_depth = 0
+class _Markup(NamedTuple):
+    """What the markup at a ``<`` is: a start tag, an end tag, text, or, with
+    none of them set, markup to drop; ``end`` is the index just past it."""
 
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIP_TAGS:
-            self._skip_depth += 1
-        elif tag in _BLOCK_TAGS:
-            self._pieces.append("\n")
+    end: int
+    start: str | None = None
+    slash: str = ""  # "/" when the start tag closes itself
+    end_tag: str | None = None
+    text: str | None = None
 
-    def handle_endtag(self, tag):
-        if tag in _SKIP_TAGS:
-            if self._skip_depth > 0:
-                self._skip_depth -= 1
-        elif tag in _BLOCK_TAGS:
-            self._pieces.append("\n")
 
-    def handle_data(self, data):
-        if self._skip_depth == 0:
-            self._pieces.append(data)
+def _incomplete(html: str, i: int) -> _Markup:
+    """Unfinished markup at ``i`` reads as text up to its first ``>``, else
+    up to the next ``<``, else the ``<`` alone."""
+    end = html.find(">", i + 1) + 1
+    if not end:
+        end = html.find("<", i + 1)
+        if end < 0:
+            end = i + 1
+    return _Markup(end, text=unescape(html[i:end]))
 
-    def text(self) -> str:
-        lines = "".join(self._pieces).split("\n")
-        cleaned = [" ".join(line.split()) for line in lines]
-        return "\n".join(line for line in cleaned if line)
+
+def _start_tag(html: str, i: int) -> _Markup:
+    """A start tag read by html.parser's tolerant grammar; one it finds
+    malformed is kept as text, one it finds unfinished reads as text."""
+    located = _LOCATE_START_TAG_END.match(html, i).end()
+    after = html[located:located + 1]
+    if after == ">":
+        end = located + 1
+    elif after == "/":
+        if not html.startswith("/>", located):
+            return _incomplete(html, i)
+        end = located + 2
+    elif not after or after in _INCOMPLETE_AT:
+        return _incomplete(html, i)
+    else:
+        end = located
+    name = _TAG_NAME.match(html, i + 1)
+    k = name.end()
+    while k < end:
+        attribute = _ATTRIBUTE.match(html, k)
+        if attribute is None:
+            break
+        k = attribute.end()
+    rest = html[k:end].strip()
+    if rest == ">" or rest == "/>":
+        return _Markup(end, start=name.group(1), slash=rest[:-1])
+    return _Markup(end, text=html[i:end])  # kept as text, character references and all
+
+
+def _markup(html: str, i: int) -> _Markup:
+    """The markup at ``html[i] == "<"`` that :data:`_TAG` does not match."""
+    after = html[i + 1:i + 2]
+    if after.isascii() and after.isalpha():
+        return _start_tag(html, i)
+    if html.startswith("<!--", i):
+        close = _COMMENT_END.search(html, i + 4)
+        return _Markup(close.end()) if close else _incomplete(html, i)
+    if html.startswith("<![", i):
+        name = _SECTION_NAME.match(html, i + 3)
+        section_end = name and _SECTION_END.get(name.group().lower())
+        if section_end:
+            close = section_end.search(html, i + 3)
+            return _Markup(close.end()) if close else _incomplete(html, i)
+        # html.parser raises AssertionError here; this reads it as a bogus comment
+    if after in ("/", "!", "?"):
+        end = html.find(">", i + 2) + 1
+        if not end:
+            return _incomplete(html, i)
+        name = _TAG_NAME.match(html, i + 2) if after == "/" else None
+        return _Markup(end, end_tag=name and name.group(1))
+    return _Markup(i + 1, text="<")
 
 
 def extract_text(html: str) -> str:
-    """Visible text of an HTML page: one line per block, whitespace collapsed."""
-    parser = _TextExtractor()
-    parser.feed(html)
-    parser.close()
-    return parser.text()
+    """Visible text of an HTML page: one line per block, whitespace collapsed;
+    the module docstring gives the rules."""
+    pieces: list[str] = []
+    emit = pieces.append
+    depth = 0  # open skip tags
+    n = len(html)
+    pos = 0
+    while pos < n:
+        lt = html.find("<", pos)
+        if lt < 0:
+            lt = n
+        if not depth and pos < lt:
+            run = html[pos:lt]
+            emit(unescape(run) if "&" in run else run)
+        if lt == n:
+            break
+        match = _TAG.match(html, lt)
+        if match is not None:
+            pos = match.end()
+            start, slash, end = match.groups()
+        else:
+            pos, start, slash, end, text = _markup(html, lt)
+            if text is not None:
+                if not depth:
+                    emit(text)
+                continue
+        if start is not None:
+            tag = start.lower()
+            kind = _TAG_KINDS.get(tag)
+            if kind == _BLOCK:
+                emit("\n")
+            elif kind == _SKIP and not slash:
+                depth += 1
+            elif kind == _RAW and not slash:
+                close = _RAW_TEXT_END[tag].search(html, pos)
+                if close is None:
+                    break  # an unclosed script or style hides the rest of the page
+                pos = close.end()
+        elif end is not None:
+            kind = _TAG_KINDS.get(end.lower())
+            if kind == _BLOCK:
+                emit("\n")
+            elif kind is not None and depth:
+                depth -= 1
+    lines = "".join(pieces).split("\n")
+    return "\n".join(filter(None, [" ".join(line.split()) for line in lines]))
 
 
 class GoogleCustomSearchClient:

@@ -213,8 +213,65 @@ class TestRankParagraphs:
         with pytest.raises(ValueError):
             rank_paragraphs("anything", [], n=5)
 
+    # float.hex of (ordinal, cosine, prior), recorded from the ranking that
+    # built a weight dict per paragraph and took the question's norm per
+    # paragraph.  The pool holds a paragraph shorter than the question (the
+    # dot product then runs over the paragraph's terms), one that shares no
+    # term with it, and non-ASCII text.
+    PINNED_QUESTION = "Who designed the \u00d8resund bridge between Copenhagen and Malm\u00f6 in 1995?"
+    PINNED_PARAS = [
+        "The \u00d8resund Bridge was designed by Georg Rotne and opened in 2000.",
+        "Bridge.",
+        "Malm\u00f6 and Copenhagen are linked by the bridge; the bridge carries trains "
+        "and cars between Denmark and Sweden, and it was designed to last 100 years.",
+        "Zebras graze quietly.",
+        "Str\u00f6me, Br\u00fccken und Stra\u00dfen: die \u00d8resundbr\u00fccke verbindet "
+        "Kopenhagen mit Malm\u00f6.",
+        "designed designed designed bridge bridge 1995 1995",
+        "\uff2b\uff25\uff2c\uff36\uff29\uff2e \u0130stanbul \u01c5 \u00df \u03c2 \u212a 1995",
+    ]
+    PINNED_RANKING = [
+        (2, "0x1.cf3892fd8be18p-2", "0x1.13e36b573d012p-2"),
+        (5, "0x1.b2851d694624bp-2", "0x1.02cb5e67e8ac3p-2"),
+        (0, "0x1.aea66ca6217e2p-2", "0x1.007d539577b68p-2"),
+        (1, "0x1.bece493d6937ep-3", "0x1.0a1c976fe8de1p-3"),
+        (6, "0x1.bba309d74e619p-4", "0x1.08396c4ea07d4p-4"),
+        (4, "0x1.c4dfd8655b581p-5", "0x1.0db9defe306d2p-5"),
+        (3, "0x0.0p+0", "0x0.0p+0"),
+    ]
+
+    def test_cosines_and_priors_are_pinned_bit_for_bit(self):
+        paras = [_p(t, i) for i, t in enumerate(self.PINNED_PARAS)]
+        assert len(tokenize(self.PINNED_PARAS[1])) < len(tokenize(self.PINNED_QUESTION))
+        ranked = rank_paragraphs(self.PINNED_QUESTION, paras, n=len(paras))
+        assert [(r.paragraph.ordinal, r.cosine.hex(), r.prior.hex()) for r in ranked] == \
+            self.PINNED_RANKING
+
 
 def test_tokenize_lowercases_alphanumerics():
     assert tokenize("Hello, WORLD-42!") == ["hello", "world", "42"]
     assert tokenize("don't") == ["don", "t"]
     assert tokenize("") == []
+
+
+def test_tokenize_matches_regex_reference():
+    """The runs of [a-z0-9] in text.lower(), as re.findall gives them, on
+    characters whose lowercase is ASCII or more than one character."""
+    edge = [
+        "\u0130stanbul",      # I with dot above lowercases to i + U+0307
+        "\u212aelvin",        # Kelvin sign lowercases to ASCII k
+        "Stra\u00dfe",        # sharp s
+        "\u039f\u03b4\u03cc\u03c2",  # final sigma
+        "a\ud800b",           # lone surrogate
+        "x\U0001f600y",       # astral character
+        "a\u00a0b",           # NBSP
+        "\uff11\uff12 12",   # fullwidth digits
+        "\u01c4\u01c5 \u1e9e \u0149",
+    ]
+    rng = random.Random(5)
+    alphabet = "aZ09 ,.-_" + "".join(edge)
+    texts = edge + ["".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 20)))
+                    for _ in range(3000)]
+    for text in texts:
+        assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower()), repr(text)
+    assert tokenize(edge[1]) == ["kelvin"]

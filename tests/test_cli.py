@@ -304,6 +304,16 @@ class TestMainExitCodes:
         assert "recall_ks entries must be >= 1" in capsys.readouterr().err
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("value", ["0,-1", "-5"])
+    def test_cost_point_below_0_is_1_before_any_work(self, tmp_path, qa_dataset_path, banks_dir,
+                                                     capsys, value):
+        workdir = tmp_path / "w"
+        rc = cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                       "--evidence", "gold", "--banks-dir", str(banks_dir), f"--cost-points={value}"])
+        assert rc == 1
+        assert "cost_points entries must be >= 0" in capsys.readouterr().err
+        assert not workdir.exists()
+
     def test_offline_cache_miss_is_3(self, tmp_path, qa_dataset_path,
                                      banks_dir, capsys):
         rc = cli.main(["run", "--dataset", str(qa_dataset_path),

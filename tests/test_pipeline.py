@@ -377,15 +377,37 @@ class _CountingBackend(CachedBackend):
         return super().score(prompt, continuation)
 
 
-def _artifact_digest(workdir) -> str:
-    """SHA-256 over the paths and bytes of candidates/, calls/ and predictions/."""
+def _artifact_digest(workdir, tops=("candidates", "calls", "predictions"), base_url=None) -> str:
+    """SHA-256 over the paths and bytes of the ``tops`` directories, with
+    ``base_url`` (a fixture server's, whose port varies) written as {base}."""
     h = hashlib.sha256()
-    for top in ("candidates", "calls", "predictions"):
+    for top in tops:
         for path in sorted((workdir / top).rglob("*")):
             if path.is_file():
+                data = path.read_bytes()
+                if base_url is not None:
+                    data = data.replace(base_url.encode("utf-8"), b"{base}")
                 h.update(path.relative_to(workdir).as_posix().encode("utf-8") + b"\0")
-                h.update(path.read_bytes() + b"\0")
+                h.update(data + b"\0")
     return h.hexdigest()
+
+
+# index/ and paragraphs/ of a search-evidence retrieve on fixtureqa, as written
+# when pages were extracted with html.parser and the ranking built a weight dict
+# per paragraph: page text, paragraph order, cosines and priors alike
+PINNED_RETRIEVAL = "2d728330bd716b7665170d06439b3fa0ee79af990ed699dfeda40b6e0a578d04"
+
+
+def test_search_retrieve_writes_the_pinned_index_and_paragraphs(tmp_path, qa_dataset_path,
+                                                                banks_dir, web_root):
+    config = _config(qa_dataset_path, tmp_path, evidence=SEARCH, banks_dir=str(banks_dir),
+                     top_paragraphs=50)
+    with FixtureServer(web_root) as server:
+        pipeline = Pipeline(config, cached_backend(MockBackend(), tmp_path),
+                            FixtureSearchClient(server.base_url))
+        pipeline.stage_retrieve()
+    assert not pipeline.failed
+    assert _artifact_digest(tmp_path, ("index", "paragraphs"), server.base_url) == PINNED_RETRIEVAL
 
 
 class TestLMTraffic:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -20,6 +21,92 @@ from webqa.websearch import (
     fetch_page,
     retrieve_documents,
 )
+
+
+# (name, html, text): each text was recorded from the html.parser-based
+# extractor this scanner replaced, and CPython 3.10.13, 3.11.7, 3.12.1 and
+# 3.13.0 all give it.  Later patch releases changed html.parser's comment and
+# raw-text rules, so these are literals, not a comparison with the stdlib.
+EXTRACT_CASES = [
+    ("charrefs-per-run", "a&amp<b>x</b>lt;c", "a&xlt;c"),
+    ("block-inside-skip", "<p>a<nav><li>x</li></nav>b</p>", "a\nb"),
+    ("stray-skip-end", "<nav>a</nav></nav>b<nav>c", "b"),
+    ("br-forms", "x<br/>y<BR>z<br />w<br/ >v", "x\ny\nz\nw\nv"),
+    ("uppercase-tags", "<P CLASS=a>one</P><DIV>two</DIV>", "one\ntwo"),
+    ("quoted-gt-double", '<a title="1 > 0">t</a>x', "tx"),
+    ("quoted-gt-single", "<a title='a>b' href=x>t</a>", "t"),
+    ("attribute-forms", """<a b='x' c="y" d=z>t</a>""", "t"),
+    ("comment", "a<!-- hidden <p> -->b", "ab"),
+    ("comment-spaced-close", "a<!-- x -- >b", "ab"),
+    ("doctype", "<!DOCTYPE html>a", "a"),
+    ("processing-instruction", '<?xml version="1.0"?>a', "a"),
+    ("declaration", "<!weird decl>a", "a"),
+    ("cdata", "a<![CDATA[hidden]]>b", "ab"),
+    ("conditional-comment", "a<![if !IE]>b<![endif]>c", "abc"),
+    ("script-holds-end-tag", "<script>if (a</div>b) {}</script>c", "c"),
+    ("script-end-newline", "<script>x</script\n>y", "y"),
+    ("script-end-spaced", "<script>a</ script >b", "b"),
+    ("script-uppercase", "<SCRIPT>a</Script>b", "b"),
+    ("script-end-lookalike", "<script>a</\u017fcript>b</script>c", "c"),
+    ("style", "<style>p { color: red }</style>x", "x"),
+    ("unclosed-script", "a<script>b<p>c", "a"),
+    ("unclosed-comment", "a<!-- b <p> c", "a<!-- b <p> c"),
+    ("bare-lt", "a < b", "a < b"),
+    ("bare-lt-at-end", "a<", "a<"),
+    ("lt-digit", "a<1>b", "a<1>b"),
+    ("charrefs", "Tom &amp; Jerry &lt;3 &#x41;&#66;", "Tom & Jerry <3 AB"),
+    ("nbsp-collapses", "a&nbsp;b&#160;c", "a b c"),
+    ("charref-at-end", "x &#65", "x A"),
+    ("whitespace", "<p>a\n   b\t\tc</p>", "a\nb c"),
+    ("nested-skip", "<nav><div><p>menu</p></div></nav><p>real</p>", "real"),
+    ("self-closing-skip", "<nav/>x", "x"),
+    ("slash-in-bare-value", "<nav class=x/>y", ""),
+    ("end-tag-attributes", '</div class="x">a', "a"),
+    ("empty-end-tags", "</>a</ >b", "ab"),
+    ("table-cells", "<td>a</td><td>b</td>", "a\nb"),
+    ("textarea-not-raw", "<textarea><p>x</p></textarea>", "x"),
+    ("unfinished-start-tag", 'a<div class="x', 'a<div class="x'),
+    ("unknown-tag", "<custom-el>a</custom-el>", "a"),
+    ("blank-block", "<div> </div><div>x</div>", "x"),
+    ("attribute-after-quote", '<p a="b"c=d>x', "x"),
+    ("slash-between-attributes", "<a / b>x</a>", "x"),
+    ("empty-bare-value", "<a b=>x", "x"),
+    ("nul-in-tag-kept-raw", "<p&amp;\x00>x", "<p&amp;\x00>x"),
+]
+
+# SHA-256 of extract_text(page) for every fixture page, recorded like EXTRACT_CASES
+PAGE_TEXT_SHA256 = {
+    "q01a.html": "d6adaf1af8591567912b27736e1ecbef0d08a6b71674376aa49bed18016e6f10",
+    "q01b.html": "ba781f4513ff76b17a9f525ef3db0a8818f12bf19b943368aa1df7fca432aee4",
+    "q01c.html": "5f41b208866d812c63402ed5c74ba50fd2a9c6da4a2b386f229c3dd0c3b779a9",
+    "q02a.html": "ad6a8aef5a5f79840fcd59d37890357c2fde4b3898a36f25682d022c065387f8",
+    "q02b.html": "6c19f3ed171ad92b880330b9bb5f3dd240d53db3bb2fe4bd88520f3dba0905b1",
+    "q02c.html": "9284003fc8ffc909ce3a5d6da40fc6fe469ed2378e70959a28ab52951043b0fc",
+    "q03a.html": "ec53be8aa4005b4e4dd661142923a83cc5056c4fe62c1140296e03181f30ac8f",
+    "q03b.html": "90cda06e5969fec2ce9c47b04525b36c3e0681ebfc150154d3ea717a6b743060",
+    "q03c.html": "984f050856ac46a9df9ff753069cfd77cb727bd9e24ad4e0b6b228ebbf46b4fe",
+    "q04a.html": "d4d6fcfd90dc8d8c4f8e964440c3b6cd78a3e7e1cce7d2978aa4c3c864d199cc",
+    "q04b.html": "15593b51bc8069d4ea6f20a8e13ea5efb2d9006d63dac6a2a4a66c0a5074d68a",
+    "q04c.html": "86cdd035b35c6c93207641488f75fe08a14dfe7318f819e6c051f2d6f6a19122",
+    "q05a.html": "13a1b38b5658395fd6d88179a68a9801b3fba33fc1ee5f2b7840623a5cbe2f0e",
+    "q05b.html": "a951f54cda0ae4fa205f258566b42ff20d5654c0f53e91dad2e04c1766d1dfd1",
+    "q05c.html": "ddaffaef420bdcb631f6bbfe178ae1faa502b418b2e9b04bcff0655c37dc07af",
+    "q06a.html": "d38b083b13d466c01f8918351131ddb536645158ae57431f8eaed1cbb35a5814",
+    "q06b.html": "404f7e6bf79763aa003ec61154fadc3685e82c06ab096944f8178825e1ba121f",
+    "q06c.html": "e8a8420102238ffc061d0b57d0c07acaab6643c6614d3e4163eff4dcc4ec85a9",
+    "q07a.html": "16c2308f9aa4e10f37079070127f89c97841d2f532a6b0741de2ee942e704f53",
+    "q07b.html": "efc2d2a2705d024999ef474eb37f0a051ea20bcb5cfc4bcb46969bdb18ecb7b0",
+    "q07c.html": "304c417d98be5dcf59921fada3a561e63e41c7348792a5bddc007cba6f5c70ed",
+    "q08a.html": "74036bd2baf5b0c2d8bd7ca9b221035acea421129eddba4dd47b0d9cc804e62a",
+    "q08b.html": "affce3a5d3e5c6f14a9db68ec56c103f9ce0e0922ac3b9cc902e79c962c69c15",
+    "q08c.html": "5bf55b2f543e55670cc9f87dfb0d77838d42fc37034326cd75bb75b352846e54",
+    "q09a.html": "0234c6f4b4d97de793c9a6aaf519d49c24db7530b7d523fb0bfa10767302d085",
+    "q09b.html": "e6f92ac0a1a97e71f140336cbf638aeb2f3b26c2693d84c0bb7a80e498e6f47d",
+    "q09c.html": "cf47a4bcac449ed6de4ce11ca4d9e17078ad6bd4469013250fcb1c3e28efe002",
+    "q10a.html": "b786aac6cda57e7b950101499d0681bad81ea7752432c707dc073c077ef6b4b8",
+    "q10b.html": "5f34284c4b524209a20d6be18ffa3aeb5eac8ab82d65cb80e4b8ff7c49dbb3c5",
+    "q10c.html": "cd54a05ec5f13c48707092ae97ef6c53c63bcf41619b0068ed6d557f13a7bc91",
+}
 
 
 class TestExtractText:
@@ -61,6 +148,23 @@ class TestExtractText:
     def test_nested_skip_tags(self):
         html = "<nav><div><p>menu stuff</p></div></nav><p>real</p>"
         assert extract_text(html) == "real"
+
+    @pytest.mark.parametrize("html, text", [case[1:] for case in EXTRACT_CASES],
+                             ids=[case[0] for case in EXTRACT_CASES])
+    def test_pinned_rules(self, html, text):
+        assert extract_text(html) == text
+
+    @pytest.mark.parametrize("html", ["a<![foo[x]]>b", "a<![ x>b"])
+    def test_unknown_marked_section_reads_as_a_bogus_comment(self, html):
+        # html.parser raised AssertionError on these
+        assert extract_text(html) == "ab"
+
+    def test_fixture_pages_give_the_pinned_text(self, web_root_module):
+        pages = sorted((web_root_module / "pages").glob("*.html"))
+        assert {page.name for page in pages} == set(PAGE_TEXT_SHA256)
+        for page in pages:
+            text = extract_text(page.read_text(encoding="utf-8"))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PAGE_TEXT_SHA256[page.name], page.name
 
 
 @pytest.fixture(scope="module")
