@@ -21,7 +21,7 @@ import typing
 
 from .cache import OfflineCacheMiss, RequestCache
 from .corpus import CorpusError
-from .lmbackend import CachedBackend, HTTPBackend, LMBackend, MockBackend
+from .lmbackend import DEFAULT_MOCK_PARAM_COUNT, CachedBackend, HTTPBackend, LMBackend, MockBackend, mock_identity
 from .net import NetError
 from .pipeline import ConfigError, PartialFailure, Pipeline, PipelineConfig, setting
 from .rerank import WEIGHT_NAMES
@@ -40,7 +40,7 @@ class RunSettings:
 
     search_endpoint: str = setting("google", "'google' or the base URL of a fixture search server")
     backend: str = setting("mock", "'mock' or the base URL of a completion server")
-    param_count: int = setting(1_000_000, "parameter count reported by the mock backend")
+    param_count: int = setting(DEFAULT_MOCK_PARAM_COUNT, "parameter count reported by the mock backend")
     offline: bool = setting(False, "serve everything from cache; misses are an error")
 
 
@@ -191,8 +191,7 @@ def make_backend(config: dict) -> CachedBackend:
     cache = RequestCache(os.path.join(config["workdir"], "cache"), offline=config["offline"])
     if config["backend"] == "mock":
         inner: LMBackend = MockBackend(param_count=config["param_count"])
-        # the description names the parameter count, so a new count must miss
-        identity = f"mock(param_count={config['param_count']})"
+        identity = mock_identity(config["param_count"])
     else:
         inner = HTTPBackend(config["backend"])
         identity = config["backend"]

@@ -25,6 +25,7 @@ DEFAULT_NUCLEUS_P = 0.8
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_NEW_TOKENS = 64
 DEFAULT_STOP = ("\n",)
+DEFAULT_MOCK_PARAM_COUNT = 1_000_000
 LM_TIMEOUT_SECONDS = 60.0
 
 
@@ -170,8 +171,11 @@ class BackendDescriptor:
         can_score = obj.get("can_score", True) if isinstance(obj, dict) else True
         if not isinstance(can_score, bool):
             raise ValueError(f"{route} returned can_score {can_score!r}, not true or false")
-        return cls(_text(obj, "name", route), _tokens(obj, "param_count", route),
-                   _tokens(obj, "context_tokens", route), can_score)
+        name, param_count = _text(obj, "name", route), _tokens(obj, "param_count", route)
+        context_tokens = _tokens(obj, "context_tokens", route)
+        if context_tokens == 0:  # no prompt could be sent
+            raise ValueError(f"{route} returned context_tokens 0, not a positive integer")
+        return cls(name, param_count, context_tokens, can_score)
 
 
 class PromptTooLong(ValueError):
@@ -276,6 +280,13 @@ def extractive_completion(prompt: str, seed: int, index: int) -> str:
     return " ".join(words[start:start + length])
 
 
+def mock_identity(param_count: int = DEFAULT_MOCK_PARAM_COUNT) -> str:
+    """The :class:`CachedBackend` identity ``webqa run --backend mock`` gives a
+    mock of ``param_count`` parameters: its description names the count, so
+    a new count must miss."""
+    return f"mock(param_count={param_count})"
+
+
 class MockBackend(LMBackend):
     """Deterministic backend for tests and offline pipeline runs.
 
@@ -288,7 +299,7 @@ class MockBackend(LMBackend):
     def __init__(
         self,
         name: str = "mock",
-        param_count: int = 1_000_000,
+        param_count: int = DEFAULT_MOCK_PARAM_COUNT,
         context_tokens: int = 2048,
         completion_fn=extractive_completion,
         can_score: bool = True,

@@ -9,8 +9,9 @@ entirely from cache.  Stage outputs:
     cache/                      the backend's request cache, packs per question
     index/<qid>.json            question and the URLs retrieved for it
     paragraphs/<evidence>/      ranked conditioning paragraphs per question
-    candidates/<evidence>/      scored (answer, paragraph) pools per question
-    calls/<evidence>/           one JSONL row per model request (token counts)
+    candidates/<evidence>/      rerank pools per question: per (answer, paragraph)
+                                pair, its CandidateAnswer and ScoreBundle fields
+    calls/<evidence>/           one JSONL row per model response used (token counts)
     weights.json                tuned product-of-experts weights and trace
     predictions/<name>.json     selected answer per question
     reports/<name>.json         metrics
@@ -24,7 +25,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -62,6 +63,7 @@ from .lmbackend import (
     CachedBackend,
     GenerationParams,
     PromptTooLong,
+    Score,
     flops_for_tokens,
     softmax_scores,
 )
@@ -161,18 +163,18 @@ class PipelineConfig:
                 raise ConfigError(f"weights: {exc}") from None
 
 
-def _pool_row(text: str, paragraph_index: int, lp_a_qp: float, lp_q_ap: float = 0.0,
-              lp_a_p: float = 0.0, lp_q_p: float = 0.0, lp_prior: float = 0.0) -> dict:
-    """One candidates/ entry; closed-book rows score only lp_a_qp."""
-    return {
-        "text": text,
-        "paragraph_index": paragraph_index,
-        "lp_a_qp": lp_a_qp,
-        "lp_q_ap": lp_q_ap,
-        "lp_a_p": lp_a_p,
-        "lp_q_p": lp_q_p,
-        "lp_prior": lp_prior,
-    }
+# a candidates/ row holds the fields of one pool pair: its answer's and its scores'
+_ROW_FIELDS = {cls: tuple(f.name for f in fields(cls))
+               for cls in (rerank.CandidateAnswer, rerank.ScoreBundle)}
+
+
+def _to_row(pair: tuple[rerank.CandidateAnswer, rerank.ScoreBundle]) -> dict:
+    return {name: getattr(obj, name) for obj in pair for name in _ROW_FIELDS[type(obj)]}
+
+
+def _from_row(row: dict) -> tuple[rerank.CandidateAnswer, rerank.ScoreBundle]:
+    answer, bundle = (cls(*[row[name] for name in names]) for cls, names in _ROW_FIELDS.items())
+    return answer, bundle
 
 
 def stable_seed(*parts) -> int:
@@ -270,11 +272,14 @@ class Pipeline:
         return [r for r in records if r.id not in self.failed]
 
     def _map_questions(self, records: list[QuestionRecord], worker, stage: str) -> None:
+        """``worker(record)`` for every record on the thread pool, each inside its
+        question's cache scope, so a question's requests land in its own packs."""
         # only I/O (net.NetError is an OSError), bad input (ConfigError, CorpusError,
         # PromptBudgetError, bad JSON) and search errors fail one question; bugs propagate
         def guarded(record):
             try:
-                worker(record)
+                with self.cache.question_scope(record.id):
+                    worker(record)
             except (OSError, ValueError, websearch.SearchError) as exc:
                 logger.warning("%s failed for %s: %s", stage, record.id, exc)
                 return record.id, f"{stage}: {exc}"
@@ -298,48 +303,51 @@ class Pipeline:
 
     # --- model call helpers -------------------------------------------------
 
-    def _log_call(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
-                  prompt_tokens: int, generated_tokens: int) -> None:
-        """Append one calls/ row; cost and FLOPs are recomputed from these rows."""
-        log.append({
-            "question_id": qid,
-            "purpose": purpose,
-            "paragraph_index": paragraph_index,
-            "prompt_tokens": prompt_tokens,
-            "generated_tokens": generated_tokens,
-        })
+    def _request(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
+                 prompt: RenderedPrompt, sends: list[Callable[[str], _Response]],
+                 reserve: Callable[[_Response | None], int]) -> list[_Response]:
+        """``[send(text) for send in sends]`` for the prompt text that fits the
+        context, each response logged as one calls/ row.
 
-    def _send(self, prompt: RenderedPrompt, send: Callable[[str], _Response],
-              reserve: Callable[[_Response | None], int]) -> tuple[str, _Response]:
-        """``(text, send(text))`` for the prompt text that fits the context.
-
-        ``prompt`` is sent as rendered, and its response's ``prompt_tokens``
-        decide whether it fitted ``context_tokens - reserve(response)``.  Only
-        when it did not, or the server refused it as too long (then
+        ``prompt`` is sent as rendered through ``sends[0]``, and its response's
+        ``prompt_tokens`` decide whether it fitted ``context_tokens - reserve(response)``.
+        Only when it did not, or the server refused it as too long (then
         ``reserve(None)``), is it fitted with ``count_tokens`` and sent again.
+        The other ``sends`` get the text the first one kept.  Cost and FLOPs
+        are recomputed from the rows, which log only the responses kept.
         """
+        first, *rest = sends
+        text = prompt.text
         response = None
         try:
-            response = send(prompt.text)
+            response = first(text)
         except PromptTooLong:
             pass
-        else:
-            if response.prompt_tokens <= self.context_tokens - reserve(response):
-                return prompt.text, response
-        fitted = fit_to_context(prompt, self.backend.count_tokens, context_tokens=self.context_tokens,
-                                reserved_tokens=reserve(response))
-        return fitted.text, send(fitted.text)
+        if response is None or response.prompt_tokens > self.context_tokens - reserve(response):
+            text = fit_to_context(prompt, self.backend.count_tokens, context_tokens=self.context_tokens,
+                                  reserved_tokens=reserve(response)).text
+            response = first(text)
+        responses = [response] + [send(text) for send in rest]
+        for r in responses:
+            log.append({
+                "question_id": qid,
+                "purpose": purpose,
+                "paragraph_index": paragraph_index,
+                "prompt_tokens": r.prompt_tokens,
+                "generated_tokens": r.continuation_tokens if isinstance(r, Score)
+                else sum(s.tokens for s in r),
+            })
+        return responses
 
     def _score(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
                prompt: RenderedPrompt, continuation: str) -> float:
         """log p(continuation | prompt), with the prompt fitted around the continuation."""
-        _, score = self._send(
-            prompt, lambda text: self.backend.score(text, continuation),
+        [score] = self._request(
+            log, qid, purpose, paragraph_index, prompt,
+            [lambda text: self.backend.score(text, continuation)],
             lambda score: self.backend.count_tokens(continuation) if score is None
             else score.continuation_tokens,
         )
-        self._log_call(log, qid, purpose, paragraph_index, score.prompt_tokens,
-                       score.continuation_tokens)
         return score.logprob
 
     def _label_log_probs(self, log: list, record: QuestionRecord, purpose: str,
@@ -348,12 +356,11 @@ class Pipeline:
         """(label, log p(label)) with p the softmax over the label set's scores,
         all made against one fit of ``prompt``."""
         labels = record.label_set
-        text, first = self._send(prompt, lambda text: self.backend.score(text, " " + labels[0]),
-                                 lambda _: self.config.max_new_tokens)
-        scores = [first] + [self.backend.score(text, " " + label) for label in labels[1:]]
-        for score in scores:
-            self._log_call(log, record.id, purpose, paragraph_index, score.prompt_tokens,
-                           score.continuation_tokens)
+        scores = self._request(
+            log, record.id, purpose, paragraph_index, prompt,
+            [lambda text, label=label: self.backend.score(text, " " + label) for label in labels],
+            lambda _: self.config.max_new_tokens,
+        )
         dist = softmax_scores({label: score.logprob for label, score in zip(labels, scores)})
         return [(label, rerank.log_prior(dist[label])) for label in labels]
 
@@ -370,10 +377,9 @@ class Pipeline:
         if record.task == CLASSIFICATION:
             return self._label_log_probs(log, record, f"label_{kind}", paragraph_index, prompt)
         params = replace(self.params, n_samples=n_samples)
-        _, samples = self._send(prompt, lambda text: self.backend.sample(text, params, seed),
-                                lambda _: self.config.max_new_tokens)
-        self._log_call(log, record.id, f"sample_{kind}", paragraph_index, samples.prompt_tokens,
-                       sum(s.tokens for s in samples))
+        [samples] = self._request(log, record.id, f"sample_{kind}", paragraph_index, prompt,
+                                  [lambda text: self.backend.sample(text, params, seed)],
+                                  lambda _: self.config.max_new_tokens)
         by_canon: dict[str, tuple[str, float]] = {}
         for s in samples:
             stripped = s.text.strip()
@@ -401,9 +407,8 @@ class Pipeline:
                     for i, text in enumerate(record.gold_evidence)
                 ]
             else:
-                with self.cache.question_scope(record.id):
-                    documents = websearch.retrieve_documents(
-                        record.question, self.search_client, self.cache, num_urls=self.config.num_urls)
+                documents = websearch.retrieve_documents(
+                    record.question, self.search_client, self.cache, num_urls=self.config.num_urls)
                 write_json_record(self._qpath("index", "questions", record.id), {
                     "question_id": record.id,
                     "question": record.question,
@@ -441,7 +446,7 @@ class Pipeline:
 
     # --- answer (candidate generation and scoring) --------------------------
 
-    def _open_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
+    def _open_pool_for(self, record: QuestionRecord, log: list) -> rerank.Pool:
         """Sample candidates per paragraph and attach all rerank scores."""
         paragraphs = self.load_paragraphs(record.id)
         question = record.question
@@ -450,7 +455,7 @@ class Pipeline:
         q_p_bank = self.bank("q_given_p")
         a_p_bank = self.bank("a_given_p")
         q_cont = " " + question
-        pool: list[dict] = []
+        pool: rerank.Pool = []
         for i, para in enumerate(paragraphs):
             text = para["text"]
             candidates = self._candidates(
@@ -480,26 +485,29 @@ class Pipeline:
                 else:
                     lp_a_p = self._score(log, record.id, "score_a_given_p", i,
                                          a_p_prompt, " " + answer_text)
-                pool.append(_pool_row(
-                    answer_text, i, lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"])
-                ))
+                pool.append((rerank.CandidateAnswer(answer_text, i), rerank.ScoreBundle(
+                    lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"]))))
         return pool
 
-    def _closed_pool_for(self, record: QuestionRecord, log: list) -> list[dict]:
+    def _closed_pool_for(self, record: QuestionRecord, log: list) -> rerank.Pool:
+        """Closed-book pairs; they score only lp_a_qp, so the other four are 0."""
         prompt = render_closed_book_prompt(self.bank("qa"), record.question)
         candidates = self._candidates(
             record, log, "closed", None, prompt,
             self.config.closed_book_samples,
             stable_seed(self.config.seed, record.id, "closed"),
         )
-        return [_pool_row(answer_text, CLOSED_PARAGRAPH_INDEX, lp) for answer_text, lp in candidates]
+        return [(rerank.CandidateAnswer(answer_text, CLOSED_PARAGRAPH_INDEX),
+                 rerank.ScoreBundle(lp, 0.0, 0.0, 0.0, 0.0)) for answer_text, lp in candidates]
 
     def _write_pool(self, source: str, record: QuestionRecord, build) -> None:
+        """Write the pool ``build(record, log)`` returns to candidates/ and the
+        rows it logs to calls/."""
         log: list[dict] = []
-        with self.cache.question_scope(record.id):
-            pool = build(record, log)
+        pool = build(record, log)
         write_json_record(self._qpath("candidates", source, record.id), {
-            "question_id": record.id, "pool": pool,
+            "question_id": record.id,
+            "pool": [_to_row(pair) for pair in pool],
         })
         atomic_write_text(
             self._qpath("calls", source, record.id, ext="jsonl"),
@@ -531,20 +539,7 @@ class Pipeline:
         path = self._qpath("candidates", source, qid)
         if not path.exists():
             raise ConfigError(f"no candidate pool for {qid} under {source!r}; run answer first")
-        entries = read_json_record(path)["pool"]
-        return [
-            (
-                rerank.CandidateAnswer(text=e["text"], paragraph_index=int(e["paragraph_index"])),
-                rerank.ScoreBundle(
-                    lp_a_qp=float(e["lp_a_qp"]),
-                    lp_q_ap=float(e["lp_q_ap"]),
-                    lp_a_p=float(e["lp_a_p"]),
-                    lp_q_p=float(e["lp_q_p"]),
-                    lp_prior=float(e["lp_prior"]),
-                ),
-            )
-            for e in entries
-        ]
+        return [_from_row(row) for row in read_json_record(path)["pool"]]
 
     def _reward_fn(self, record: QuestionRecord):
         if record.task == GENERATION:

@@ -16,7 +16,10 @@ text between two tags on its own.  These are the rules of the
 that parser, so the result no longer depends on the interpreter's
 ``html.parser``.  The one departure: a ``<![`` section with an unknown
 keyword, on which ``html.parser`` raised ``AssertionError``, is dropped up
-to its first ``>``.
+to its first ``>``.  Past the page's last ``>`` no markup can close, so there
+each ``<`` reads as text up to the next ``<`` without a search for its close;
+before it, a comment or marked-section close that one search found missing
+is not searched for again.
 """
 from __future__ import annotations
 
@@ -97,6 +100,8 @@ _LOCATE_START_TAG_END = re.compile(r"""
         (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?
     \s*""", re.VERBOSE)
 _TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_TAG_NAME_END = re.compile(r"[\t\n\r\f />\x00]")
+_ATTRIBUTE_MAY_START = re.compile(r"""(?<=['"\s/])""")  # _ATTRIBUTE's lookbehind
 _ATTRIBUTE = re.compile(
     r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
 # where html.parser's located start tag stops short of ">" because it is unfinished
@@ -121,13 +126,9 @@ class _Markup(NamedTuple):
 
 
 def _incomplete(html: str, i: int) -> _Markup:
-    """Unfinished markup at ``i`` reads as text up to its first ``>``, else
-    up to the next ``<``, else the ``<`` alone."""
+    """Unfinished markup at ``i`` reads as text up to its first ``>``, which
+    :func:`extract_text` makes sure follows it."""
     end = html.find(">", i + 1) + 1
-    if not end:
-        end = html.find("<", i + 1)
-        if end < 0:
-            end = i + 1
     return _Markup(end, text=unescape(html[i:end]))
 
 
@@ -159,19 +160,31 @@ def _start_tag(html: str, i: int) -> _Markup:
     return _Markup(end, text=html[i:end])  # kept as text, character references and all
 
 
-def _markup(html: str, i: int) -> _Markup:
-    """The markup at ``html[i] == "<"`` that :data:`_TAG` does not match."""
+def _close(pattern: re.Pattern, html: str, i: int, unclosed: set[re.Pattern]) -> re.Match | None:
+    """``pattern.search(html, i)``; a pattern in ``unclosed`` was found nowhere
+    past an earlier ``i``, so it is not searched for again."""
+    if pattern in unclosed:
+        return None
+    close = pattern.search(html, i)
+    if close is None:
+        unclosed.add(pattern)
+    return close
+
+
+def _markup(html: str, i: int, unclosed: set[re.Pattern]) -> _Markup:
+    """The markup at ``html[i] == "<"`` that :data:`_TAG` does not match;
+    ``unclosed`` holds the close patterns already found missing on the page."""
     after = html[i + 1:i + 2]
     if after.isascii() and after.isalpha():
         return _start_tag(html, i)
     if html.startswith("<!--", i):
-        close = _COMMENT_END.search(html, i + 4)
+        close = _close(_COMMENT_END, html, i + 4, unclosed)
         return _Markup(close.end()) if close else _incomplete(html, i)
     if html.startswith("<![", i):
         name = _SECTION_NAME.match(html, i + 3)
         section_end = name and _SECTION_END.get(name.group().lower())
         if section_end:
-            close = section_end.search(html, i + 3)
+            close = _close(section_end, html, i + 3, unclosed)
             return _Markup(close.end()) if close else _incomplete(html, i)
         # html.parser raises AssertionError here; this reads it as a bogus comment
     if after in ("/", "!", "?"):
@@ -183,6 +196,35 @@ def _markup(html: str, i: int) -> _Markup:
     return _Markup(i + 1, text="<")
 
 
+def _unclosed_text(html: str, i: int) -> str:
+    """The text of ``html[i:]``, which starts with ``<`` and holds no ``>``.
+
+    No markup can close there, so each ``<`` reads as text up to the next,
+    character references unescaped, but for one rule of html.parser's: a tag
+    name that a NUL ends is kept as it is, unless an attribute may start at
+    the NUL, as it may after a quote or whitespace.
+    """
+    pieces: list[str] = []
+    n = len(html)
+    name_end = i  # where the tag name found last ends
+    while i < n:
+        after = html[i + 1:i + 2]
+        if html[i] == "<" and after.isascii() and after.isalpha():
+            if name_end <= i:
+                delimiter = _TAG_NAME_END.search(html, i + 1)
+                name_end = delimiter.start() if delimiter else n
+            if html.startswith("\x00", name_end) and not _ATTRIBUTE_MAY_START.match(html, name_end):
+                pieces.append(html[i:name_end])
+                i = name_end
+                continue
+        end = html.find("<", i + 1)
+        if end < 0:
+            end = n
+        pieces.append(unescape(html[i:end]))
+        i = end
+    return "".join(pieces)
+
+
 def extract_text(html: str) -> str:
     """Visible text of an HTML page: one line per block, whitespace collapsed;
     the module docstring gives the rules."""
@@ -191,6 +233,8 @@ def extract_text(html: str) -> str:
     depth = 0  # open skip tags
     n = len(html)
     pos = 0
+    last_gt = html.rfind(">")  # past it no markup can close
+    unclosed: set[re.Pattern] = set()
     while pos < n:
         lt = html.find("<", pos)
         if lt < 0:
@@ -200,12 +244,16 @@ def extract_text(html: str) -> str:
             emit(unescape(run) if "&" in run else run)
         if lt == n:
             break
+        if lt > last_gt:
+            if not depth:  # no end tag can close a skipped region here
+                emit(_unclosed_text(html, lt))
+            break
         match = _TAG.match(html, lt)
         if match is not None:
             pos = match.end()
             start, slash, end = match.groups()
         else:
-            pos, start, slash, end, text = _markup(html, lt)
+            pos, start, slash, end, text = _markup(html, lt, unclosed)
             if text is not None:
                 if not depth:
                     emit(text)

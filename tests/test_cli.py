@@ -364,6 +364,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("body", [
         b"{}", b'{"name": "m", "param_count": "7", "context_tokens": 2048, "can_score": true}',
+        b'{"name": "m", "param_count": 7, "context_tokens": 0, "can_score": true}',
     ])
     def test_malformed_model_description_is_1_and_never_stored(
             self, tmp_path, qa_dataset_path, banks_dir, serve, capsys, body):

@@ -447,6 +447,7 @@ class TestHTTPBackend:
         (_model_with("name", 7), "name 7, not a string"),
         (_model_with("param_count", "7"), "param_count '7', not a non-negative integer"),
         (_model_with("context_tokens", 1.5), "context_tokens 1.5, not a non-negative integer"),
+        (_model_with("context_tokens", 0), "context_tokens 0, not a positive integer"),
         (_model_with("can_score", "false"), "can_score 'false', not true or false"),
     ])
     def test_malformed_model_description_is_a_value_error_and_never_cached(

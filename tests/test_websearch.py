@@ -154,6 +154,16 @@ class TestExtractText:
     def test_pinned_rules(self, html, text):
         assert extract_text(html) == text
 
+    @pytest.mark.parametrize("html", ["<a x " * 20_000, "<!-- " * 20_000, "<!--x>" * 20_000],
+                             ids=["start-tag", "comment", "comment-before-gt"])
+    def test_unfinished_markup_is_read_in_linear_time(self, html):
+        # 100 KB of markup that never closes; searching to the end of the page
+        # for the close of each took seconds to minutes on this much
+        started = time.perf_counter()
+        text = extract_text(html)
+        assert time.perf_counter() - started < 2
+        assert text == " ".join(html.split())
+
     @pytest.mark.parametrize("html", ["a<![foo[x]]>b", "a<![ x>b"])
     def test_unknown_marked_section_reads_as_a_bogus_comment(self, html):
         # html.parser raised AssertionError on these
