@@ -114,9 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="webqa",
         description="Few-shot question answering over web search results.",
     )
+    # every subcommand takes the same flags: build them once and share them
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_arguments(common)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, summary in COMMANDS.items():
-        _add_common_arguments(subparsers.add_parser(command, help=summary))
+        subparsers.add_parser(command, help=summary, parents=[common])
     return parser
 
 
@@ -199,9 +202,10 @@ def make_backend(config: dict) -> CachedBackend:
 
 
 def make_search_client(config: dict):
-    """The run's search client; ``None`` without search evidence, and for an
-    offline run without credentials, whose cache must already hold every search."""
-    if config["evidence"] != "search":
+    """The run's search client; ``None`` without search evidence, and for every
+    offline run, whose cache must already hold each search and page.  Building
+    a client imports the HTTP stack, so an offline run never loads it."""
+    if config["evidence"] != "search" or config["offline"]:
         return None
     endpoint = config["search_endpoint"]
     if endpoint == "google":
@@ -209,8 +213,6 @@ def make_search_client(config: dict):
         cse_id = os.environ.get(GOOGLE_CSE_ID_VAR, "")
         if api_key and cse_id:
             return GoogleCustomSearchClient(api_key, cse_id)
-        if config["offline"]:
-            return None
         raise ConfigError(
             f"search needs {GOOGLE_API_KEY_VAR} and {GOOGLE_CSE_ID_VAR} in the "
             "environment (or --search-endpoint URL, or --offline with a warm cache)"

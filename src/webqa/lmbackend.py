@@ -369,6 +369,9 @@ class HTTPBackend(LMBackend):
         return _tokens(self._request("/v1/count_tokens", {"text": text}), "tokens", "/v1/count_tokens")
 
 
+_REFUSED = "prompt_too_long"  # the key of a cached refusal, which holds its message
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -378,7 +381,10 @@ class CachedBackend(LMBackend):
 
     Each request (operation, ``identity`` and arguments) is hashed into the
     cache key, and only the response is stored: a completion or score with
-    its token counts, a token count or the model descriptor.  A prompt or
+    its token counts, a token count or the model descriptor.  A sample or
+    score whose prompt the backend refused as too long is stored as that
+    refusal and raises :class:`PromptTooLong` again on each read, so an
+    offline replay fits the prompt as the run that drew it did.  A prompt or
     counted text enters the key as the SHA-256 of its UTF-8 bytes, so a
     lookup never JSON-encodes a whole prompt.  Samples and scores are keyed
     as ``sample_with_tokens`` and ``score_with_tokens``: entries stored
@@ -395,27 +401,43 @@ class CachedBackend(LMBackend):
         self.identity = identity if identity is not None else type(inner).__name__
 
     def describe(self) -> BackendDescriptor:
+        def fetch():
+            response = self.inner.describe().to_json()
+            BackendDescriptor.from_json(response)  # a description that cannot be read is never stored
+            return response
+
         request = {"op": "describe", "backend": self.identity}
-        response = self.cache.get_or_fetch("lm", request, lambda: self.inner.describe().to_json())
-        return BackendDescriptor.from_json(response)
+        return BackendDescriptor.from_json(self.cache.get_or_fetch("lm", request, fetch))
+
+    def _refusable(self, request: dict, fetch):
+        """The response to ``request``, whose refusal as too long is cached
+        like an answer and raised as :class:`PromptTooLong` on each read."""
+        def fetch_or_refusal():
+            try:
+                return fetch()
+            except PromptTooLong as exc:
+                return {_REFUSED: str(exc)}
+
+        response = self.cache.get_or_fetch("lm", request, fetch_or_refusal)
+        if isinstance(response, dict) and _REFUSED in response:
+            raise PromptTooLong(response[_REFUSED])
+        return response
 
     def sample(self, prompt: str, params: GenerationParams, seed: int) -> Completion:
         request = {
             "op": "sample_with_tokens", "backend": self.identity,
             "prompt_sha256": _sha256(prompt), "params": params.to_json(), "seed": seed,
         }
-        response = self.cache.get_or_fetch(
-            "lm", request, lambda: self.inner.sample(prompt, params, seed).to_json())
-        return Completion.from_json(response)
+        return Completion.from_json(
+            self._refusable(request, lambda: self.inner.sample(prompt, params, seed).to_json()))
 
     def score(self, prompt: str, continuation: str) -> Score:
         request = {
             "op": "score_with_tokens", "backend": self.identity,
             "prompt_sha256": _sha256(prompt), "continuation": continuation,
         }
-        response = self.cache.get_or_fetch(
-            "lm", request, lambda: self.inner.score(prompt, continuation).to_json())
-        return Score.from_json(response)
+        return Score.from_json(
+            self._refusable(request, lambda: self.inner.score(prompt, continuation).to_json()))
 
     def count_tokens(self, text: str) -> int:
         request = {"op": "count_tokens", "backend": self.identity, "text_sha256": _sha256(text)}

@@ -3,15 +3,24 @@
 One policy for every call: connection errors, broken responses (a truncated
 body, a bad status line) and 5xx statuses are retried with backoff; other
 statuses go back to the caller.  The last failure raises :class:`NetError`.
+
+Importing this module loads only its light parts: the errors, :func:`quote_url`
+and the retry policy.  The HTTP stack (``urllib.request``, ``http.client`` and
+through them ``socket``, ``ssl`` and ``email``) is imported by
+:func:`import_http_stack`, which a client that can go online calls when it is
+built, so the import falls in a run's setup; :func:`request` imports it too,
+on the first request of a client that did not.  An offline run builds no such
+client and sends no request, so it never loads the stack.
 """
 from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
-from http.client import HTTPException, HTTPMessage
+from typing import TYPE_CHECKING
 from urllib.parse import quote, urlsplit
+
+if TYPE_CHECKING:
+    from http.client import HTTPMessage
 
 ATTEMPTS = 3
 BACKOFF_SECONDS = 0.5  # first sleep between attempts; doubles after each retry
@@ -39,8 +48,19 @@ def quote_url(url: str) -> str:
     return parts._replace(path=quote(parts.path, _URL_SAFE), query=quote(parts.query, _URL_SAFE)).geturl()
 
 
+def import_http_stack() -> None:
+    """Import the modules :func:`request` sends with, if not yet loaded."""
+    import http.client  # noqa: F401
+    import urllib.error  # noqa: F401
+    import urllib.request  # noqa: F401
+
+
 def request(url: str, payload=None, timeout: float = WEB_TIMEOUT_SECONDS) -> tuple[int, HTTPMessage, bytes]:
     """GET ``url``, or POST ``payload`` as JSON; returns (status, headers, body)."""
+    import urllib.error
+    import urllib.request
+    from http.client import HTTPException
+
     data = None if payload is None else json.dumps(payload).encode("utf-8")
     req = urllib.request.Request(quote_url(url), data, {"Content-Type": "application/json"} if data else {})
     error = None

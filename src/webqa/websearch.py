@@ -288,6 +288,7 @@ class GoogleCustomSearchClient:
             raise SearchError("search needs both an API key and an engine id")
         self.api_key = api_key
         self.cse_id = cse_id
+        net.import_http_stack()  # in the run's setup, not in its first search
 
     def search(self, query: str, num: int) -> list[SearchResult]:
         results: list[SearchResult] = []
@@ -316,6 +317,7 @@ class FixtureSearchClient:
 
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
+        net.import_http_stack()  # in the run's setup, not in its first search
 
     def search(self, query: str, num: int) -> list[SearchResult]:
         status, _, body = net.request(f"{self.base_url}/search?" + urlencode({"q": query, "num": num}))

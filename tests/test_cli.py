@@ -246,6 +246,13 @@ class TestMakeSearchClient:
         assert isinstance(cli.make_search_client(config),
                           GoogleCustomSearchClient)
 
+    @pytest.mark.parametrize("endpoint", ["google", "http://127.0.0.1:8123"])
+    def test_none_offline(self, monkeypatch, endpoint):
+        monkeypatch.setenv(cli.GOOGLE_API_KEY_VAR, "k")
+        monkeypatch.setenv(cli.GOOGLE_CSE_ID_VAR, "c")
+        config = cli.effective_config(_args(*BASE, "--search-endpoint", endpoint, "--offline"))
+        assert cli.make_search_client(config) is None
+
     def test_offline_google_needs_a_warm_cache_not_credentials(
             self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, capsys):
         """An offline run with the default endpoint and no credentials replays a
@@ -658,7 +665,9 @@ class TestHTTPBackendRun:
             self, tmp_path, fixtures_dir, banks_dir, serve, dataset):
         """A server with a 60-token context answers 413 to each request that
         overflows it; the run fits those prompts, sends them again, and writes
-        what ``--backend mock`` writes at ``--context-tokens 60``."""
+        what ``--backend mock`` writes at ``--context-tokens 60``.  The
+        refusals are cached, so an ``--offline`` re-run fits the same prompts
+        from the cache alone and leaves the workdir as it was."""
         posts = []
         url = self._small_context_server(serve, MockBackend(context_tokens=60), posts)
         small_context = ("--context-tokens", "60", "--max-new-tokens", "8")
@@ -674,6 +683,12 @@ class TestHTTPBackendRun:
         mock = self._artifacts(tmp_path / "mock")
         assert "predictions/gold_poe.json" in mock
         assert self._artifacts(tmp_path / "http") == mock
+
+        written, sent = _files(tmp_path / "http"), len(posts)
+        assert cli.main(self._gold_flags(dataset_path, tmp_path / "http", banks_dir, url,
+                                         *small_context, "--offline")) == 0
+        assert len(posts) == sent
+        assert _files(tmp_path / "http") == written
 
     def test_prompt_still_refused_after_fitting_fails_its_question(
             self, tmp_path, qa_dataset_path, banks_dir, serve, capsys):
@@ -694,15 +709,52 @@ class TestHTTPBackendRun:
         assert "10/10 questions failed" in capsys.readouterr().err
 
 
+def _fresh_python(code: str):
+    """Run ``code`` in a fresh interpreter with this ``webqa`` on its path,
+    after ``import json, sys``; returns its last line of output as JSON."""
+    src = str(pathlib.Path(webqa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def test_cli_imports_only_the_standard_library():
     """``import webqa.cli`` loads no third-party module.  Modules already
     loaded at start-up (site hooks may preload some) do not count."""
-    code = ("import json, sys; before = set(sys.modules); import webqa.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
-    src = str(pathlib.Path(webqa.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    added = {name.split(".")[0] for name in json.loads(out)}
+    added = {name.split(".")[0] for name in _fresh_python(
+        "before = set(sys.modules); import webqa.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))")}
     assert "webqa" in added
     assert added - set(sys.stdlib_module_names) - {"webqa"} == set()
+
+
+_HTTP_STACK = ("socket", "ssl", "http.client", "urllib.request", "email.parser")
+
+
+def test_offline_run_never_loads_the_http_stack(tmp_path, qa_dataset_path, banks_dir, web_root):
+    """An ``--offline`` replay of a search-evidence run builds no search
+    client, sends nothing, and so never imports the modules that could."""
+    flags = ["run", "--dataset", str(qa_dataset_path), "--workdir", str(tmp_path / "w"),
+             "--banks-dir", str(banks_dir), "--top-urls", "3", "--paragraphs", "2",
+             "--samples-per-paragraph", "2", "--closed-book-samples", "4",
+             "--max-new-tokens", "16", "--cost-points", "0,1"]
+    with FixtureServer(web_root) as server:
+        flags += ["--search-endpoint", server.base_url]
+        assert cli.main(flags) == 0
+    got = _fresh_python(f"from webqa import cli\nrc = cli.main({flags + ['--offline']!r})\n"
+                        f"print(json.dumps([rc, [m for m in {_HTTP_STACK!r} if m in sys.modules]]))")
+    assert got == [0, []]
+
+
+def test_online_search_client_loads_the_http_stack_in_setup(tmp_path, qa_dataset_path):
+    """A run that can search imports the HTTP stack while its pipeline is
+    built, so the import counts as setup, not as its first search."""
+    flags = ["run", "--dataset", str(qa_dataset_path), "--workdir", str(tmp_path / "w"),
+             "--search-endpoint", "http://127.0.0.1:8123"]
+    got = _fresh_python("from webqa import cli\n"
+                        f"config = cli.effective_config(cli.build_parser().parse_args({flags!r}))\n"
+                        "before = 'http.client' in sys.modules\n"
+                        "cli.make_pipeline(config)\n"
+                        "print(json.dumps([before, 'http.client' in sys.modules]))")
+    assert got == [False, True]

@@ -293,6 +293,13 @@ class TestCachedBackend:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
+    def test_description_that_cannot_be_read_is_never_stored(self, tmp_path):
+        with pytest.raises(ValueError, match="^/v1/model returned context_tokens 0"):
+            CachedBackend(MockBackend(context_tokens=0), RequestCache(tmp_path)).describe()
+        assert not (tmp_path / "lm" / "shared").exists()
+        same_identity = CachedBackend(MockBackend(), RequestCache(tmp_path))
+        assert same_identity.describe() == MockBackend().describe()
+
     def test_count_tokens_cached(self, tmp_path):
         inner = MockBackend()
         cached = CachedBackend(inner, RequestCache(tmp_path))
@@ -468,16 +475,20 @@ class TestHTTPBackend:
         }[route]()
         assert got == _GOOD_BODIES[route]
 
-    def test_413_is_prompt_too_long_and_never_cached(self, serve, tmp_path, no_backoff):
+    def test_413_is_prompt_too_long_and_cached_as_a_refusal(self, serve, tmp_path, no_backoff):
+        """A 413 is not retried; its refusal is stored, so the same request
+        raises the same :class:`PromptTooLong` again, also offline, unsent."""
         posts = []
-        cached = CachedBackend(HTTPBackend(serve(_answering(413, b"too long", posts))),
-                               RequestCache(tmp_path))
-        with pytest.raises(PromptTooLong, match="^/v1/score refused the prompt"):
-            cached.score(self.PROMPT, " Aurora Falls")
-        with pytest.raises(PromptTooLong, match="^/v1/complete refused the prompt"):
-            cached.sample(self.PROMPT, GenerationParams(), 7)
-        assert posts == ["/v1/score", "/v1/complete"]  # a 413 is not retried
-        assert list(tmp_path.iterdir()) == []
+        url = serve(_answering(413, b"too long", posts))
+        requests = {"/v1/score": lambda backend: backend.score(self.PROMPT, " Aurora Falls"),
+                    "/v1/complete": lambda backend: backend.sample(self.PROMPT, GenerationParams(), 7)}
+        for cache in (RequestCache(tmp_path), RequestCache(tmp_path), RequestCache(tmp_path, offline=True)):
+            cached = CachedBackend(HTTPBackend(url), cache)
+            for route, send in requests.items():
+                with pytest.raises(PromptTooLong, match=f"^{route} refused the prompt as longer"):
+                    send(cached)
+        assert posts == ["/v1/score", "/v1/complete"]
+        assert len(list((tmp_path / "lm" / "shared").iterdir())) == 2
 
     def test_fixture_server_answers_413_past_the_mock_context(self, server):
         http = HTTPBackend(server.base_url)
