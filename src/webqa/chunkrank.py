@@ -7,13 +7,14 @@ double as the retrieval prior over the retained paragraphs.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import operator
 import re
 import string
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from .numeric import left_sum
@@ -151,6 +152,18 @@ def _cosine(question: dict[str, float], question_norm: float, counts: Counter,
     return dot / (question_norm * paragraph_norm)
 
 
+def _count_terms(texts: Iterable[str]) -> list[Counter]:
+    """One term ``Counter`` per text, keys in first-occurrence order.  Each
+    token is counted as the first equal string seen in any text, so the
+    strings that tokenizing a text made are freed as soon as it is counted."""
+    terms: dict[str, str] = {}
+    all_counts = []
+    for text in texts:
+        tokens = tokenize(text)
+        all_counts.append(Counter(map(terms.setdefault, tokens, tokens)))
+    return all_counts
+
+
 def rank_paragraphs(
     question: str,
     paragraphs: list[EvidenceParagraph],
@@ -165,13 +178,16 @@ def rank_paragraphs(
     the cosines clipped at zero and normalized to sum to 1 over the returned
     list.  If no paragraph shares vocabulary with the question the priors
     fall back to uniform and a warning is logged.
+
+    The question's and every paragraph's term counts are held at once, keyed
+    by one string per distinct term of the whole pool, so the strings kept
+    grow with the pool's vocabulary, not with each paragraph's own copies.
     """
     if not paragraphs:
         raise ValueError("rank_paragraphs needs a non-empty paragraph list")
-    question_counts = Counter(tokenize(question))
-    paragraph_counts = [Counter(tokenize(p.text)) for p in paragraphs]
+    all_counts = _count_terms(itertools.chain((question,), (p.text for p in paragraphs)))
+    question_counts, paragraph_counts = all_counts[0], all_counts[1:]
 
-    all_counts = [question_counts] + paragraph_counts
     n_docs = len(all_counts)
     df = Counter()
     for counts in all_counts:

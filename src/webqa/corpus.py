@@ -235,7 +235,10 @@ def parse_prompt_bank(text: str, where: str = "<string>") -> PromptBank:
             )
         examples.append(FewShotExample(**{name: "\n".join(lines) for name, lines in fields.items()}))
 
-    declared_k = int(header["k"])
+    try:
+        declared_k = int(header["k"])
+    except ValueError:
+        raise CorpusError(f"{path}: header k {header['k']!r} is not an integer") from None
     if declared_k != len(examples):
         raise CorpusError(f"{path}: header declares k={declared_k} but found {len(examples)} examples")
     return PromptBank(dataset_id=header["dataset_id"], kind=kind, examples=tuple(examples))

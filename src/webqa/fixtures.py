@@ -92,7 +92,7 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             return
         relative = parsed.path.lstrip("/")
         target = (self.root / relative).resolve()
-        if not str(target).startswith(str(self.root.resolve())) or not target.is_file():
+        if not target.is_relative_to(self.root.resolve()) or not target.is_file():
             self._send(404, "text/plain; charset=utf-8", b"not found")
             return
         content_type = _CONTENT_TYPES.get(target.suffix.lower(), "application/octet-stream")

@@ -79,6 +79,8 @@ EVIDENCE_MODES = (SEARCH, GOLD, CLOSED)
 
 DEFAULT_COST_POINTS = (0, 1, 5, 10, 20, 50)
 CLOSED_PARAGRAPH_INDEX = -1
+# the prompt banks an open-book pool renders, in the order _open_pool_for unpacks them
+OPEN_BANK_KINDS = ("qa", "q_given_ap", "q_given_p", "a_given_p")
 # closed-book pools carry only lp_a_qp, so they are always ranked by it
 CLOSED_RERANK = rerank.RerankConfig(scorer=rerank.ANSWER_PROB)
 
@@ -131,7 +133,8 @@ class PipelineConfig:
     stop: tuple[str, ...] = setting(DEFAULT_STOP, flag=None)
     heldout_fraction: float = setting(0.1, "share of questions held out for weight tuning")
     seed: int = setting(0, "base seed for sampling and splits")
-    max_workers: int = setting(8, "questions processed concurrently")
+    max_workers: int = setting(8, "questions processed concurrently; 1 runs each pass on the "
+                                  "calling thread and starts no thread")
     cost_points: tuple[int, ...] = setting(
         DEFAULT_COST_POINTS,
         "comma-separated paragraph counts for the cost sweep; counts above --paragraphs are left out")
@@ -272,8 +275,10 @@ class Pipeline:
         return [r for r in records if r.id not in self.failed]
 
     def _map_questions(self, records: list[QuestionRecord], worker, stage: str) -> None:
-        """``worker(record)`` for every record on the thread pool, each inside its
-        question's cache scope, so a question's requests land in its own packs."""
+        """``worker(record)`` for every record, each inside its question's cache
+        scope, so a question's requests land in its own packs.  With one worker
+        the records run in order on the calling thread, so no pool thread (and
+        no malloc arena of its own) is started; otherwise on a thread pool."""
         # only I/O (net.NetError is an OSError), bad input (ConfigError, CorpusError,
         # PromptBudgetError, bad JSON) and search errors fail one question; bugs propagate
         def guarded(record):
@@ -285,11 +290,11 @@ class Pipeline:
                 return record.id, f"{stage}: {exc}"
             return None
 
+        if self.config.max_workers == 1:
+            self.failed.update(filter(None, map(guarded, records)))
+            return
         with ThreadPoolExecutor(max_workers=self.config.max_workers) as pool:
-            for outcome in pool.map(guarded, records):
-                if outcome is not None:
-                    qid, message = outcome
-                    self.failed[qid] = message
+            self.failed.update(filter(None, pool.map(guarded, records)))
 
     def check_failures(self) -> None:
         """Write ``failures.json``, then raise :class:`PartialFailure` above 10%."""
@@ -446,14 +451,12 @@ class Pipeline:
 
     # --- answer (candidate generation and scoring) --------------------------
 
-    def _open_pool_for(self, record: QuestionRecord, log: list) -> rerank.Pool:
+    def _open_pool_for(self, record: QuestionRecord, log: list,
+                       banks: tuple[PromptBank, ...]) -> rerank.Pool:
         """Sample candidates per paragraph and attach all rerank scores."""
         paragraphs = self.load_paragraphs(record.id)
         question = record.question
-        qa_bank = self.bank("qa")
-        q_ap_bank = self.bank("q_given_ap")
-        q_p_bank = self.bank("q_given_p")
-        a_p_bank = self.bank("a_given_p")
+        qa_bank, q_ap_bank, q_p_bank, a_p_bank = banks
         q_cont = " " + question
         pool: rerank.Pool = []
         for i, para in enumerate(paragraphs):
@@ -489,9 +492,10 @@ class Pipeline:
                     lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"]))))
         return pool
 
-    def _closed_pool_for(self, record: QuestionRecord, log: list) -> rerank.Pool:
+    def _closed_pool_for(self, record: QuestionRecord, log: list,
+                         qa_bank: PromptBank) -> rerank.Pool:
         """Closed-book pairs; they score only lp_a_qp, so the other four are 0."""
-        prompt = render_closed_book_prompt(self.bank("qa"), record.question)
+        prompt = render_closed_book_prompt(qa_bank, record.question)
         candidates = self._candidates(
             record, log, "closed", None, prompt,
             self.config.closed_book_samples,
@@ -518,18 +522,23 @@ class Pipeline:
         """Open-book candidate pools for the configured evidence mode."""
         if self.config.evidence == CLOSED:
             return
+        # banks load before the first question, so one that cannot be used stops
+        # the run here instead of failing every question
+        build = functools.partial(
+            self._open_pool_for, banks=tuple(map(self.bank, OPEN_BANK_KINDS)))
         source = self.config.evidence
         self._map_questions(
             self._active(self.records),
-            lambda record: self._write_pool(source, record, self._open_pool_for),
+            lambda record: self._write_pool(source, record, build),
             "answer",
         )
 
     def stage_closed(self) -> None:
         """Closed-book pools; also the zero-paragraph row of the cost sweep."""
+        build = functools.partial(self._closed_pool_for, qa_bank=self.bank("qa"))
         self._map_questions(
             self._active(self.records),
-            lambda record: self._write_pool(CLOSED, record, self._closed_pool_for),
+            lambda record: self._write_pool(CLOSED, record, build),
             "closed",
         )
 

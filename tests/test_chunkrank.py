@@ -2,6 +2,7 @@ import logging
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -246,6 +247,28 @@ class TestRankParagraphs:
         ranked = rank_paragraphs(self.PINNED_QUESTION, paras, n=len(paras))
         assert [(r.paragraph.ordinal, r.cosine.hex(), r.prior.hex()) for r in ranked] == \
             self.PINNED_RANKING
+
+    def test_equal_terms_share_one_string(self, monkeypatch):
+        """The counts ranked hold one string object per distinct term, and
+        each keeps the counts and first-occurrence order of its own text."""
+        texts = [self.PINNED_QUESTION, *self.PINNED_PARAS]
+        ranked_counts = []
+        cosine = chunkrank._cosine
+
+        def recording_cosine(question, question_norm, counts, idf):
+            ranked_counts.append(counts)
+            return cosine(question, question_norm, counts, idf)
+
+        monkeypatch.setattr(chunkrank, "_cosine", recording_cosine)
+        rank_paragraphs(self.PINNED_QUESTION, [_p(t, i) for i, t in enumerate(self.PINNED_PARAS)])
+        for counts_of in (chunkrank._count_terms(texts)[1:], ranked_counts):
+            assert [list(c.items()) for c in counts_of] == \
+                [list(Counter(tokenize(t)).items()) for t in self.PINNED_PARAS]
+            keys = {}
+            for counts in counts_of:
+                for term in counts:
+                    assert keys.setdefault(term, term) is term
+            assert sum("bridge" in counts for counts in counts_of) == 4
 
 
 def test_tokenize_lowercases_alphanumerics():

@@ -357,6 +357,29 @@ class TestMainExitCodes:
         assert rc == 3
         assert "offline cache miss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("evidence, bank, edit, message", [
+        ("gold", "fixtureqa_q_given_p.txt", lambda text: text,
+         "bank for 'q_given_p' declares kind 'qa'"),
+        ("closed", "fixtureqa_qa.txt", lambda text: text.replace("k: 3", "k: x"),
+         "fixtureqa_qa.txt: header k 'x' is not an integer"),
+    ], ids=["mislabeled", "bad-k"])
+    def test_unusable_bank_is_1_before_any_pool(self, tmp_path, qa_dataset_path, banks_dir,
+                                                capsys, evidence, bank, edit, message):
+        """A bank that cannot be used stops the run; it does not fail every
+        question one by one."""
+        bad_banks = tmp_path / "banks"
+        bad_banks.mkdir()
+        qa_text = (banks_dir / "fixtureqa_qa.txt").read_text(encoding="utf-8")
+        (bad_banks / "fixtureqa_qa.txt").write_text(qa_text, encoding="utf-8")
+        (bad_banks / bank).write_text(edit(qa_text), encoding="utf-8")
+        workdir = tmp_path / "w"
+        rc = cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                       "--evidence", evidence, "--banks-dir", str(bad_banks)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (workdir / "candidates").exists()
+        assert not (workdir / "failures.json").exists()
+
     def test_unreachable_backend_is_1(self, tmp_path, qa_dataset_path, banks_dir,
                                       no_backoff, capsys):
         rc = cli.main(["run", "--dataset", str(qa_dataset_path),
@@ -496,7 +519,30 @@ class TestFailureTolerance:
 
 
 def _files(root) -> dict:
-    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("dataset", ["fixtureqa", "fixturecls"])
+def test_search_workdir_does_not_depend_on_the_worker_count(tmp_path, fixtures_dir, banks_dir,
+                                                            web_root, dataset):
+    """A search-evidence run gives the same workdir, cache/ included, on the
+    calling thread (one worker) and on a pool of four, and an offline re-run
+    of either changes nothing."""
+    trees = {}
+    with FixtureServer(web_root) as server:
+        for workers in ("1", "4"):
+            workdir = tmp_path / workers
+            flags = ["run", "--dataset", str(fixtures_dir / f"{dataset}.jsonl"),
+                     "--workdir", str(workdir), "--search-endpoint", server.base_url,
+                     "--banks-dir", str(banks_dir), "--max-workers", workers,
+                     "--top-urls", "3", "--paragraphs", "3", "--samples-per-paragraph", "2",
+                     "--closed-book-samples", "4", "--max-new-tokens", "16"]
+            assert cli.main(flags) == 0
+            trees[workers] = _files(workdir)
+            assert cli.main(flags + ["--offline"]) == 0
+            assert _files(workdir) == trees[workers]
+    assert any(name.startswith("cache/search/") for name in trees["1"])
+    assert trees["1"] == trees["4"]
 
 
 class TestHTTPBackendRun:

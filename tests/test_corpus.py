@@ -186,6 +186,8 @@ class TestPromptBank:
     def test_k_mismatch_rejected(self):
         with pytest.raises(CorpusError):
             parse_prompt_bank(BANK_TEXT.replace("k: 2", "k: 3"))
+        with pytest.raises(CorpusError, match="bank.txt: header k 'x'"):
+            parse_prompt_bank(BANK_TEXT.replace("k: 2", "k: x"), "bank.txt")
 
     def test_field_order_enforced(self):
         swapped = BANK_TEXT.replace(

@@ -142,6 +142,52 @@ class TestBanks:
             pipeline.bank("qa")
 
 
+class _ThreadRecordingMock(MockBackend):
+    """MockBackend that records the thread of every sample and score request."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def sample(self, prompt, params, seed):
+        self.threads.add(threading.current_thread())
+        return super().sample(prompt, params, seed)
+
+    def score(self, prompt, continuation):
+        self.threads.add(threading.current_thread())
+        return super().score(prompt, continuation)
+
+
+class TestWorkerThreads:
+    def _run(self, tmp_path, qa_dataset_path, banks_dir, monkeypatch, max_workers):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        inner = _ThreadRecordingMock()
+        config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir),
+                         max_workers=max_workers)
+        Pipeline(config, cached_backend(inner, config.workdir)).run()
+        assert inner.threads
+        return inner.threads, started
+
+    def test_one_worker_runs_on_the_calling_thread(self, tmp_path, qa_dataset_path, banks_dir,
+                                                   monkeypatch):
+        threads, started = self._run(tmp_path, qa_dataset_path, banks_dir, monkeypatch, 1)
+        assert threads == {threading.current_thread()}
+        assert started == []
+
+    def test_more_workers_run_on_pool_threads(self, tmp_path, qa_dataset_path, banks_dir,
+                                              monkeypatch):
+        threads, started = self._run(tmp_path, qa_dataset_path, banks_dir, monkeypatch, 2)
+        assert threading.current_thread() not in threads
+        assert threads <= set(started)
+
+
 class TestGoldRun:
     def test_report_covers_main_split(self, gold_run):
         pipeline, report, _ = gold_run

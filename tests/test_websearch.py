@@ -248,6 +248,17 @@ class TestFixtureServer:
         doc = fetch_page(f"{server.base_url}/pages/nope.html")
         assert doc["status"] == 404
 
+    def test_sibling_directory_is_404(self, tmp_path):
+        """A path that climbs out of the root is refused even when the
+        directory it reaches starts with the root's name."""
+        (tmp_path / "web").mkdir()
+        (tmp_path / "web" / "search.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "web2").mkdir()
+        (tmp_path / "web2" / "secret.html").write_text("<p>secret</p>", encoding="utf-8")
+        with FixtureServer(tmp_path / "web") as server:
+            assert fetch_page(f"{server.base_url}/../web2/secret.html")["status"] == 404
+            assert fetch_page(f"{server.base_url}/search.json")["status"] == 200
+
     def test_non_html_content_yields_empty_body(self, server, web_root_module):
         doc = fetch_page(f"{server.base_url}/search.json")
         assert doc["status"] == 200
