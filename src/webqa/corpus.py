@@ -244,12 +244,18 @@ def parse_prompt_bank(text: str, where: str = "<string>") -> PromptBank:
     return PromptBank(dataset_id=header["dataset_id"], kind=kind, examples=tuple(examples))
 
 
+def bundled_bank_path(dataset_id: str, kind: str) -> str:
+    """Where a bank shipped with the package lives, relative to the package."""
+    return f"assets/prompts/{dataset_id}_{kind}.txt"
+
+
 def load_bundled_bank(dataset_id: str, kind: str) -> PromptBank | None:
     """Load a prompt bank shipped with the package, or None if absent."""
-    asset = resources.files("webqa").joinpath(f"assets/prompts/{dataset_id}_{kind}.txt")
+    where = bundled_bank_path(dataset_id, kind)
+    asset = resources.files("webqa").joinpath(where)
     if not asset.is_file():
         return None
-    return parse_prompt_bank(asset.read_text(encoding="utf-8"), f"assets/prompts/{dataset_id}_{kind}.txt")
+    return parse_prompt_bank(asset.read_text(encoding="utf-8"), where)
 
 
 def derive_scorer_bank(qa_bank: PromptBank, kind: str) -> PromptBank:

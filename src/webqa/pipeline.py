@@ -41,6 +41,7 @@ from .corpus import (
     GENERATION,
     PromptBank,
     QuestionRecord,
+    bundled_bank_path,
     derive_scorer_bank,
     load_bundled_bank,
     load_dataset,
@@ -89,6 +90,16 @@ _Response = TypeVar("_Response")  # a backend's Score or Completion
 
 class ConfigError(ValueError):
     """Bad run configuration: unusable dataset, flags, or banks."""
+
+
+# only I/O (net.NetError is an OSError), bad input (ConfigError, CorpusError,
+# PromptBudgetError, bad JSON) and search errors fail one question; bugs propagate
+_QUESTION_ERRORS = (OSError, ValueError, websearch.SearchError)
+
+
+class _PassFailed(Exception):
+    """``(stage, error)``: a question error in ``stage``, a later pass of a
+    worker that runs several."""
 
 
 class PartialFailure(RuntimeError):
@@ -242,10 +253,11 @@ class Pipeline:
         dataset_id = self.config.dataset_id
         bank = None
         if self.config.banks_dir:
-            path = Path(self.config.banks_dir) / f"{dataset_id}_{kind}.txt"
-            if path.is_file():
-                bank = load_prompt_bank(path)
+            where = Path(self.config.banks_dir) / f"{dataset_id}_{kind}.txt"
+            if where.is_file():
+                bank = load_prompt_bank(where)
         if bank is None:
+            where = bundled_bank_path(dataset_id, kind)
             bank = load_bundled_bank(dataset_id, kind)
         if bank is None:
             if kind == "qa":
@@ -255,7 +267,7 @@ class Pipeline:
                 )
             bank = derive_scorer_bank(self.bank("qa"), kind)
         if bank.kind != kind:
-            raise ConfigError(f"bank for {kind!r} declares kind {bank.kind!r}")
+            raise ConfigError(f"{where}: bank for {kind!r} declares kind {bank.kind!r}")
         self._banks[kind] = bank
         return bank
 
@@ -278,17 +290,21 @@ class Pipeline:
         """``worker(record)`` for every record, each inside its question's cache
         scope, so a question's requests land in its own packs.  With one worker
         the records run in order on the calling thread, so no pool thread (and
-        no malloc arena of its own) is started; otherwise on a thread pool."""
-        # only I/O (net.NetError is an OSError), bad input (ConfigError, CorpusError,
-        # PromptBudgetError, bad JSON) and search errors fail one question; bugs propagate
+        no malloc arena of its own) is started; otherwise on a thread pool.  A
+        question error fails its record under ``stage``, or under the stage a
+        :class:`_PassFailed` names."""
         def guarded(record):
             try:
                 with self.cache.question_scope(record.id):
                     worker(record)
-            except (OSError, ValueError, websearch.SearchError) as exc:
-                logger.warning("%s failed for %s: %s", stage, record.id, exc)
-                return record.id, f"{stage}: {exc}"
-            return None
+            except _PassFailed as exc:
+                failed_stage, error = exc.args
+            except _QUESTION_ERRORS as exc:
+                failed_stage, error = stage, exc
+            else:
+                return None
+            logger.warning("%s failed for %s: %s", failed_stage, record.id, error)
+            return record.id, f"{failed_stage}: {error}"
 
         if self.config.max_workers == 1:
             self.failed.update(filter(None, map(guarded, records)))
@@ -519,22 +535,34 @@ class Pipeline:
         )
 
     def stage_answer(self) -> None:
-        """Open-book candidate pools for the configured evidence mode."""
+        """Candidate pools for open evidence: each question's open-book pool,
+        then its closed-book pool, in one pass and one cache scope, so a
+        question's LM requests land in one pack and a replay reads it once.  A
+        failure of the closed-book half is a ``closed`` failure."""
         if self.config.evidence == CLOSED:
             return
         # banks load before the first question, so one that cannot be used stops
         # the run here instead of failing every question
-        build = functools.partial(
+        open_build = functools.partial(
             self._open_pool_for, banks=tuple(map(self.bank, OPEN_BANK_KINDS)))
+        closed_build = functools.partial(self._closed_pool_for, qa_bank=self.bank("qa"))
         source = self.config.evidence
-        self._map_questions(
-            self._active(self.records),
-            lambda record: self._write_pool(source, record, build),
-            "answer",
-        )
+
+        def worker(record: QuestionRecord) -> None:
+            self._write_pool(source, record, open_build)
+            try:
+                self._write_pool(CLOSED, record, closed_build)
+            except _QUESTION_ERRORS as exc:
+                raise _PassFailed("closed", exc) from exc
+
+        self._map_questions(self._active(self.records), worker, "answer")
 
     def stage_closed(self) -> None:
-        """Closed-book pools; also the zero-paragraph row of the cost sweep."""
+        """Closed-book pools under closed evidence, where no open-book pass runs
+        (other modes build them in :meth:`stage_answer`); also the
+        zero-paragraph row of the cost sweep."""
+        if self.config.evidence != CLOSED:
+            return
         build = functools.partial(self._closed_pool_for, qa_bank=self.bank("qa"))
         self._map_questions(
             self._active(self.records),

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -361,12 +362,12 @@ class TestMainExitCodes:
         ("gold", "fixtureqa_q_given_p.txt", lambda text: text,
          "bank for 'q_given_p' declares kind 'qa'"),
         ("closed", "fixtureqa_qa.txt", lambda text: text.replace("k: 3", "k: x"),
-         "fixtureqa_qa.txt: header k 'x' is not an integer"),
+         "header k 'x' is not an integer"),
     ], ids=["mislabeled", "bad-k"])
     def test_unusable_bank_is_1_before_any_pool(self, tmp_path, qa_dataset_path, banks_dir,
                                                 capsys, evidence, bank, edit, message):
-        """A bank that cannot be used stops the run; it does not fail every
-        question one by one."""
+        """A bank that cannot be used stops the run, naming the file it read; it
+        does not fail every question one by one."""
         bad_banks = tmp_path / "banks"
         bad_banks.mkdir()
         qa_text = (banks_dir / "fixtureqa_qa.txt").read_text(encoding="utf-8")
@@ -376,7 +377,7 @@ class TestMainExitCodes:
         rc = cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
                        "--evidence", evidence, "--banks-dir", str(bad_banks)])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert f"error: {bad_banks / bank}: {message}" in capsys.readouterr().err
         assert not (workdir / "candidates").exists()
         assert not (workdir / "failures.json").exists()
 
@@ -543,6 +544,61 @@ def test_search_workdir_does_not_depend_on_the_worker_count(tmp_path, fixtures_d
             assert _files(workdir) == trees[workers]
     assert any(name.startswith("cache/search/") for name in trees["1"])
     assert trees["1"] == trees["4"]
+
+
+def _lm_question_dirs(workdir, dataset_path) -> list[pathlib.Path]:
+    """The LM pack directory of every question, after checking that the LM
+    cache holds those and the shared one only."""
+    lm = workdir / "cache" / "lm"
+    names = sorted(hashlib.sha256(r.id.encode("utf-8")).hexdigest() for r in load_dataset(dataset_path))
+    assert sorted(d.name for d in lm.iterdir()) == sorted(names + ["shared"])
+    return [lm / name for name in names]
+
+
+def _pack_digests(pack) -> set[str]:
+    return {line.partition(" ")[0] for line in gunzip_bytes(pack.read_bytes()).decode("utf-8").splitlines()}
+
+
+def test_search_run_writes_one_lm_pack_per_question(tmp_path, qa_dataset_path, banks_dir, web_root):
+    """The answer pass builds a question's open-book and closed-book pools in
+    one cache scope, so each question gets exactly one LM pack, with the same
+    bytes on the calling thread and on a pool of four."""
+    packs = {}
+    with FixtureServer(web_root) as server:
+        for workers in ("1", "4"):
+            workdir = tmp_path / workers
+            assert cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                             "--search-endpoint", server.base_url, "--banks-dir", str(banks_dir),
+                             "--max-workers", workers, "--top-urls", "3", "--paragraphs", "3",
+                             "--samples-per-paragraph", "2", "--closed-book-samples", "4",
+                             "--max-new-tokens", "16"]) == 0
+            packs[workers] = {}
+            for question in _lm_question_dirs(workdir, qa_dataset_path):
+                [pack] = question.iterdir()
+                packs[workers][f"{question.name}/{pack.name}"] = pack.read_bytes()
+    assert packs["1"] == packs["4"]
+
+
+def test_offline_replay_reads_packs_written_by_closed_and_open_runs(tmp_path, qa_dataset_path,
+                                                                    banks_dir):
+    """A closed-evidence run writes closed-book packs; a later gold run finds
+    its closed-book requests there and adds one pack of its open-book misses
+    only; an offline gold replay reads both packs and changes no file."""
+    workdir = tmp_path / "w"
+    common = ["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+              "--banks-dir", str(banks_dir), "--paragraphs", "3", "--samples-per-paragraph", "2",
+              "--closed-book-samples", "4", "--max-new-tokens", "16", "--cost-points", "0,1"]
+    assert cli.main(common + ["--evidence", "closed"]) == 0
+    closed_packs = {}
+    for question in _lm_question_dirs(workdir, qa_dataset_path):
+        [closed_packs[question]] = question.iterdir()
+    assert cli.main(common + ["--evidence", "gold"]) == 0
+    for question, closed_pack in closed_packs.items():
+        [open_pack] = set(question.iterdir()) - {closed_pack}
+        assert _pack_digests(open_pack).isdisjoint(_pack_digests(closed_pack))
+    before = _files(workdir)
+    assert cli.main(common + ["--evidence", "gold", "--offline"]) == 0
+    assert _files(workdir) == before
 
 
 class TestHTTPBackendRun:

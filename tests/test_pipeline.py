@@ -1,12 +1,15 @@
 import hashlib
 import json
+import re
 import threading
 from collections import Counter
 
 import pytest
 from conftest import cached_backend
 
+from webqa import pipeline as pipeline_module
 from webqa.cache import RequestCache
+from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, MockBackend, extractive_completion
 from webqa.pipeline import (
@@ -140,6 +143,17 @@ class TestBanks:
         pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
         with pytest.raises(ConfigError):
             pipeline.bank("qa")
+
+    def test_mislabeled_bundled_bank_names_its_asset(self, qa_dataset_path, tmp_path,
+                                                     monkeypatch):
+        bundled = pipeline_module.load_bundled_bank
+        monkeypatch.setattr(pipeline_module, "load_bundled_bank",
+                            lambda dataset_id, kind: bundled(dataset_id, "qa"))
+        config = _config(qa_dataset_path, tmp_path, dataset_id="nq")
+        pipeline = Pipeline(config, cached_backend(MockBackend(), config.workdir))
+        with pytest.raises(ConfigError, match=re.escape(
+                "assets/prompts/nq_q_given_p.txt: bank for 'q_given_p' declares kind 'qa'")):
+            pipeline.bank("q_given_p")
 
 
 class _ThreadRecordingMock(MockBackend):
@@ -354,6 +368,32 @@ def _build_pools(pipeline):
     pipeline.stage_answer()
     pipeline.stage_closed()
     assert not pipeline.failed
+
+
+def test_closed_book_failure_in_the_answer_pass_is_a_closed_failure(tmp_path, qa_dataset_path,
+                                                                     banks_dir):
+    """The answer pass builds a question's closed-book pool after its open-book
+    pool; an error in the closed-book half fails the question as ``closed``,
+    and the open-book half's pool and cache misses are kept."""
+    failing = load_dataset(qa_dataset_path)[0]
+
+    def completion(prompt, seed, index):
+        # closed-book prompts carry no Evidence line anywhere
+        if "Evidence:" not in prompt and failing.question in prompt:
+            raise ValueError("model refused")
+        return extractive_completion(prompt, seed, index)
+
+    config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
+    pipeline = Pipeline(config, cached_backend(MockBackend(completion_fn=completion), config.workdir))
+    pipeline.stage_retrieve()
+    pipeline.stage_answer()
+    pipeline.stage_closed()
+    pipeline.check_failures()
+    failures = json.loads((tmp_path / "failures.json").read_text(encoding="utf-8"))
+    assert failures == {failing.id: "closed: model refused"}
+    assert (tmp_path / "candidates" / GOLD / f"{failing.id}.json").exists()
+    assert not (tmp_path / "candidates" / CLOSED / f"{failing.id}.json").exists()
+    [_] = (tmp_path / "cache" / "lm" / hashlib.sha256(failing.id.encode("utf-8")).hexdigest()).iterdir()
 
 
 class TestCallLogSequence:
