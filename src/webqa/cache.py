@@ -5,21 +5,23 @@ to JSON and hashed into a digest.  Responses are stored gzip-compressed in
 immutable packs ``<namespace>/<directory>/<name>.pack2.gz``, never with
 their request, one directory per namespace (``search``, ``fetch``, ``lm``).
 Each pack holds one ``<digest> <response>`` line per request that missed
-when it was written, and is named by the SHA-256 of those lines.  Its
-directory is either
+when it was written, and is named by the SHA-256 of those lines.
 
-- ``<sha256(question id)>`` inside :meth:`RequestCache.question_scope`: a
-  scope loads a namespace's packs on its first request there, so a pass
-  that makes only LM requests never reads page bodies, and writes all its
-  misses of the namespace as one pack when it closes; or
-- ``shared`` outside any question (the backend's ``describe`` request and
-  direct calls such as :func:`webqa.websearch.cached_fetch`): it is read on
-  each lookup, and each miss is written at once as a one-line pack.
+A :class:`RequestCache` is one scope over one directory per namespace.  It
+loads a namespace's packs on its first request there, so a pass that makes
+only LM requests never reads page bodies, and a request goes to the scope
+it is made on, from any thread.  The directory is either
 
-:meth:`RequestCache.get` and :meth:`RequestCache.put` are the one lookup
-path for both.  A question never reads ``shared``, nor another question's
-packs.  A pack that cannot be decompressed is a ``ValueError`` naming its
-file.
+- ``<sha256(question id)>`` for the scope :meth:`RequestCache.question_scope`
+  yields (``with cache.question_scope(qid) as scope: backend.scoped(scope)``),
+  which writes all its misses of a namespace as one pack when it closes; or
+- ``shared`` for the cache a run builds (the backend's ``describe`` request
+  and direct calls such as :func:`webqa.websearch.cached_fetch`), which
+  reads it once, holds its responses for the object's life, and writes each
+  miss at once as a one-line pack.
+
+A question never reads ``shared``, nor another question's packs.  A pack
+that cannot be decompressed is a ``ValueError`` naming its file.
 
 A run builds one cache, and its LM backend, search and page fetches all go
 through it.  A warm cache makes every pipeline stage replayable offline and
@@ -35,7 +37,6 @@ import json
 import os
 import struct
 import tempfile
-import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -116,7 +117,7 @@ class CacheKey:
 
 class _Packs:
     """The responses of one pack directory: every pack already on disk, plus
-    the misses not yet saved."""
+    the misses of a question scope not yet saved."""
 
     def __init__(self, directory: Path):
         self.directory = directory
@@ -134,19 +135,15 @@ class _Packs:
         except KeyError:
             raise CacheMiss(f"{self.directory.name}/{key.digest}") from None
 
-    def put(self, key: CacheKey, response) -> None:
-        self.responses[key.digest] = canonical_json(response)
-        self.misses.append(key.digest)
-
-    def save(self) -> None:
-        """Write the misses as one pack, one line at a time: a question's page
-        bodies are never joined into one more copy."""
-        if not self.misses:
+    def save(self, digests: list[str]) -> None:
+        """Write the responses of ``digests`` as one pack, one line at a time:
+        a question's page bodies are never joined into one more copy."""
+        if not digests:
             return
         name = hashlib.sha256()
 
         def lines():
-            for digest in sorted(self.misses):
+            for digest in sorted(digests):
                 line = f"{digest} {self.responses[digest]}\n".encode("utf-8")
                 name.update(line)
                 yield line
@@ -159,62 +156,58 @@ class _Packs:
 
 
 class RequestCache:
-    """Request cache with atomic writes and concurrent readers.
+    """One cache scope, the shared packs or a question's, with atomic writes
+    and concurrent readers.
 
     Writers stage content in a temp file and ``os.replace`` it into place,
     so a pack or artifact is either absent or complete; duplicate concurrent
     misses are safe (identical content, last write wins).
     """
 
-    def __init__(self, root: str | os.PathLike, offline: bool = False):
+    def __init__(self, root: str | os.PathLike, offline: bool = False, *, _directory: str = SHARED):
         self.root = Path(root)
         self.offline = offline
-        self._local = threading.local()
+        self._directory = _directory
+        self._packs: dict[str, _Packs] = {}
 
     def get(self, key: CacheKey):
-        """The cached response for ``key``: inside a question from its packs,
-        else from the shared packs."""
-        return self._packs(key.namespace).get(key)
+        """The cached response for ``key`` in this scope's packs."""
+        return self._load(key.namespace).get(key)
 
     def put(self, key: CacheKey, response) -> None:
-        """Store ``response``: inside a question in the pack its scope writes
-        when it closes, else now as a one-line shared pack."""
-        packs = self._packs(key.namespace)
-        packs.put(key, response)
-        if getattr(self._local, "scope", None) is None:
-            packs.save()
+        """Store ``response``: in a question scope in the pack it writes when
+        it closes, in the shared scope now as a one-line pack."""
+        packs = self._load(key.namespace)
+        packs.responses[key.digest] = canonical_json(response)
+        if self._directory == SHARED:
+            packs.save([key.digest])
+        else:
+            packs.misses.append(key.digest)
 
     @contextmanager
     def question_scope(self, question_id: str):
-        """Keep this thread's requests inside ``question_id``'s packs.
+        """The scope of ``question_id``'s packs, over the same root.
 
-        Within the scope, a request is looked up only in this question's
-        packs of its namespace, which are loaded on the scope's first request
-        in that namespace.  When the scope closes, also by an exception, each
-        namespace's misses are written as one new pack; a scope without
-        misses writes nothing.  A question never reads another question's
-        packs, so its packs' bytes depend only on its own requests.
+        A request made through it, from any thread, is looked up only in
+        this question's packs of its namespace.  When the scope closes, also
+        by an exception, each namespace's misses are written as one new
+        pack; a scope without misses writes nothing.  A question never reads
+        another question's packs, so its packs' bytes depend only on its own
+        requests.
         """
         question = hashlib.sha256(question_id.encode("utf-8")).hexdigest()
-        packs: dict[str, _Packs] = {}
-        self._local.scope = question, packs
+        scope = RequestCache(self.root, self.offline, _directory=question)
         try:
-            yield
+            yield scope
         finally:
-            self._local.scope = None
-            for namespace_packs in packs.values():
-                namespace_packs.save()
+            for packs in scope._packs.values():
+                packs.save(packs.misses)
 
-    def _packs(self, namespace: str) -> _Packs:
-        """This thread's packs for ``namespace`` inside a question, else the
-        shared packs as they are on disk now."""
-        scope = getattr(self._local, "scope", None)
-        if scope is None:
-            return _Packs(self.root / namespace / SHARED)
-        question, packs = scope
-        if namespace not in packs:
-            packs[namespace] = _Packs(self.root / namespace / question)
-        return packs[namespace]
+    def _load(self, namespace: str) -> _Packs:
+        """This scope's packs of ``namespace``, read on its first request
+        there; concurrent first requests all get the one ``setdefault`` keeps."""
+        return self._packs.get(namespace) or self._packs.setdefault(
+            namespace, _Packs(self.root / namespace / self._directory))
 
     def get_or_fetch(self, namespace: str, request: dict, fetch):
         """Return the cached response for ``request``, calling ``fetch()`` on a

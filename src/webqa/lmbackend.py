@@ -11,6 +11,7 @@ included.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import random
@@ -399,6 +400,13 @@ class CachedBackend(LMBackend):
         self.inner = inner
         self.cache = cache
         self.identity = identity if identity is not None else type(inner).__name__
+
+    def scoped(self, cache: RequestCache) -> CachedBackend:
+        """A shallow copy of this backend whose requests go through ``cache``
+        (such as a question's scope); ``inner`` and ``identity`` are shared."""
+        backend = copy.copy(self)
+        backend.cache = cache
+        return backend
 
     def describe(self) -> BackendDescriptor:
         def fetch():

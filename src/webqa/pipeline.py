@@ -2,9 +2,9 @@
 
 Every stage reads and writes plain JSON artifacts under a working directory
 and routes all model and network traffic through one request cache, its
-backend's (``Pipeline.cache`` is ``backend.cache``), so a re-run over a warm
-cache reproduces every artifact byte for byte and an offline run works
-entirely from cache.  Stage outputs:
+backend's (``Pipeline.cache`` is ``backend.cache``), a question's requests
+through that question's scope, so a re-run over a warm cache reproduces every
+artifact byte for byte and an offline run works entirely from cache.  Stage outputs:
 
     cache/                      the backend's request cache, packs per question
     index/<qid>.json            question and the URLs retrieved for it
@@ -100,6 +100,16 @@ _QUESTION_ERRORS = (OSError, ValueError, websearch.SearchError)
 class _PassFailed(Exception):
     """``(stage, error)``: a question error in ``stage``, a later pass of a
     worker that runs several."""
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """One question's pool build: its record, the backend scoped to its cache
+    scope, and the calls/ rows it logs."""
+
+    record: QuestionRecord
+    backend: CachedBackend
+    log: list[dict]
 
 
 class PartialFailure(RuntimeError):
@@ -287,16 +297,14 @@ class Pipeline:
         return [r for r in records if r.id not in self.failed]
 
     def _map_questions(self, records: list[QuestionRecord], worker, stage: str) -> None:
-        """``worker(record)`` for every record, each inside its question's cache
-        scope, so a question's requests land in its own packs.  With one worker
-        the records run in order on the calling thread, so no pool thread (and
-        no malloc arena of its own) is started; otherwise on a thread pool.  A
-        question error fails its record under ``stage``, or under the stage a
+        """``worker(record)`` for every record.  With one worker the records run
+        in order on the calling thread, so no pool thread (and no malloc arena
+        of its own) is started; otherwise on a thread pool.  A question error
+        fails its record under ``stage``, or under the stage a
         :class:`_PassFailed` names."""
         def guarded(record):
             try:
-                with self.cache.question_scope(record.id):
-                    worker(record)
+                worker(record)
             except _PassFailed as exc:
                 failed_stage, error = exc.args
             except _QUESTION_ERRORS as exc:
@@ -324,7 +332,7 @@ class Pipeline:
 
     # --- model call helpers -------------------------------------------------
 
-    def _request(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
+    def _request(self, pass_: _Pass, purpose: str, paragraph_index: int | None,
                  prompt: RenderedPrompt, sends: list[Callable[[str], _Response]],
                  reserve: Callable[[_Response | None], int]) -> list[_Response]:
         """``[send(text) for send in sends]`` for the prompt text that fits the
@@ -345,13 +353,13 @@ class Pipeline:
         except PromptTooLong:
             pass
         if response is None or response.prompt_tokens > self.context_tokens - reserve(response):
-            text = fit_to_context(prompt, self.backend.count_tokens, context_tokens=self.context_tokens,
+            text = fit_to_context(prompt, pass_.backend.count_tokens, context_tokens=self.context_tokens,
                                   reserved_tokens=reserve(response)).text
             response = first(text)
         responses = [response] + [send(text) for send in rest]
         for r in responses:
-            log.append({
-                "question_id": qid,
+            pass_.log.append({
+                "question_id": pass_.record.id,
                 "purpose": purpose,
                 "paragraph_index": paragraph_index,
                 "prompt_tokens": r.prompt_tokens,
@@ -360,34 +368,32 @@ class Pipeline:
             })
         return responses
 
-    def _score(self, log: list, qid: str, purpose: str, paragraph_index: int | None,
+    def _score(self, pass_: _Pass, purpose: str, paragraph_index: int | None,
                prompt: RenderedPrompt, continuation: str) -> float:
         """log p(continuation | prompt), with the prompt fitted around the continuation."""
         [score] = self._request(
-            log, qid, purpose, paragraph_index, prompt,
-            [lambda text: self.backend.score(text, continuation)],
-            lambda score: self.backend.count_tokens(continuation) if score is None
+            pass_, purpose, paragraph_index, prompt,
+            [lambda text: pass_.backend.score(text, continuation)],
+            lambda score: pass_.backend.count_tokens(continuation) if score is None
             else score.continuation_tokens,
         )
         return score.logprob
 
-    def _label_log_probs(self, log: list, record: QuestionRecord, purpose: str,
-                         paragraph_index: int | None,
+    def _label_log_probs(self, pass_: _Pass, purpose: str, paragraph_index: int | None,
                          prompt: RenderedPrompt) -> list[tuple[str, float]]:
         """(label, log p(label)) with p the softmax over the label set's scores,
         all made against one fit of ``prompt``."""
-        labels = record.label_set
+        labels = pass_.record.label_set
         scores = self._request(
-            log, record.id, purpose, paragraph_index, prompt,
-            [lambda text, label=label: self.backend.score(text, " " + label) for label in labels],
+            pass_, purpose, paragraph_index, prompt,
+            [lambda text, label=label: pass_.backend.score(text, " " + label) for label in labels],
             lambda _: self.config.max_new_tokens,
         )
         dist = softmax_scores({label: score.logprob for label, score in zip(labels, scores)})
         return [(label, rerank.log_prior(dist[label])) for label in labels]
 
-    def _candidates(self, record: QuestionRecord, log: list, kind: str,
-                    paragraph_index: int | None, prompt: RenderedPrompt, n_samples: int,
-                    seed: int) -> list[tuple[str, float]]:
+    def _candidates(self, pass_: _Pass, kind: str, paragraph_index: int | None,
+                    prompt: RenderedPrompt, n_samples: int, seed: int) -> list[tuple[str, float]]:
         """(answer, log p(answer | prompt)) pairs answering ``prompt``.
 
         Generation records sample ``n_samples`` answers and keep, per
@@ -395,11 +401,11 @@ class Pipeline:
         classification records take the label softmax.  ``kind`` names the
         call-log purposes: ``sample_<kind>`` or ``label_<kind>``.
         """
-        if record.task == CLASSIFICATION:
-            return self._label_log_probs(log, record, f"label_{kind}", paragraph_index, prompt)
+        if pass_.record.task == CLASSIFICATION:
+            return self._label_log_probs(pass_, f"label_{kind}", paragraph_index, prompt)
         params = replace(self.params, n_samples=n_samples)
-        [samples] = self._request(log, record.id, f"sample_{kind}", paragraph_index, prompt,
-                                  [lambda text: self.backend.sample(text, params, seed)],
+        [samples] = self._request(pass_, f"sample_{kind}", paragraph_index, prompt,
+                                  [lambda text: pass_.backend.sample(text, params, seed)],
                                   lambda _: self.config.max_new_tokens)
         by_canon: dict[str, tuple[str, float]] = {}
         for s in samples:
@@ -428,8 +434,9 @@ class Pipeline:
                     for i, text in enumerate(record.gold_evidence)
                 ]
             else:
-                documents = websearch.retrieve_documents(
-                    record.question, self.search_client, self.cache, num_urls=self.config.num_urls)
+                with self.cache.question_scope(record.id) as scope:
+                    documents = websearch.retrieve_documents(
+                        record.question, self.search_client, scope, num_urls=self.config.num_urls)
                 write_json_record(self._qpath("index", "questions", record.id), {
                     "question_id": record.id,
                     "question": record.question,
@@ -467,9 +474,9 @@ class Pipeline:
 
     # --- answer (candidate generation and scoring) --------------------------
 
-    def _open_pool_for(self, record: QuestionRecord, log: list,
-                       banks: tuple[PromptBank, ...]) -> rerank.Pool:
+    def _open_pool_for(self, pass_: _Pass, banks: tuple[PromptBank, ...]) -> rerank.Pool:
         """Sample candidates per paragraph and attach all rerank scores."""
+        record = pass_.record
         paragraphs = self.load_paragraphs(record.id)
         question = record.question
         qa_bank, q_ap_bank, q_p_bank, a_p_bank = banks
@@ -478,53 +485,50 @@ class Pipeline:
         for i, para in enumerate(paragraphs):
             text = para["text"]
             candidates = self._candidates(
-                record, log, "answer", i, render_qa_prompt(qa_bank, question, text),
+                pass_, "answer", i, render_qa_prompt(qa_bank, question, text),
                 self.config.samples_per_paragraph,
                 stable_seed(self.config.seed, record.id, "answer", i),
             )
             if not candidates:
                 continue
 
-            lp_q_p = self._score(log, record.id, "score_q_given_p", i,
+            lp_q_p = self._score(pass_, "score_q_given_p", i,
                                  render_prompt(q_p_bank, evidence=text), q_cont)
 
             a_p_prompt = render_prompt(a_p_bank, evidence=text)
             label_lp_a_p = None
             if record.task == CLASSIFICATION:
-                label_lp_a_p = dict(self._label_log_probs(
-                    log, record, "label_a_given_p", i, a_p_prompt))
+                label_lp_a_p = dict(self._label_log_probs(pass_, "label_a_given_p", i, a_p_prompt))
 
             for answer_text, lp_a_qp in candidates:
                 lp_q_ap = self._score(
-                    log, record.id, "score_q_given_ap", i,
+                    pass_, "score_q_given_ap", i,
                     render_prompt(q_ap_bank, evidence=text, answer=answer_text), q_cont,
                 )
                 if label_lp_a_p is not None:
                     lp_a_p = label_lp_a_p[answer_text]
                 else:
-                    lp_a_p = self._score(log, record.id, "score_a_given_p", i,
-                                         a_p_prompt, " " + answer_text)
+                    lp_a_p = self._score(pass_, "score_a_given_p", i, a_p_prompt, " " + answer_text)
                 pool.append((rerank.CandidateAnswer(answer_text, i), rerank.ScoreBundle(
                     lp_a_qp, lp_q_ap, lp_a_p, lp_q_p, rerank.log_prior(para["prior"]))))
         return pool
 
-    def _closed_pool_for(self, record: QuestionRecord, log: list,
-                         qa_bank: PromptBank) -> rerank.Pool:
+    def _closed_pool_for(self, pass_: _Pass, qa_bank: PromptBank) -> rerank.Pool:
         """Closed-book pairs; they score only lp_a_qp, so the other four are 0."""
-        prompt = render_closed_book_prompt(qa_bank, record.question)
+        prompt = render_closed_book_prompt(qa_bank, pass_.record.question)
         candidates = self._candidates(
-            record, log, "closed", None, prompt,
-            self.config.closed_book_samples,
-            stable_seed(self.config.seed, record.id, "closed"),
+            pass_, "closed", None, prompt, self.config.closed_book_samples,
+            stable_seed(self.config.seed, pass_.record.id, "closed"),
         )
         return [(rerank.CandidateAnswer(answer_text, CLOSED_PARAGRAPH_INDEX),
                  rerank.ScoreBundle(lp, 0.0, 0.0, 0.0, 0.0)) for answer_text, lp in candidates]
 
-    def _write_pool(self, source: str, record: QuestionRecord, build) -> None:
-        """Write the pool ``build(record, log)`` returns to candidates/ and the
-        rows it logs to calls/."""
+    def _write_pool(self, source: str, record: QuestionRecord, backend: CachedBackend,
+                    build) -> None:
+        """Write the pool ``build(_Pass(record, backend, log))`` returns to
+        candidates/ and the rows it logs to calls/."""
         log: list[dict] = []
-        pool = build(record, log)
+        pool = build(_Pass(record, backend, log))
         write_json_record(self._qpath("candidates", source, record.id), {
             "question_id": record.id,
             "pool": [_to_row(pair) for pair in pool],
@@ -536,7 +540,7 @@ class Pipeline:
 
     def stage_answer(self) -> None:
         """Candidate pools for open evidence: each question's open-book pool,
-        then its closed-book pool, in one pass and one cache scope, so a
+        then its closed-book pool, in one pass through one cache scope, so a
         question's LM requests land in one pack and a replay reads it once.  A
         failure of the closed-book half is a ``closed`` failure."""
         if self.config.evidence == CLOSED:
@@ -549,11 +553,13 @@ class Pipeline:
         source = self.config.evidence
 
         def worker(record: QuestionRecord) -> None:
-            self._write_pool(source, record, open_build)
-            try:
-                self._write_pool(CLOSED, record, closed_build)
-            except _QUESTION_ERRORS as exc:
-                raise _PassFailed("closed", exc) from exc
+            with self.cache.question_scope(record.id) as scope:
+                backend = self.backend.scoped(scope)
+                self._write_pool(source, record, backend, open_build)
+                try:
+                    self._write_pool(CLOSED, record, backend, closed_build)
+                except _QUESTION_ERRORS as exc:
+                    raise _PassFailed("closed", exc) from exc
 
         self._map_questions(self._active(self.records), worker, "answer")
 
@@ -564,11 +570,12 @@ class Pipeline:
         if self.config.evidence != CLOSED:
             return
         build = functools.partial(self._closed_pool_for, qa_bank=self.bank("qa"))
-        self._map_questions(
-            self._active(self.records),
-            lambda record: self._write_pool(CLOSED, record, build),
-            "closed",
-        )
+
+        def worker(record: QuestionRecord) -> None:
+            with self.cache.question_scope(record.id) as scope:
+                self._write_pool(CLOSED, record, self.backend.scoped(scope), build)
+
+        self._map_questions(self._active(self.records), worker, "closed")
 
     # --- pools and selection ------------------------------------------------
 

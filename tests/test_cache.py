@@ -106,24 +106,24 @@ def test_offline_cache_over_empty_root_raises_and_writes_nothing(tmp_path):
     cache = RequestCache(tmp_path, offline=True)
     with pytest.raises(OfflineCacheMiss):
         cache.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"}, lambda: {"body": "x"})
-    with pytest.raises(OfflineCacheMiss), cache.question_scope("q1"):
-        cache.get_or_fetch("lm", {"op": "score"}, lambda: -1.0)
+    with pytest.raises(OfflineCacheMiss), cache.question_scope("q1") as scope:
+        scope.get_or_fetch("lm", {"op": "score"}, lambda: -1.0)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_offline_scope_that_only_hits_writes_nothing(tmp_path):
     warm = RequestCache(tmp_path)
-    with warm.question_scope("q1"):
-        warm.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"}, lambda: {"body": "x"})
-        warm.get_or_fetch("lm", {"op": "score"}, lambda: -1.0)
+    with warm.question_scope("q1") as scope:
+        scope.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"}, lambda: {"body": "x"})
+        scope.get_or_fetch("lm", {"op": "score"}, lambda: -1.0)
     packs = sorted(tmp_path.rglob(f"*{PACK_SUFFIX}"))
     assert [p.relative_to(tmp_path).parts[0] for p in packs] == ["fetch", "lm"]
     before = sorted(tmp_path.rglob("*")), _tree(tmp_path)
     offline = RequestCache(tmp_path, offline=True)
-    with offline.question_scope("q1"):
-        assert offline.get_or_fetch("lm", {"op": "score"}, lambda: pytest.fail("fetched")) == -1.0
-        assert offline.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"},
-                                    lambda: pytest.fail("fetched")) == {"body": "x"}
+    with offline.question_scope("q1") as scope:
+        assert scope.get_or_fetch("lm", {"op": "score"}, lambda: pytest.fail("fetched")) == -1.0
+        assert scope.get_or_fetch("fetch", {"op": "fetch", "url": "http://x"},
+                                  lambda: pytest.fail("fetched")) == {"body": "x"}
     assert (sorted(tmp_path.rglob("*")), _tree(tmp_path)) == before
 
 
@@ -185,6 +185,58 @@ def test_first_puts_create_missing_namespace_directory(tmp_path):
     assert [cache.get(key) for key in keys] == [{"i": key.digest} for key in keys]
     assert [p.name for p in (tmp_path / "lm").iterdir()] == [SHARED]
     assert len(list((tmp_path / "lm" / SHARED).iterdir())) == len(keys)
+
+
+def test_cache_reads_each_shared_pack_once(tmp_path, monkeypatch):
+    """The shared scope reads its packs on its first request, not on each:
+    50 distinct misses read no pack, and 50 hits through a fresh cache read
+    each of the 50 one-line packs once."""
+    reads = []
+    read_gzip_text = cache_module._read_gzip_text
+    monkeypatch.setattr(cache_module, "_read_gzip_text",
+                        lambda path: reads.append(path) or read_gzip_text(path))
+    requests = [{"op": "fetch", "url": f"http://x/{i}"} for i in range(50)]
+    cache = RequestCache(tmp_path)
+    for request in requests:
+        cache.get_or_fetch("fetch", request, lambda: {"body": "x"})
+    assert reads == []
+    assert len(list((tmp_path / "fetch" / SHARED).iterdir())) == 50
+    fresh = RequestCache(tmp_path)
+    for request in requests:
+        assert fresh.get_or_fetch("fetch", request, lambda: pytest.fail("fetched")) == {"body": "x"}
+    assert len(reads) == len(set(reads)) == 50
+
+
+def test_requests_from_helper_threads_land_in_their_questions_pack(tmp_path):
+    """Requests made at once through a question's scope on threads other than
+    the one that opened it are all stored in that question's one pack, none
+    in shared and none lost; 20 questions give the first requests' race 20
+    chances."""
+    cache = RequestCache(tmp_path)
+    requests = [{"op": "fetch", "url": f"http://x/{i}"} for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so first requests interleave
+    try:
+        for question in range(20):
+            start = threading.Barrier(len(requests))
+            with cache.question_scope(f"q{question}") as scope:
+                def work(request):
+                    start.wait(timeout=10)
+                    scope.get_or_fetch("fetch", request, lambda: {"body": request["url"]})
+
+                helpers = [threading.Thread(target=work, args=(request,)) for request in requests]
+                for t in helpers:
+                    t.start()
+                for t in helpers:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not (tmp_path / "fetch" / SHARED).exists()
+    lines = sorted(f"{request_digest(r)} {canonical_json({'body': r['url']})}" for r in requests)
+    for question in range(20):
+        [pack] = _question_dir(tmp_path, f"q{question}", "fetch").iterdir()
+        assert _pack_lines(pack) == lines
 
 
 @pytest.fixture(scope="module")
@@ -359,19 +411,19 @@ def test_answer_pass_never_reads_fetch_packs(recorded_run, tmp_path, qa_dataset_
 
 def test_unreadable_pack_or_entry_is_a_value_error_naming_its_file(tmp_path):
     """A shared or question pack that cannot be decompressed is a
-    ``ValueError`` naming its file."""
-    cache = RequestCache(tmp_path)
+    ``ValueError`` naming its file, on the first read of its directory."""
     key = CacheKey.for_request("fetch", {"op": "fetch", "url": "http://x"})
-    cache.put(key, {"body": "x"})
+    RequestCache(tmp_path).put(key, {"body": "x"})
     [shared] = (tmp_path / "fetch" / SHARED).iterdir()
     shared.write_bytes(shared.read_bytes()[:-4])
     pack = _question_dir(tmp_path, "q1", "fetch") / f"{'0' * 64}{PACK_SUFFIX}"
     pack.parent.mkdir(parents=True)
     pack.write_bytes(gzip.compress(b"\xff\n"))
+    cache = RequestCache(tmp_path)
     with pytest.raises(ValueError, match=re.escape(str(shared))):
         cache.get(key)
-    with pytest.raises(ValueError, match=re.escape(str(pack))), cache.question_scope("q1"):
-        cache.get(key)
+    with pytest.raises(ValueError, match=re.escape(str(pack))), cache.question_scope("q1") as scope:
+        scope.get(key)
 
 
 def test_lm_entries_hold_no_prompt(recorded_run):
@@ -592,10 +644,11 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
     inner = _RecordingMock()
     cache = RequestCache(tmp_path)
     cached = CachedBackend(inner, cache)
-    with cache.question_scope("q1"):
-        first = cached.score("p", " c")
-        assert cached.score("p", " c") == first
-        assert cached.count_tokens("a b") == 2
+    with cache.question_scope("q1") as scope:
+        scoped = cached.scoped(scope)
+        first = scoped.score("p", " c")
+        assert scoped.score("p", " c") == first
+        assert scoped.count_tokens("a b") == 2
         assert not (tmp_path / "lm").exists()
     assert len(inner.requests) == 2
     [pack] = [p for p in tmp_path.rglob("*") if p.is_file()]
@@ -609,24 +662,24 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
     assert sorted(lines) == lines
     assert sorted(lines) == sorted([f"{digests[0]} {canonical_json(first.to_json())}", f"{digests[1]} 2"])
 
-    with cache.question_scope("q1"):
-        assert cached.score("p", " c") == first
-        assert cached.count_tokens("a b") == 2
+    with cache.question_scope("q1") as scope:
+        assert cached.scoped(scope).score("p", " c") == first
+        assert cached.scoped(scope).count_tokens("a b") == 2
     assert len(inner.requests) == 2
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [pack]
 
 
 def test_question_reads_only_its_own_packs(tmp_path):
     """A question reads neither the shared packs nor another question's;
-    outside any question the shared packs are read again."""
+    outside any question the shared packs still answer."""
     inner = _RecordingMock()
     cache = RequestCache(tmp_path)
     cached = CachedBackend(inner, cache)
     cached.score("p", " c")
-    with cache.question_scope("q1"):
-        cached.score("p", " c")
-    with cache.question_scope("q2"):
-        cached.score("p", " c")
+    with cache.question_scope("q1") as scope:
+        cached.scoped(scope).score("p", " c")
+    with cache.question_scope("q2") as scope:
+        cached.scoped(scope).score("p", " c")
     assert len(inner.requests) == 3
     q1 = [p.read_bytes() for p in _question_dir(tmp_path, "q1").iterdir()]
     q2 = [p.read_bytes() for p in _question_dir(tmp_path, "q2").iterdir()]
@@ -638,43 +691,43 @@ def test_question_reads_only_its_own_packs(tmp_path):
 
 def test_offline_scope_serves_its_pack_and_writes_nothing(tmp_path):
     cache = RequestCache(tmp_path)
-    with cache.question_scope("q1"):
-        value = CachedBackend(MockBackend(), cache).score("p", " c")
+    with cache.question_scope("q1") as scope:
+        value = CachedBackend(MockBackend(), scope).score("p", " c")
     before = sorted(p for p in tmp_path.rglob("*"))
     offline_cache = RequestCache(tmp_path, offline=True)
     offline = CachedBackend(MockBackend(), offline_cache)
-    with offline_cache.question_scope("q1"):
-        assert offline.score("p", " c") == value
+    with offline_cache.question_scope("q1") as scope:
+        assert offline.scoped(scope).score("p", " c") == value
         with pytest.raises(OfflineCacheMiss):
-            offline.score("p", " other")
-    with offline_cache.question_scope("q2"), pytest.raises(OfflineCacheMiss):
-        offline.score("p", " c")
+            offline.scoped(scope).score("p", " other")
+    with offline_cache.question_scope("q2") as scope, pytest.raises(OfflineCacheMiss):
+        offline.scoped(scope).score("p", " c")
     assert sorted(p for p in tmp_path.rglob("*")) == before
 
 
 def test_pack_keeps_responses_with_unicode_line_separators(tmp_path):
     cache = RequestCache(tmp_path)
     response = {"text": "a\u2028b\x85c\x1cd\re"}
-    with cache.question_scope("q1"):
-        cache.get_or_fetch("lm", {"op": "x"}, lambda: response)
-    with cache.question_scope("q1"):
-        assert cache.get_or_fetch("lm", {"op": "x"}, lambda: pytest.fail("refetched")) == response
+    with cache.question_scope("q1") as scope:
+        scope.get_or_fetch("lm", {"op": "x"}, lambda: response)
+    with cache.question_scope("q1") as scope:
+        assert scope.get_or_fetch("lm", {"op": "x"}, lambda: pytest.fail("refetched")) == response
 
 
 def test_failing_scope_still_saves_what_it_fetched(tmp_path):
     inner = _RecordingMock(fail_at=3)
     cache = RequestCache(tmp_path)
     cached = CachedBackend(inner, cache)
-    with pytest.raises(OSError), cache.question_scope("q1"):
+    with pytest.raises(OSError), cache.question_scope("q1") as scope:
         for i in range(5):
-            cached.score("p", f" {i}")
+            cached.scoped(scope).score("p", f" {i}")
     assert len(list(_question_dir(tmp_path, "q1").iterdir())) == 1
     again = _RecordingMock()
     resumed_cache = RequestCache(tmp_path)
     resumed = CachedBackend(again, resumed_cache)
-    with resumed_cache.question_scope("q1"):
+    with resumed_cache.question_scope("q1") as scope:
         for i in range(5):
-            resumed.score("p", f" {i}")
+            resumed.scoped(scope).score("p", f" {i}")
     assert again.requests == [("score", "p", f" {i}") for i in (2, 3, 4)]
     assert len(list(_question_dir(tmp_path, "q1").iterdir())) == 2
 
