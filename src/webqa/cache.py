@@ -136,14 +136,14 @@ class _Packs:
             raise CacheMiss(f"{self.directory.name}/{key.digest}") from None
 
     def save(self, digests: list[str]) -> None:
-        """Write the responses of ``digests`` as one pack, one line at a time:
-        a question's page bodies are never joined into one more copy."""
+        """Write the responses of ``digests``, each once, as one pack, one line at
+        a time: a question's page bodies are never joined into one more copy."""
         if not digests:
             return
         name = hashlib.sha256()
 
         def lines():
-            for digest in sorted(digests):
+            for digest in sorted(set(digests)):
                 line = f"{digest} {self.responses[digest]}\n".encode("utf-8")
                 name.update(line)
                 yield line

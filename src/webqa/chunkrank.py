@@ -1,9 +1,9 @@
 """Sentence chunking and TF-IDF ranking of evidence paragraphs.
 
 Documents are segmented with a deterministic rule-based splitter, chunked
-into paragraphs of at most 6 sentences, and ranked against the question by
-cosine similarity of term-weight vectors.  Clipped, sum-normalized cosines
-double as the retrieval prior over the retained paragraphs.
+into paragraphs of at most ``--chunk-sentences`` sentences, and ranked
+against the question by cosine similarity of term-weight vectors.  Clipped,
+sum-normalized cosines double as the retrieval prior over the paragraphs.
 """
 from __future__ import annotations
 

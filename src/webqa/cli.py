@@ -21,7 +21,7 @@ import typing
 
 from .cache import OfflineCacheMiss, RequestCache
 from .corpus import CorpusError
-from .lmbackend import DEFAULT_MOCK_PARAM_COUNT, CachedBackend, HTTPBackend, LMBackend, MockBackend, mock_identity
+from .lmbackend import DEFAULT_MOCK_PARAM_COUNT, CachedBackend, HTTPBackend, LMBackend, MockBackend
 from .net import NetError
 from .pipeline import ConfigError, PartialFailure, Pipeline, PipelineConfig, setting
 from .rerank import WEIGHT_NAMES
@@ -194,11 +194,9 @@ def make_backend(config: dict) -> CachedBackend:
     cache = RequestCache(os.path.join(config["workdir"], "cache"), offline=config["offline"])
     if config["backend"] == "mock":
         inner: LMBackend = MockBackend(param_count=config["param_count"])
-        identity = mock_identity(config["param_count"])
     else:
         inner = HTTPBackend(config["backend"])
-        identity = config["backend"]
-    return CachedBackend(inner, cache, identity=identity)
+    return CachedBackend(inner, cache)
 
 
 def make_search_client(config: dict):

@@ -184,6 +184,9 @@ class PromptTooLong(ValueError):
 
 
 class LMBackend(ABC):
+    """A model behind one interface.  A backend that may be cached sets
+    ``identity``, a stable name of its model such as the server URL."""
+
     @abstractmethod
     def describe(self) -> BackendDescriptor:
         ...
@@ -281,13 +284,6 @@ def extractive_completion(prompt: str, seed: int, index: int) -> str:
     return " ".join(words[start:start + length])
 
 
-def mock_identity(param_count: int = DEFAULT_MOCK_PARAM_COUNT) -> str:
-    """The :class:`CachedBackend` identity ``webqa run --backend mock`` gives a
-    mock of ``param_count`` parameters: its description names the count, so
-    a new count must miss."""
-    return f"mock(param_count={param_count})"
-
-
 class MockBackend(LMBackend):
     """Deterministic backend for tests and offline pipeline runs.
 
@@ -299,14 +295,14 @@ class MockBackend(LMBackend):
 
     def __init__(
         self,
-        name: str = "mock",
         param_count: int = DEFAULT_MOCK_PARAM_COUNT,
         context_tokens: int = 2048,
         completion_fn=extractive_completion,
         can_score: bool = True,
     ):
+        self.identity = f"mock(param_count={param_count})"
         self._descriptor = BackendDescriptor(
-            name=name, param_count=param_count,
+            name="mock", param_count=param_count,
             context_tokens=context_tokens, can_score=can_score,
         )
         self.completion_fn = completion_fn
@@ -335,10 +331,11 @@ class HTTPBackend(LMBackend):
 
     Endpoints: POST /v1/complete, /v1/score, /v1/count_tokens; GET /v1/model.
     A 413 status, the server refusing a prompt longer than its context, is
-    :class:`PromptTooLong`.
+    :class:`PromptTooLong`.  Its ``identity`` is the URL as given.
     """
 
     def __init__(self, base_url: str):
+        self.identity = base_url
         self.base_url = base_url.rstrip("/")
 
     def _request(self, path: str, payload: dict | None = None):
@@ -381,7 +378,9 @@ class CachedBackend(LMBackend):
     """Content-addressed cache in front of any backend (namespace ``lm``).
 
     Each request (operation, ``identity`` and arguments) is hashed into the
-    cache key, and only the response is stored: a completion or score with
+    cache key.  ``identity`` is ``inner``'s, read once when this backend is
+    built, so two models never share a response, and a backend without one
+    cannot be cached.  Only the response is stored: a completion or score with
     its token counts, a token count or the model descriptor.  A sample or
     score whose prompt the backend refused as too long is stored as that
     refusal and raises :class:`PromptTooLong` again on each read, so an
@@ -390,16 +389,12 @@ class CachedBackend(LMBackend):
     lookup never JSON-encodes a whole prompt.  Samples and scores are keyed
     as ``sample_with_tokens`` and ``score_with_tokens``: entries stored
     before their responses carried token counts are never read.
-
-    ``identity`` distinguishes cache entries of different models behind the
-    same client class; pass something stable like the server URL or model
-    name.
     """
 
-    def __init__(self, inner: LMBackend, cache: RequestCache, identity: str | None = None):
+    def __init__(self, inner: LMBackend, cache: RequestCache):
         self.inner = inner
         self.cache = cache
-        self.identity = identity if identity is not None else type(inner).__name__
+        self.identity = inner.identity
 
     def scoped(self, cache: RequestCache) -> CachedBackend:
         """A shallow copy of this backend whose requests go through ``cache``

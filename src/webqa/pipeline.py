@@ -250,6 +250,8 @@ class Pipeline:
                 "evidence mode on generation records works without scoring"
             )
         self.context_tokens = config.context_tokens or descriptor.context_tokens
+        if self.context_tokens <= config.max_new_tokens:  # every sample and label score reserves it
+            raise ConfigError(f"context_tokens {self.context_tokens} must exceed max_new_tokens")
         self.param_count = descriptor.param_count
         main, heldout = split_heldout(self.records, config.heldout_fraction, config.seed)
         self.main_records = main

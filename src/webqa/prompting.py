@@ -14,8 +14,6 @@ from typing import Callable
 
 from .corpus import BANK_FIELDS, FIELD_LABELS, FewShotExample, PromptBank
 
-DEFAULT_CONTEXT_TOKENS = 2048
-
 
 class PromptBudgetError(ValueError):
     """The prompt cannot be made to fit the context budget."""
@@ -141,7 +139,7 @@ def _refit(prompt: RenderedPrompt, examples: tuple[FewShotExample, ...], evidenc
 def fit_to_context(
     prompt: RenderedPrompt,
     count_tokens: Callable[[str], int],
-    context_tokens: int = DEFAULT_CONTEXT_TOKENS,
+    context_tokens: int,
     reserved_tokens: int = 0,
 ) -> RenderedPrompt:
     """Shrink ``prompt`` until it fits ``context_tokens - reserved_tokens``.

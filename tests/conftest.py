@@ -6,7 +6,7 @@ import pytest
 
 from webqa import net
 from webqa.cache import RequestCache
-from webqa.lmbackend import CachedBackend, mock_identity
+from webqa.lmbackend import CachedBackend
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -15,8 +15,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 def cached_backend(inner, workdir, offline: bool = False) -> CachedBackend:
     """``inner`` behind a request cache at ``<workdir>/cache``, keyed as
     ``webqa run --backend mock`` keys it; a pipeline over it uses that cache."""
-    return CachedBackend(inner, RequestCache(pathlib.Path(workdir) / "cache", offline=offline),
-                         identity=mock_identity())
+    return CachedBackend(inner, RequestCache(pathlib.Path(workdir) / "cache", offline=offline))
 
 
 @pytest.fixture(scope="session")

@@ -489,7 +489,7 @@ def test_criterion_09_cost_rows_increase_and_flops_recompute(e2e_workdirs):
 
 def test_criterion_10_default_settings_audit():
     """Every user-facing default equals the documented operating point."""
-    from webqa import chunkrank, evaluation, lmbackend, pipeline, prompting
+    from webqa import chunkrank, evaluation, lmbackend, pipeline
     from webqa import websearch
 
     audit = {
@@ -505,7 +505,6 @@ def test_criterion_10_default_settings_audit():
         "temperature": (cli.DEFAULTS["temperature"],
                         lmbackend.DEFAULT_TEMPERATURE, 1.0),
         "heldout_fraction": (cli.DEFAULTS["heldout_fraction"], 0.1, 0.1),
-        "context_tokens": (prompting.DEFAULT_CONTEXT_TOKENS, 2048, 2048),
     }
     for name, (got_cli, got_module, want) in audit.items():
         assert got_cli == want, f"{name}: cli default {got_cli} != {want}"

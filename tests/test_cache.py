@@ -239,6 +239,35 @@ def test_requests_from_helper_threads_land_in_their_questions_pack(tmp_path):
         assert _pack_lines(pack) == lines
 
 
+def test_one_request_missed_by_two_threads_at_once_is_packed_once(tmp_path):
+    """Two threads that miss one request of a question at once both fetch and
+    store it; the question's pack still holds its line once, and has the name
+    and bytes of the pack one thread alone writes."""
+    request = {"op": "fetch", "url": "http://x/1"}
+    both_missed = threading.Barrier(2)
+
+    def fetch():
+        both_missed.wait(timeout=10)  # neither thread stores until both have missed
+        return {"body": "page"}
+
+    racing = RequestCache(tmp_path / "racing")
+    with racing.question_scope("q1") as scope:
+        helpers = [threading.Thread(target=scope.get_or_fetch, args=("fetch", request, fetch))
+                   for _ in range(2)]
+        for t in helpers:
+            t.start()
+        for t in helpers:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    alone = RequestCache(tmp_path / "alone")
+    with alone.question_scope("q1") as scope:
+        scope.get_or_fetch("fetch", request, lambda: {"body": "page"})
+    [pack] = _question_dir(tmp_path / "racing", "q1", "fetch").iterdir()
+    [single] = _question_dir(tmp_path / "alone", "q1", "fetch").iterdir()
+    assert _pack_lines(pack) == [f"{request_digest(request)} {canonical_json({'body': 'page'})}"]
+    assert (pack.name, pack.read_bytes()) == (single.name, single.read_bytes())
+
+
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory, qa_dataset_path, banks_dir, web_root):
     """One fixture run with every (namespace, request, response) that passed
@@ -510,6 +539,7 @@ def test_run_over_old_packs_asks_again_and_offline_exits_3(recorded_run, tmp_pat
 # --- LM request keys -------------------------------------------------------
 
 # A change to any of these digests makes every existing LM cache unreadable.
+# They are keyed by the bare identity "mock", which _bare() puts on a backend.
 PINNED_LM_DIGESTS = {
     "describe": "5f9d6ac35e84761b3e11c8ee68d6e17536a5dcf64b13958eb82a9ff583e63723",
     "score": "48cf8991ca942f1b86684952c2bdf0dadb2e23e8257e315979723995271a8d4b",
@@ -518,9 +548,15 @@ PINNED_LM_DIGESTS = {
 }
 
 
+def _bare(inner):
+    """``inner`` with the cache identity ``mock``."""
+    inner.identity = "mock"
+    return inner
+
+
 @pytest.mark.parametrize("op", sorted(PINNED_LM_DIGESTS))
 def test_lm_request_digests_are_pinned(tmp_path, op):
-    cached = CachedBackend(MockBackend(), RequestCache(tmp_path), identity="mock")
+    cached = CachedBackend(_bare(MockBackend()), RequestCache(tmp_path))
     call = {
         "describe": cached.describe,
         "score": lambda: cached.score("Question: Who wrote Hamlet?\nAnswer:", " Shakespeare"),
@@ -547,8 +583,8 @@ def test_sample_and_score_entries_without_token_counts_are_not_read(tmp_path):
     cache.put(CacheKey.for_request("lm", {"op": "sample", "backend": "mock", "prompt_sha256": prompt_sha256,
                                           "params": params.to_json(), "seed": 7}),
               [{"text": "old", "logprob": -1.0}])
-    inner = _RecordingMock()
-    cached = CachedBackend(inner, cache, identity="mock")
+    inner = _bare(_RecordingMock())
+    cached = CachedBackend(inner, cache)
     assert cached.score(prompt, " Shakespeare") == MockBackend().score(prompt, " Shakespeare")
     assert cached.sample(prompt, params, seed=7) == MockBackend().sample(prompt, params, seed=7)
     assert [request[0] for request in inner.requests] == ["score", "sample"]
@@ -571,8 +607,7 @@ def test_offline_replay_never_encodes_a_prompt(tmp_path, qa_dataset_path, banks_
 
     monkeypatch.setattr(cache_module, "canonical_json", measuring)
     monkeypatch.setattr(pipeline_module, "canonical_json", measuring)
-    replay = CachedBackend(MockBackend(), RequestCache(tmp_path / "cache", offline=True),
-                           identity="mock")
+    replay = CachedBackend(_bare(MockBackend()), RequestCache(tmp_path / "cache", offline=True))
     Pipeline(_gold_config(qa_dataset_path, tmp_path, banks_dir, max_workers=1), replay).run()
     assert 0 < longest < shortest
 
@@ -654,10 +689,10 @@ def test_scope_writes_its_misses_once_as_one_pack(tmp_path):
     [pack] = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert pack.parent == _question_dir(tmp_path, "q1")
     lines = _pack_lines(pack)
-    digests = [request_digest({"op": "score_with_tokens", "backend": "_RecordingMock",
+    digests = [request_digest({"op": "score_with_tokens", "backend": inner.identity,
                                "prompt_sha256": hashlib.sha256(b"p").hexdigest(),
                                "continuation": " c"}),
-               request_digest({"op": "count_tokens", "backend": "_RecordingMock",
+               request_digest({"op": "count_tokens", "backend": inner.identity,
                                "text_sha256": hashlib.sha256(b"a b").hexdigest()})]
     assert sorted(lines) == lines
     assert sorted(lines) == sorted([f"{digests[0]} {canonical_json(first.to_json())}", f"{digests[1]} 2"])
@@ -741,7 +776,7 @@ def _gold_config(dataset_path, workdir, banks_dir, **kwargs):
 
 def _gold_run(dataset_path, workdir, banks_dir, inner, **kwargs) -> Pipeline:
     config = _gold_config(dataset_path, workdir, banks_dir, **kwargs)
-    backend = CachedBackend(inner, RequestCache(workdir / "cache"), identity="mock")
+    backend = CachedBackend(_bare(inner), RequestCache(workdir / "cache"))
     pipeline = Pipeline(config, backend)
     pipeline.run()
     return pipeline

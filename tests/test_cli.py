@@ -201,6 +201,17 @@ class TestMakeBackend:
         backend = cli.make_backend(config)
         assert isinstance(backend.inner, HTTPBackend)
 
+    def test_identities_are_the_keys_runs_wrote(self, tmp_path):
+        """The mock is keyed by its parameter count and an HTTP backend by its
+        URL as given, trailing slash included, as every earlier run keyed them."""
+        def identity(*flags):
+            config = cli.effective_config(_args("run", "--dataset", "d", "--workdir", str(tmp_path), *flags))
+            return cli.make_backend(config).identity
+
+        assert identity() == "mock(param_count=1000000)"
+        assert identity("--param-count", "7000") == "mock(param_count=7000)"
+        assert identity("--backend", "http://127.0.0.1:9/") == "http://127.0.0.1:9/"
+
     def test_param_count_reaches_mock(self, tmp_path):
         config = cli.effective_config(
             _args("run", "--dataset", "d", "--workdir", str(tmp_path),
@@ -321,6 +332,25 @@ class TestMainExitCodes:
         assert rc == 1
         assert "cost_points entries must be >= 0" in capsys.readouterr().err
         assert not workdir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "answer"])
+    @pytest.mark.parametrize("flags, context", [
+        (["--context-tokens", "16", "--max-new-tokens", "16"], 16),
+        (["--max-new-tokens", "2048"], 2048),
+    ], ids=["flag", "backend"])
+    def test_context_with_no_room_to_generate_is_1_before_any_stage(
+            self, tmp_path, qa_dataset_path, banks_dir, capsys, command, flags, context):
+        """Every sample and label score reserves --max-new-tokens, so a context
+        no larger than that fails no question one by one: only the backend's
+        description is asked for and cached."""
+        workdir = tmp_path / "w"
+        rc = cli.main([command, "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                       "--evidence", "gold", "--banks-dir", str(banks_dir), *flags])
+        assert rc == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == f"error: context_tokens {context} must exceed max_new_tokens"
+        assert [p.relative_to(workdir).parts[:3] for p in workdir.rglob("*") if p.is_file()] == [
+            ("cache", "lm", "shared")]
 
     def test_offline_cache_miss_is_3(self, tmp_path, qa_dataset_path,
                                      banks_dir, capsys):

@@ -257,18 +257,34 @@ class TestCachedBackend:
     def test_identity_partitions_cache(self, tmp_path):
         """Two different model identities must not share cached scores."""
         class FixedScore(MockBackend):
-            def __init__(self, value):
+            def __init__(self, value, identity):
                 super().__init__()
                 self.value = value
+                self.identity = identity
 
             def score(self, prompt, continuation):
                 return Score(self.value, 1, 1)
 
         cache = RequestCache(tmp_path)
-        a = CachedBackend(FixedScore(-1.0), cache, identity="model-a")
-        b = CachedBackend(FixedScore(-2.0), cache, identity="model-b")
+        a = CachedBackend(FixedScore(-1.0, "model-a"), cache)
+        b = CachedBackend(FixedScore(-2.0, "model-b"), cache)
         assert a.score("p", " c").logprob == -1.0
         assert b.score("p", " c").logprob == -2.0
+
+    def test_identity_is_read_once_from_the_backend_it_is_built_on(self, tmp_path):
+        """A backend without an identity cannot be cached, but may replace the
+        ``inner`` of a cached backend, whose keys stay as they were."""
+        class Anonymous(MockBackend):
+            def __init__(self):
+                super().__init__()
+                del self.identity
+
+        with pytest.raises(AttributeError, match="identity"):
+            CachedBackend(Anonymous(), RequestCache(tmp_path))
+        cached = CachedBackend(MockBackend(), RequestCache(tmp_path))
+        cached.inner = Anonymous()
+        assert cached.identity == "mock(param_count=1000000)"
+        assert cached.score("p", " c") == MockBackend().score("p", " c")
 
     @pytest.mark.parametrize("op, response, message", [
         ("score_with_tokens", {"logprob": "x"}, "/v1/score returned logprob 'x', not a finite number"),
@@ -286,7 +302,9 @@ class TestCachedBackend:
         }[op]
         cache = RequestCache(tmp_path)
         cache.put(CacheKey.for_request("lm", {"op": op, "backend": "mock", **request}), response)
-        cached = CachedBackend(MockBackend(), cache, identity="mock")
+        inner = MockBackend()
+        inner.identity = "mock"
+        cached = CachedBackend(inner, cache)
         call = {"score_with_tokens": lambda: cached.score("p", " c"),
                 "sample_with_tokens": lambda: cached.sample("p", GenerationParams(), 7),
                 "describe": cached.describe}[op]
@@ -489,6 +507,14 @@ class TestHTTPBackend:
                     send(cached)
         assert posts == ["/v1/score", "/v1/complete"]
         assert len(list((tmp_path / "lm" / "shared").iterdir())) == 2
+
+    def test_two_servers_never_share_cached_responses(self, serve, tmp_path):
+        """Each server's score is read back through one cache, also offline."""
+        urls = [serve(_answering(200, json.dumps(_GOOD_BODIES["/v1/score"] | {"logprob": value})
+                                 .encode("utf-8"))) for value in (-1.0, -2.0)]
+        for cache in (RequestCache(tmp_path), RequestCache(tmp_path, offline=True)):
+            assert [CachedBackend(HTTPBackend(url), cache).score(self.PROMPT, " Aurora Falls").logprob
+                    for url in urls] == [-1.0, -2.0]
 
     def test_fixture_server_answers_413_past_the_mock_context(self, server):
         http = HTTPBackend(server.base_url)

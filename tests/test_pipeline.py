@@ -442,7 +442,9 @@ class _CountingBackend(CachedBackend):
     cache hits included."""
 
     def __init__(self, workdir):
-        super().__init__(MockBackend(), RequestCache(workdir / "cache"), identity="mock")
+        inner = MockBackend()
+        inner.identity = "mock"
+        super().__init__(inner, RequestCache(workdir / "cache"))
         self.requests = Counter()
         self._lock = threading.Lock()
 
