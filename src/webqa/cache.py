@@ -60,9 +60,13 @@ class OfflineCacheMiss(CacheMiss):
     """Cache miss while networking is forbidden (``--offline``)."""
 
 
+# built once: ``json.dumps`` with these options builds a new encoder on every call
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """Stable serialization used both for cache keys and cache payloads."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def request_digest(request: dict) -> str:
@@ -250,9 +254,19 @@ def _write_then_rename(directory: Path, write) -> None:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp file and rename."""
+    """Write ``text`` to ``path`` via a same-directory temp file and rename,
+    unless the file already holds exactly its bytes: then it is left as it
+    is, so a re-run that reproduces an artifact replaces no file."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as fp:
+            if fp.read(len(data) + 1) == data:
+                return
+    except OSError:
+        pass
+
     def write(fp) -> Path:
-        fp.write(text.encode("utf-8"))
+        fp.write(data)
         return path
 
     _write_then_rename(path.parent, write)

@@ -102,6 +102,18 @@ def logsumexp(values: list[float]) -> float:
     return peak + math.log(left_sum(math.exp(v - peak) for v in values))
 
 
+def poe_scores(weights, rows) -> list[float]:
+    """The product-of-experts score ``w0*a + w1*b + w2*c + w3*d + w4*e`` of
+    each row of five log scores, added left to right."""
+    w0, w1, w2, w3, w4 = weights
+    return [w0 * a + w1 * b + w2 * c + w3 * d + w4 * e for a, b, c, d, e in rows]
+
+
+def _experts(bundle: ScoreBundle) -> tuple[float, float, float, float, float]:
+    """The five log scores of ``bundle`` in :data:`WEIGHT_NAMES` order."""
+    return (bundle.lp_a_qp, bundle.lp_q_ap, bundle.lp_a_p, bundle.lp_q_p, bundle.lp_prior)
+
+
 def pair_score(bundle: ScoreBundle, config: RerankConfig) -> float:
     """Per-pair score for the scorers that rank pairs directly."""
     if config.scorer == ANSWER_PROB:
@@ -109,19 +121,20 @@ def pair_score(bundle: ScoreBundle, config: RerankConfig) -> float:
     if config.scorer == NOISY_CHANNEL:
         return bundle.lp_q_ap + bundle.lp_a_p - bundle.lp_q_p
     if config.scorer == POE:
-        w = config.poe_weights
-        return (
-            w[0] * bundle.lp_a_qp
-            + w[1] * bundle.lp_q_ap
-            + w[2] * bundle.lp_a_p
-            + w[3] * bundle.lp_q_p
-            + w[4] * bundle.lp_prior
-        )
+        return poe_scores(config.poe_weights, (_experts(bundle),))[0]
     raise ValueError(f"{config.scorer!r} does not score single pairs")
 
 
 def _pair_key(answer: CandidateAnswer, bundle: ScoreBundle):
     return (-bundle.lp_a_qp, answer.paragraph_index, answer.canon_text)
+
+
+def _best_index(scores: list[float], key) -> int:
+    """Index of the highest of ``scores``; a tie goes to the smallest
+    ``key(index)``, then to the first index."""
+    top = max(scores)
+    tied = [i for i, score in enumerate(scores) if score == top]
+    return tied[0] if len(tied) == 1 else min(tied, key=key)
 
 
 def rag_answer_scores(pool: Pool) -> dict[str, float]:
@@ -161,10 +174,11 @@ def select_answer(pool: Pool, config: RerankConfig) -> SelectionResult:
             n_answers=n_answers,
         )
 
-    best = min(pool, key=lambda pair: (-pair_score(pair[1], config),) + _pair_key(*pair))
+    scores = [pair_score(bundle, config) for _, bundle in pool]
+    best = _best_index(scores, lambda i: _pair_key(*pool[i]))
     return SelectionResult(
-        answer=best[0],
-        score=pair_score(best[1], config),
+        answer=pool[best][0],
+        score=scores[best],
         scorer=config.scorer,
         n_pairs=len(pool),
         n_answers=n_answers,
@@ -195,19 +209,32 @@ def tune_weights(
 
     ``instances`` pairs each candidate pool with a reward function mapping
     the selected :class:`CandidateAnswer` to a score in [0, 1] (task
-    correctness on a held-out split).  Starting from all-ones, each sweep
-    walks the five weights in order and tries every grid value, keeping a
-    change only on strict improvement of the mean reward, so the procedure
-    and its trace are fully deterministic.  All-zero vectors are skipped.
+    correctness on a held-out split); it is called once on each pair's
+    answer, so it must depend on nothing else.  Starting from all-ones, each
+    sweep walks the five weights in order and tries every grid value,
+    keeping a change only on strict improvement of the mean reward, so the
+    procedure and its trace are fully deterministic.  All-zero vectors are
+    skipped.
     """
     if not instances:
         raise ValueError("tune_weights needs at least one instance")
+    # what selection reads of each pool, taken once: every pair's experts, its
+    # tie-break key and its reward
+    columns = []
+    for pool, reward in instances:
+        if not pool:
+            raise ValueError("cannot select from an empty pool")
+        rewards = [reward(answer) for answer, _ in pool]
+        if rewards.count(rewards[0]) == len(rewards):
+            # whichever pair wins, the pool adds this reward: one pair stands for all
+            pool, rewards = pool[:1], rewards[:1]
+        keys = [_pair_key(answer, bundle) for answer, bundle in pool]
+        columns.append(([_experts(bundle) for _, bundle in pool], keys.__getitem__, rewards))
 
     def objective(weights) -> float:
-        config = RerankConfig(scorer=POE, poe_weights=weights)
         total = 0.0
-        for pool, reward in instances:
-            total += reward(select_answer(pool, config).answer)
+        for experts, key, rewards in columns:
+            total += rewards[_best_index(poe_scores(weights, experts), key)]
         return total / len(instances)
 
     best = DEFAULT_WEIGHTS

@@ -136,6 +136,41 @@ def test_atomic_write_replaces_content(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["file.txt"]
 
 
+def test_atomic_write_leaves_a_file_with_equal_bytes_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "file.txt"
+    atomic_write_text(path, "café\n")
+    before = path.stat()
+    monkeypatch.setattr(cache_module, "_write_then_rename", lambda *a: pytest.fail("rewrote"))
+    atomic_write_text(path, "café\n")
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+@pytest.mark.parametrize("old", ["cafe\n", "caf", "café", "café\n\n", ""])
+def test_atomic_write_replaces_a_file_whose_bytes_differ(tmp_path, old):
+    """Other bytes, a prefix and an extension of the new bytes all differ."""
+    path = tmp_path / "file.txt"
+    path.write_bytes(old.encode("utf-8"))
+    inode = path.stat().st_ino
+    atomic_write_text(path, "café\n")
+    assert path.read_bytes() == "café\n".encode("utf-8")
+    assert path.stat().st_ino != inode
+
+
+def test_atomic_write_writes_when_the_old_file_cannot_be_read(tmp_path, monkeypatch):
+    path = tmp_path / "file.txt"
+    atomic_write_text(path, "same")
+    inode = path.stat().st_ino
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError("unreadable")
+
+    monkeypatch.setattr(cache_module, "open", unreadable, raising=False)
+    atomic_write_text(path, "same")
+    assert path.read_bytes() == b"same"
+    assert path.stat().st_ino != inode
+
+
 def test_json_record_roundtrip_and_layout(tmp_path):
     path = tmp_path / "r.json"
     write_json_record(path, {"b": 2, "a": 1})

@@ -5,6 +5,8 @@ import pytest
 
 from webqa.rerank import (
     ANSWER_PROB,
+    DEFAULT_TUNING_SWEEPS,
+    DEFAULT_WEIGHT_GRID,
     DEFAULT_WEIGHTS,
     NOISY_CHANNEL,
     POE,
@@ -13,6 +15,7 @@ from webqa.rerank import (
     CandidateAnswer,
     RerankConfig,
     ScoreBundle,
+    TuneResult,
     log_prior,
     logsumexp,
     pair_score,
@@ -355,3 +358,90 @@ class TestTuneWeights:
         assert len(out["weights"]) == 5
         assert out["weight_names"] == ["w_a_qp", "w_q_ap", "w_a_p",
                                        "w_q_p", "w_prior"]
+
+
+def _reference_tune(instances, grid=DEFAULT_WEIGHT_GRID, sweeps=DEFAULT_TUNING_SWEEPS):
+    """Coordinate descent with the most literal objective: one
+    ``select_answer`` per pool and weight vector, each reward in turn."""
+    def objective(weights):
+        config = RerankConfig(scorer=POE, poe_weights=weights)
+        total = 0.0
+        for pool, reward in instances:
+            total += reward(select_answer(pool, config).answer)
+        return total / len(instances)
+
+    best = DEFAULT_WEIGHTS
+    best_objective = objective(best)
+    trace = [{"weights": list(best), "objective": best_objective, "improved": True}]
+    for _ in range(sweeps):
+        for coord in range(5):
+            for value in grid:
+                candidate = best[:coord] + (value,) + best[coord + 1:]
+                if candidate == best or not any(candidate):
+                    continue
+                score = objective(candidate)
+                trace.append({"weights": list(candidate), "objective": score,
+                              "improved": score > best_objective})
+                if score > best_objective:
+                    best, best_objective = candidate, score
+    return TuneResult(weights=best, objective=best_objective, trace=tuple(trace))
+
+
+def _coarse(rng, pool):
+    """``pool`` with every score drawn from a few halves, so PoE sums tie exactly."""
+    def value():
+        return rng.choice((0.0, -0.0, -0.5, -1.0, -2.0))
+    return [(answer, ScoreBundle(value(), value(), value(), value(), value()))
+            for answer, _ in pool]
+
+
+def _instances(pools, rewards):
+    """Each pool with a reward that reads ``rewards`` by raw answer text."""
+    return [(pool, lambda answer, table=table: table.get(answer.text, 0.0))
+            for pool, table in zip(pools, rewards)]
+
+
+class TestTuneMatchesReference:
+    def test_300_random_instance_sets(self):
+        rng = random.Random(20261019)
+        for trial in range(300):
+            pools = [_random_pool(rng) for _ in range(rng.randrange(1, 6))]
+            if trial % 2:
+                pools = [_coarse(rng, pool) for pool in pools]
+            rewards = [{f"ans {a}": rng.choice((0.0, 0.5, 1.0)) for a in range(4)}
+                       for _ in pools]
+            instances = _instances(pools, rewards)
+            assert tune_weights(instances) == _reference_tune(instances), trial
+
+    def test_exact_ties_go_to_the_higher_answer_prob_then_the_lower_paragraph(self):
+        # every weight vector scores all three pairs alike unless it weighs lp_a_qp
+        pools = [[_pair("a", 2, lp_a_qp=-2.0, lp_q_ap=-1.0),
+                  _pair("b", 1, lp_a_qp=-1.0, lp_q_ap=-2.0),
+                  _pair("c", 0, lp_a_qp=-1.0, lp_q_ap=-2.0)]]
+        instances = _instances(pools, [{"a": 1.0, "b": 0.5}])
+        result = tune_weights(instances)
+        assert result == _reference_tune(instances)
+        assert result.trace[0]["objective"] == 0.0  # "c": paragraph 0 wins the tie
+
+    def test_poe_sums_of_zero_and_negative_zero_tie(self):
+        zero = ScoreBundle(0.0, 0.0, 0.0, 0.0, 0.0)
+        negative_zero = ScoreBundle(-0.0, -0.0, -0.0, -0.0, -0.0)
+        pool = [(CandidateAnswer("later", 1), zero), (CandidateAnswer("first", 0), negative_zero)]
+        assert select_answer(pool, RerankConfig(scorer=POE)).answer.text == "first"
+        instances = _instances([pool, pool[::-1]], [{"later": 1.0}, {"first": 1.0}])
+        result = tune_weights(instances)
+        assert result == _reference_tune(instances)
+        assert result.objective == 0.5
+
+    def test_one_canon_text_repeated_across_paragraphs(self):
+        pool = [_pair("new york ", 3), _pair("new  york", 1), _pair("new york", 1),
+                _pair("boston", 2, lp_q_ap=-0.5)]
+        # "new  york" and "new york" share every score and key: pool order decides
+        assert select_answer(pool, RerankConfig(scorer=POE)).answer.text == "boston"
+        assert select_answer(pool, RerankConfig(scorer=POE, poe_weights=(1.0, 0, 0, 0, 0))
+                             ).answer.text == "new  york"
+        instances = _instances([pool, pool[::-1]], [{"new  york": 1.0}, {"new york": 1.0}])
+        result = tune_weights(instances)
+        assert result == _reference_tune(instances)
+        # without lp_q_ap each pool's first "new york" in pool order wins
+        assert result.weights[1] == 0.0 and result.objective == 1.0

@@ -1,7 +1,9 @@
 """Whole fixture workdirs, cache/ included, match the digests pinned in
 tests/golden/workdir_digests.json, and an ``--offline`` re-run of each
-changes nothing (see ``workdir_matrix`` for the configs)."""
+changes no byte and replaces no file: every file keeps its ``st_ino`` and
+``st_mtime_ns`` (see ``workdir_matrix`` for the configs)."""
 import json
+import os
 
 import pytest
 import workdir_matrix
@@ -24,3 +26,21 @@ def test_pinned_table_covers_the_matrix_and_not_the_worker_count():
 @pytest.mark.parametrize("name", sorted(workdir_matrix.CONFIGS))
 def test_workdir_matches_its_pinned_digest(matrix_servers, tmp_path, name):
     assert workdir_matrix.run_config(name, tmp_path / "w") == DIGESTS[name]
+
+
+def test_a_file_the_offline_rerun_replaces_with_equal_bytes_fails(matrix_servers, tmp_path,
+                                                                   monkeypatch):
+    main = workdir_matrix.cli.main
+
+    def rewriting_main(args):
+        code = main(args)
+        if "--offline" in args:
+            [weights] = (tmp_path / "w").glob("weights.json")
+            copy = weights.with_name("copy")
+            copy.write_bytes(weights.read_bytes())
+            os.replace(copy, weights)
+        return code
+
+    monkeypatch.setattr(workdir_matrix.cli, "main", rewriting_main)
+    with pytest.raises(AssertionError, match="replaced a file"):
+        workdir_matrix.run_config("fixtureqa-gold-mock-w1", tmp_path / "w")

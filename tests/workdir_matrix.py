@@ -1,7 +1,8 @@
 """The byte-identity matrix: fixture runs whose whole workdirs are pinned.
 
 Each config is one ``webqa run`` over a fixture dataset, followed by an
-``--offline`` re-run that must exit 0 and change no byte.  A workdir is
+``--offline`` re-run that must exit 0, change no byte and replace no file
+(every file keeps its inode number and modification time).  A workdir is
 pinned as one SHA-256 over every file's path and bytes, ``cache/``
 included, with packs decompressed so that the digest does not depend on
 the zlib build.  The axes:
@@ -73,6 +74,13 @@ def _files(root: pathlib.Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _inodes(root: pathlib.Path) -> dict[str, tuple[int, int]]:
+    """Each file's inode number and modification time: a file replaced or
+    written again, even with the same bytes, changes at least one."""
+    return {p.relative_to(root).as_posix(): (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in root.rglob("*") if p.is_file()}
+
+
 def workdir_digest(root: pathlib.Path) -> str:
     """SHA-256 over each file's relative path, length and bytes, in path
     order, with every cache pack decompressed."""
@@ -87,15 +95,17 @@ def workdir_digest(root: pathlib.Path) -> str:
 
 def run_config(name: str, workdir: pathlib.Path) -> str:
     """Run config ``name`` into ``workdir`` and re-run it ``--offline``
-    (inside :func:`servers`); the workdir's digest."""
+    (inside :func:`servers`), which must replace no file; the workdir's digest."""
     args = flags(name, workdir)
     code = cli.main(args)
     if code != 0:
         raise AssertionError(f"{name}: run exited {code}")
-    written = _files(workdir)
+    written, inodes = _files(workdir), _inodes(workdir)
     code = cli.main(args + ["--offline"])
     if code != 0:
         raise AssertionError(f"{name}: --offline re-run exited {code}")
     if _files(workdir) != written:
         raise AssertionError(f"{name}: --offline re-run changed the workdir")
+    if _inodes(workdir) != inodes:
+        raise AssertionError(f"{name}: --offline re-run replaced a file")
     return workdir_digest(workdir)
