@@ -234,13 +234,14 @@ def _print_cost_rows(rows: list[dict]) -> None:
 
 def run_command(command: str, config: dict) -> int:
     pipeline = make_pipeline(config)
+    if command in ("tune-weights", "rerank", "eval", "cost"):
+        pipeline.load_failures()
     if command == "retrieve":
         pipeline.stage_retrieve()
         pipeline.check_failures()
         print(f"retrieved evidence for {len(pipeline.records) - len(pipeline.failed)} questions")
     elif command == "answer":
         pipeline.stage_answer()
-        pipeline.stage_closed()
         pipeline.check_failures()
         print(f"built candidate pools for {len(pipeline.records) - len(pipeline.failed)} questions")
     elif command == "tune-weights":

@@ -1,10 +1,11 @@
 """End-to-end stages: retrieve, answer, tune, rerank, evaluate, cost.
 
-Every stage reads and writes plain JSON artifacts under a working directory
-and routes all model and network traffic through one request cache, its
-backend's (``Pipeline.cache`` is ``backend.cache``), a question's requests
-through that question's scope, so a re-run over a warm cache reproduces every
-artifact byte for byte and an offline run works entirely from cache.  Stage outputs:
+``run`` takes each question through retrieve and answer in one pass, then runs
+the later stages over all questions.  Every stage reads and writes plain JSON
+artifacts under a working directory and routes all model and network traffic
+through one request cache, its backend's (``Pipeline.cache`` is ``backend.cache``),
+a question's requests through that question's scope, so a re-run over a warm cache
+reproduces every artifact byte for byte and an offline run works entirely from cache.
 
     cache/                      the backend's request cache, packs per question
     index/<qid>.json            question and the URLs retrieved for it
@@ -31,6 +32,7 @@ from typing import Callable, TypeVar
 
 from . import chunkrank, rerank, websearch
 from .cache import (
+    RequestCache,
     atomic_write_text,
     canonical_json,
     read_json_record,
@@ -98,8 +100,16 @@ _QUESTION_ERRORS = (OSError, ValueError, websearch.SearchError)
 
 
 class _PassFailed(Exception):
-    """``(stage, error)``: a question error in ``stage``, a later pass of a
+    """``(stage, error)``: a question error in ``stage``, one step of a
     worker that runs several."""
+
+
+def _in_step(stage: str, fn, *args):
+    """``fn(*args)``, a question error in it a failure of ``stage``."""
+    try:
+        return fn(*args)
+    except _QUESTION_ERRORS as exc:
+        raise _PassFailed(stage, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -322,6 +332,11 @@ class Pipeline:
         with ThreadPoolExecutor(max_workers=self.config.max_workers) as pool:
             self.failed.update(filter(None, pool.map(guarded, records)))
 
+    def load_failures(self) -> None:
+        """Skip the questions ``failures.json`` lists, as :meth:`run` skips those its pass failed."""
+        path = self.workdir / "failures.json"
+        self.failed = read_json_record(path) if path.exists() else {}
+
     def check_failures(self) -> None:
         """Write ``failures.json``, then raise :class:`PartialFailure` above 10%."""
         write_json_record(self.workdir / "failures.json", self.failed)
@@ -419,54 +434,56 @@ class Pipeline:
                 by_canon[canon] = (stripped, s.logprob)
         return list(by_canon.values())
 
-    # --- retrieve -----------------------------------------------------------
+    # --- the per-question pass ---------------------------------------------
 
-    def stage_retrieve(self) -> None:
-        """Build ranked conditioning paragraphs for every question."""
-        if self.config.evidence == CLOSED:
-            return
-        if self.config.evidence == SEARCH and self.search_client is None and not self.cache.offline:
+    def _map_scoped(self, work, stage: str, retrieve: bool) -> None:
+        """``work(record, scope)`` for each active question in its cache scope;
+        ``retrieve`` under search evidence needs a search client or an offline cache."""
+        if retrieve and self.config.evidence == SEARCH and self.search_client is None and not self.cache.offline:
             raise ConfigError("search evidence mode needs a search client")
 
         def worker(record: QuestionRecord) -> None:
-            if self.config.evidence == GOLD:
-                paragraphs = [
-                    chunkrank.EvidenceParagraph(source_url=f"gold:{record.id}", ordinal=i,
-                                                sentences=(text,))
-                    for i, text in enumerate(record.gold_evidence)
-                ]
-            else:
-                with self.cache.question_scope(record.id) as scope:
-                    documents = websearch.retrieve_documents(
-                        record.question, self.search_client, scope, num_urls=self.config.num_urls)
-                write_json_record(self._qpath("index", "questions", record.id), {
-                    "question_id": record.id,
-                    "question": record.question,
-                    "urls": [d.url for d in documents],
-                })
-                paragraphs = []
-                for doc in documents:
-                    paragraphs.extend(chunkrank.chunk(
-                        doc.clean_text, source_url=doc.url, size=self.config.chunk_sentences,
-                    ))
-            ranked = chunkrank.rank_paragraphs(
-                record.question, paragraphs, n=self.config.top_paragraphs,
-            ) if paragraphs else []
-            write_json_record(self._qpath("paragraphs", self.config.evidence, record.id), {
-                "question_id": record.id,
-                "paragraphs": [
-                    {
-                        "url": r.paragraph.source_url,
-                        "ordinal": r.paragraph.ordinal,
-                        "text": r.paragraph.text,
-                        "cosine": r.cosine,
-                        "prior": r.prior,
-                    }
-                    for r in ranked
-                ],
-            })
+            with self.cache.question_scope(record.id) as scope:
+                work(record, scope)
 
-        self._map_questions(self._active(self.records), worker, "retrieve")
+        self._map_questions(self._active(self.records), worker, stage)
+
+    def _retrieve_for(self, record: QuestionRecord, scope: RequestCache) -> list[dict]:
+        """Rank ``record``'s paragraphs, searching and fetching through ``scope``
+        under search evidence; writes index/ and paragraphs/ and returns the
+        paragraphs/ rows."""
+        if self.config.evidence == GOLD:
+            paragraphs = [
+                chunkrank.EvidenceParagraph(source_url=f"gold:{record.id}", ordinal=i,
+                                            sentences=(text,))
+                for i, text in enumerate(record.gold_evidence)
+            ]
+        else:
+            documents = websearch.retrieve_documents(
+                record.question, self.search_client, scope, num_urls=self.config.num_urls)
+            write_json_record(self._qpath("index", "questions", record.id), {
+                "question_id": record.id,
+                "question": record.question,
+                "urls": [d.url for d in documents],
+            })
+            paragraphs = []
+            for doc in documents:
+                paragraphs.extend(chunkrank.chunk(
+                    doc.clean_text, source_url=doc.url, size=self.config.chunk_sentences,
+                ))
+        ranked = chunkrank.rank_paragraphs(
+            record.question, paragraphs, n=self.config.top_paragraphs,
+        ) if paragraphs else []
+        rows = [{"url": r.paragraph.source_url, "ordinal": r.paragraph.ordinal, "text": r.paragraph.text,
+                 "cosine": r.cosine, "prior": r.prior} for r in ranked]
+        write_json_record(self._qpath("paragraphs", self.config.evidence, record.id),
+                          {"question_id": record.id, "paragraphs": rows})
+        return rows
+
+    def stage_retrieve(self) -> None:
+        """Build ranked conditioning paragraphs for every question."""
+        if self.config.evidence != CLOSED:
+            self._map_scoped(self._retrieve_for, "retrieve", retrieve=True)
 
     def load_paragraphs(self, qid: str) -> list[dict]:
         path = self._qpath("paragraphs", self.config.evidence, qid)
@@ -474,12 +491,10 @@ class Pipeline:
             raise ConfigError(f"no paragraphs artifact for {qid}; run retrieve first")
         return read_json_record(path)["paragraphs"]
 
-    # --- answer (candidate generation and scoring) --------------------------
-
-    def _open_pool_for(self, pass_: _Pass, banks: tuple[PromptBank, ...]) -> rerank.Pool:
-        """Sample candidates per paragraph and attach all rerank scores."""
+    def _open_pool_for(self, pass_: _Pass, paragraphs: list[dict],
+                       banks: tuple[PromptBank, ...]) -> rerank.Pool:
+        """Sample candidates per paragraphs/ row and attach all rerank scores."""
         record = pass_.record
-        paragraphs = self.load_paragraphs(record.id)
         question = record.question
         qa_bank, q_ap_bank, q_p_bank, a_p_bank = banks
         q_cont = " " + question
@@ -540,44 +555,30 @@ class Pipeline:
             "".join(canonical_json(entry) + "\n" for entry in log),
         )
 
-    def stage_answer(self) -> None:
-        """Candidate pools for open evidence: each question's open-book pool,
-        then its closed-book pool, in one pass through one cache scope, so a
-        question's LM requests land in one pack and a replay reads it once.  A
-        failure of the closed-book half is a ``closed`` failure."""
-        if self.config.evidence == CLOSED:
-            return
+    def stage_answer(self, *, retrieve: bool = False) -> None:
+        """Each question's one pass in one cache scope: its paragraphs (ranked
+        with ``retrieve``, else read from paragraphs/), its open-book pool from
+        them, then its closed-book pool (only that under closed evidence).  A
+        failure names its step: ``retrieve``, ``answer`` or ``closed``."""
         # banks load before the first question, so one that cannot be used stops
         # the run here instead of failing every question
-        open_build = functools.partial(
-            self._open_pool_for, banks=tuple(map(self.bank, OPEN_BANK_KINDS)))
+        open_banks = () if self.config.evidence == CLOSED else tuple(map(self.bank, OPEN_BANK_KINDS))
         closed_build = functools.partial(self._closed_pool_for, qa_bank=self.bank("qa"))
-        source = self.config.evidence
 
-        def worker(record: QuestionRecord) -> None:
-            with self.cache.question_scope(record.id) as scope:
-                backend = self.backend.scoped(scope)
-                self._write_pool(source, record, backend, open_build)
-                try:
-                    self._write_pool(CLOSED, record, backend, closed_build)
-                except _QUESTION_ERRORS as exc:
-                    raise _PassFailed("closed", exc) from exc
+        def work(record: QuestionRecord, scope: RequestCache) -> None:
+            backend = self.backend.scoped(scope)
+            if self.config.evidence != CLOSED:
+                rows = (_in_step("retrieve", self._retrieve_for, record, scope) if retrieve
+                        else self.load_paragraphs(record.id))
+                self._write_pool(self.config.evidence, record, backend, functools.partial(
+                    self._open_pool_for, paragraphs=rows, banks=open_banks))
+            _in_step("closed", self._write_pool, CLOSED, record, backend, closed_build)
 
-        self._map_questions(self._active(self.records), worker, "answer")
+        self._map_scoped(work, "answer", retrieve)
 
     def stage_closed(self) -> None:
-        """Closed-book pools under closed evidence, where no open-book pass runs
-        (other modes build them in :meth:`stage_answer`); also the
-        zero-paragraph row of the cost sweep."""
-        if self.config.evidence != CLOSED:
-            return
-        build = functools.partial(self._closed_pool_for, qa_bank=self.bank("qa"))
-
-        def worker(record: QuestionRecord) -> None:
-            with self.cache.question_scope(record.id) as scope:
-                self._write_pool(CLOSED, record, self.backend.scoped(scope), build)
-
-        self._map_questions(self._active(self.records), worker, "closed")
+        """Nothing: :meth:`stage_answer` builds every closed-book pool.  Kept for
+        callers of ``stage_answer(); stage_closed()`` and tools that wrap each stage."""
 
     # --- pools and selection ------------------------------------------------
 
@@ -783,11 +784,9 @@ class Pipeline:
     # --- orchestration ------------------------------------------------------
 
     def run(self) -> EvalReport:
-        """All stages in order; above 10% failed questions, raises
-        :class:`PartialFailure` before ``rerank`` writes anything."""
-        self.stage_retrieve()
-        self.stage_answer()
-        self.stage_closed()
+        """Each question's one pass, then the stages over all questions; above 10%
+        failed questions, raises :class:`PartialFailure` before ``rerank`` writes anything."""
+        self.stage_answer(retrieve=True)
         self.check_failures()
         self.stage_tune()
         self.stage_rerank()

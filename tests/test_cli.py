@@ -455,8 +455,9 @@ class TestMainExitCodes:
 
     def test_staged_commands_compose(self, tmp_path, qa_dataset_path,
                                      banks_dir, web_root):
-        """retrieve / answer / rerank / eval run as separate invocations
-        against one workdir, matching what `run` produces."""
+        """retrieve / answer / rerank / eval / cost run as separate invocations
+        against one workdir (test_workdir_matrix checks that the staged
+        commands write the bytes `run` writes)."""
         workdir = tmp_path / "w"
         with FixtureServer(web_root) as server:
             common = ["--dataset", str(qa_dataset_path),
@@ -483,9 +484,25 @@ class TestFailureTolerance:
     error; more exits 2, and any other exception is a bug that propagates."""
 
     @staticmethod
-    def _run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
-             n_failing, error):
-        failing = {r.question for r in load_dataset(qa_dataset_path)[:n_failing]}
+    def _flags(qa_dataset_path, banks_dir, workdir, base_url):
+        return ["--dataset", str(qa_dataset_path),
+                "--workdir", str(workdir),
+                "--search-endpoint", base_url,
+                "--banks-dir", str(banks_dir),
+                "--top-urls", "3",
+                "--paragraphs", "2",
+                "--samples-per-paragraph", "2",
+                "--closed-book-samples", "4",
+                "--max-new-tokens", "16",
+                "--cost-points", "0,1"]
+
+    @classmethod
+    def _run(cls, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+             n_failing, error, failing_ids=()):
+        """``run`` whose search raises ``error`` for the first ``n_failing``
+        questions and for those in ``failing_ids``."""
+        failing = {r.question for i, r in enumerate(load_dataset(qa_dataset_path))
+                   if i < n_failing or r.id in failing_ids}
         with FixtureServer(web_root) as server:
             class FailingSearch(FixtureSearchClient):
                 def search(self, query, num):
@@ -495,16 +512,8 @@ class TestFailureTolerance:
 
             monkeypatch.setattr(cli, "make_search_client",
                                 lambda config: FailingSearch(server.base_url))
-            return cli.main(["run", "--dataset", str(qa_dataset_path),
-                             "--workdir", str(tmp_path / "w"),
-                             "--search-endpoint", server.base_url,
-                             "--banks-dir", str(banks_dir),
-                             "--top-urls", "3",
-                             "--paragraphs", "2",
-                             "--samples-per-paragraph", "2",
-                             "--closed-book-samples", "4",
-                             "--max-new-tokens", "16",
-                             "--cost-points", "0,1"])
+            return cli.main(["run", *cls._flags(qa_dataset_path, banks_dir, tmp_path / "w",
+                                                server.base_url)])
 
     @staticmethod
     def _failures(tmp_path):
@@ -541,6 +550,25 @@ class TestFailureTolerance:
         assert self._failures(tmp_path) == {
             r.id: "retrieve: provider down" for r in load_dataset(qa_dataset_path)}
         assert not (tmp_path / "w" / "predictions").exists()
+
+    @pytest.mark.parametrize("qid", ["q03", "q08"], ids=["main", "heldout"])
+    def test_later_staged_commands_skip_the_questions_failures_json_lists(
+            self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, qid):
+        """With one question's paragraphs/ file gone, ``answer`` fails it and
+        ``tune-weights``, ``rerank``, ``eval`` and ``cost`` skip it: each exits 0
+        and they write what a ``run`` whose search failed it writes."""
+        staged = tmp_path / "staged"
+        with FixtureServer(web_root) as server:
+            flags = self._flags(qa_dataset_path, banks_dir, staged, server.base_url)
+            assert cli.main(["retrieve", *flags]) == 0
+        (staged / "paragraphs" / "search" / f"{qid}.json").unlink()
+        for command in ("answer", "tune-weights", "rerank", "eval", "cost"):
+            assert cli.main([command, *flags]) == 0, command
+        assert set(json.loads((staged / "failures.json").read_text(encoding="utf-8"))) == {qid}
+        assert self._run(tmp_path / "run", qa_dataset_path, banks_dir, web_root, monkeypatch,
+                         0, SearchError("provider down"), failing_ids=(qid,)) == 0
+        for artifact in ("predictions", "reports", "cost"):
+            assert _files(staged / artifact) == _files(tmp_path / "run" / "w" / artifact), artifact
 
     def test_worker_type_error_is_raised(self, tmp_path, qa_dataset_path, banks_dir,
                                          web_root, monkeypatch):

@@ -366,15 +366,16 @@ def _call_rows(workdir, source, qid):
 def _build_pools(pipeline):
     pipeline.stage_retrieve()
     pipeline.stage_answer()
-    pipeline.stage_closed()
     assert not pipeline.failed
 
 
+@pytest.mark.parametrize("retrieve", [False, True], ids=["staged", "run"])
 def test_closed_book_failure_in_the_answer_pass_is_a_closed_failure(tmp_path, qa_dataset_path,
-                                                                     banks_dir):
+                                                                     banks_dir, retrieve):
     """The answer pass builds a question's closed-book pool after its open-book
-    pool; an error in the closed-book half fails the question as ``closed``,
-    and the open-book half's pool and cache misses are kept."""
+    pool, after a separate retrieve stage or with retrieval as its first step;
+    an error in the closed-book half fails the question as ``closed``, and the
+    open-book half's pool and cache misses are kept."""
     failing = load_dataset(qa_dataset_path)[0]
 
     def completion(prompt, seed, index):
@@ -385,9 +386,9 @@ def test_closed_book_failure_in_the_answer_pass_is_a_closed_failure(tmp_path, qa
 
     config = _config(qa_dataset_path, tmp_path, banks_dir=str(banks_dir))
     pipeline = Pipeline(config, cached_backend(MockBackend(completion_fn=completion), config.workdir))
-    pipeline.stage_retrieve()
-    pipeline.stage_answer()
-    pipeline.stage_closed()
+    if not retrieve:
+        pipeline.stage_retrieve()
+    pipeline.stage_answer(retrieve=retrieve)
     pipeline.check_failures()
     failures = json.loads((tmp_path / "failures.json").read_text(encoding="utf-8"))
     assert failures == {failing.id: "closed: model refused"}
@@ -496,6 +497,48 @@ def test_search_retrieve_writes_the_pinned_index_and_paragraphs(tmp_path, qa_dat
         pipeline.stage_retrieve()
     assert not pipeline.failed
     assert _artifact_digest(tmp_path, ("index", "paragraphs"), server.base_url) == PINNED_RETRIEVAL
+
+
+def test_search_evidence_needs_a_client_only_to_retrieve(tmp_path, qa_dataset_path, banks_dir,
+                                                         web_root):
+    """Over an online cache without a search client, retrieval, alone or in
+    ``run``, is refused before any question; the answer pass without
+    retrieval reads paragraphs/ and needs no client."""
+    config = _config(qa_dataset_path, tmp_path, evidence=SEARCH, banks_dir=str(banks_dir))
+    clientless = Pipeline(config, cached_backend(MockBackend(), tmp_path))
+    for stage in (clientless.stage_retrieve, clientless.run):
+        with pytest.raises(ConfigError, match="search evidence mode needs a search client"):
+            stage()
+    # only the backend's describe entry, in the shared scope
+    assert {p.relative_to(tmp_path).parts[:3] for p in tmp_path.rglob("*") if p.is_file()} == {
+        ("cache", "lm", "shared")}
+    with FixtureServer(web_root) as server:
+        Pipeline(config, cached_backend(MockBackend(), tmp_path),
+                 FixtureSearchClient(server.base_url)).stage_retrieve()
+    clientless.stage_answer()
+    assert not clientless.failed
+    assert len(list((tmp_path / "candidates" / SEARCH).iterdir())) == len(clientless.records)
+
+
+def test_a_search_run_opens_one_cache_scope_per_question(tmp_path, qa_dataset_path, banks_dir,
+                                                         web_root, monkeypatch):
+    """``run`` sends a question's search, fetches and both pools' LM requests
+    through one cache scope."""
+    opened = []
+    question_scope = RequestCache.question_scope
+
+    def counting(cache, question_id):
+        opened.append(question_id)
+        return question_scope(cache, question_id)
+
+    monkeypatch.setattr(RequestCache, "question_scope", counting)
+    config = _config(qa_dataset_path, tmp_path, evidence=SEARCH, banks_dir=str(banks_dir))
+    with FixtureServer(web_root) as server:
+        pipeline = Pipeline(config, cached_backend(MockBackend(), tmp_path),
+                            FixtureSearchClient(server.base_url))
+        pipeline.run()
+    assert not pipeline.failed
+    assert Counter(opened) == Counter(r.id for r in pipeline.records)
 
 
 class TestLMTraffic:

@@ -1,7 +1,8 @@
 """Whole fixture workdirs, cache/ included, match the digests pinned in
-tests/golden/workdir_digests.json, and an ``--offline`` re-run of each
-changes no byte and replaces no file: every file keeps its ``st_ino`` and
-``st_mtime_ns`` (see ``workdir_matrix`` for the configs)."""
+tests/golden/workdir_digests.json, whether one ``run`` or the staged
+commands wrote them, and an ``--offline`` re-run of each changes no byte and
+replaces no file: every file keeps its ``st_ino`` and ``st_mtime_ns`` (see
+``workdir_matrix`` for the configs)."""
 import json
 import os
 
@@ -26,6 +27,17 @@ def test_pinned_table_covers_the_matrix_and_not_the_worker_count():
 @pytest.mark.parametrize("name", sorted(workdir_matrix.CONFIGS))
 def test_workdir_matches_its_pinned_digest(matrix_servers, tmp_path, name):
     assert workdir_matrix.run_config(name, tmp_path / "w") == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(workdir_matrix.CONFIGS))
+def test_staged_commands_write_the_pinned_workdir(matrix_servers, tmp_path, name):
+    """``retrieve``, ``answer``, ``tune-weights``, ``rerank``, ``eval`` and
+    ``cost``, each its own invocation, leave the workdir, ``cache/``
+    included, that one ``run`` of the config leaves."""
+    workdir = tmp_path / "w"
+    for command in ("retrieve", "answer", "tune-weights", "rerank", "eval", "cost"):
+        assert workdir_matrix.cli.main(workdir_matrix.flags(name, workdir, command)) == 0, command
+    assert workdir_matrix.workdir_digest(workdir) == DIGESTS[name]
 
 
 def test_a_file_the_offline_rerun_replaces_with_equal_bytes_fails(matrix_servers, tmp_path,

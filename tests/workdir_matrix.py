@@ -60,9 +60,9 @@ def servers():
         yield
 
 
-def flags(name: str, workdir: pathlib.Path) -> list[str]:
+def flags(name: str, workdir: pathlib.Path, command: str = "run") -> list[str]:
     dataset, evidence, backend, workers = CONFIGS[name]
-    return ["run", "--dataset", str(FIXTURES / f"{dataset}.jsonl"), "--workdir", str(workdir),
+    return [command, "--dataset", str(FIXTURES / f"{dataset}.jsonl"), "--workdir", str(workdir),
             "--evidence", evidence, "--backend", BACKENDS[backend],
             "--search-endpoint", BASE_URL, "--banks-dir", str(FIXTURES / "banks"),
             "--max-workers", workers, "--top-urls", "3", "--paragraphs", "3",
