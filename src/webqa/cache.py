@@ -32,6 +32,7 @@ every miss, in every namespace, and never writes.  Entries of older layouts
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -60,13 +61,27 @@ class OfflineCacheMiss(CacheMiss):
     """Cache miss while networking is forbidden (``--offline``)."""
 
 
-# built once: ``json.dumps`` with these options builds a new encoder on every call
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_DECODER = json.JSONDecoder()
 
 
-def canonical_json(obj) -> str:
-    """Stable serialization used both for cache keys and cache payloads."""
-    return _CANONICAL_ENCODER.encode(obj)
+def _make_encoder(item_separator: str, key_separator: str):
+    """``encode(obj)``: ``obj`` as JSON with sorted keys, non-ASCII kept and
+    these separators.  ``json.dumps`` and ``JSONEncoder.encode`` build a new
+    encoder on every call; CPython's C encoder is built here once."""
+    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                               separators=(item_separator, key_separator))
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    # no markers: canonical data holds no reference cycle to detect
+    iterencode = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring, None,
+        key_separator, item_separator, True, False, True)
+    return lambda obj: "".join(iterencode(obj, 0))
+
+
+# the stable serialization used both for cache keys and cache payloads
+canonical_json = _make_encoder(",", ":")
 
 
 def request_digest(request: dict) -> str:
@@ -135,9 +150,14 @@ class _Packs:
 
     def get(self, key: CacheKey):
         try:
-            return json.loads(self.responses[key.digest])
+            response = self.responses[key.digest]
         except KeyError:
             raise CacheMiss(f"{self.directory.name}/{key.digest}") from None
+        # canonical JSON has no whitespace around it to skip, as json.loads would
+        value, end = _DECODER.raw_decode(response)
+        if end != len(response):
+            raise ValueError(f"unreadable cache entry {self.directory.name}/{key.digest}")
+        return value
 
     def save(self, digests: list[str]) -> None:
         """Write the responses of ``digests``, each once, as one pack, one line at
@@ -272,9 +292,66 @@ def atomic_write_text(path: Path, text: str) -> None:
     _write_then_rename(path.parent, write)
 
 
+class _NotPlain(Exception):
+    """A value :func:`_indented` leaves to ``json.dumps``."""
+
+
+@functools.lru_cache(maxsize=None)  # one per nesting depth of an artifact
+def _indented_encoder(pad: str):
+    """Encodes a container of scalars as ``json.dumps(indent=1)`` would at
+    depth ``len(pad)``, less the line breaks after its opening bracket and
+    before its closing one."""
+    return _make_encoder(",\n" + pad + " ", ": ")
+
+
+def _indented(obj, pad: str, out: list[str]) -> None:
+    """Append the text of ``json.dumps(obj, sort_keys=True, ensure_ascii=False,
+    indent=1)`` at depth ``len(pad)`` to ``out``: a container of scalars in
+    one call of the C encoder, not one Python step per token.  Any value but
+    a plain dict, list, tuple or scalar, or a non-string key outside such a
+    container, raises :class:`_NotPlain`."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        out.append(canonical_json(obj))
+    elif kind is not dict and kind is not list and kind is not tuple:
+        raise _NotPlain
+    elif not obj:
+        out.append("{}" if kind is dict else "[]")
+    elif _SCALARS.issuperset(map(type, obj.values() if kind is dict else obj)):
+        text = _indented_encoder(pad)(obj)
+        out.append(f"{text[0]}\n{pad} {text[1:-1]}\n{pad}{text[-1]}")
+    else:
+        inner = pad + " "
+        separator = "\n" + inner
+        if kind is dict:
+            out.append("{")
+            for key in sorted(obj):
+                if type(key) is not str:
+                    raise _NotPlain
+                out.append(f"{separator}{canonical_json(key)}: ")
+                _indented(obj[key], inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + pad + "}")
+        else:
+            out.append("[")
+            for value in obj:
+                out.append(separator)
+                _indented(value, inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + pad + "]")
+
+
 def write_json_record(path: Path, obj) -> None:
-    """Persist a stage artifact as pretty, key-sorted JSON (stable bytes)."""
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n")
+    """Persist a stage artifact as pretty, key-sorted JSON (stable bytes): the
+    bytes of ``json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)``
+    and a newline."""
+    out: list[str] = []
+    try:
+        _indented(obj, "", out)
+        text = "".join(out)
+    except _NotPlain:
+        text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
+    atomic_write_text(path, text + "\n")
 
 
 def read_json_record(path: Path):

@@ -34,20 +34,22 @@ _ABBREVIATIONS = {
     "jan", "feb", "mar", "apr", "jun", "jul", "aug", "sep", "sept", "oct", "nov", "dec",
 }
 
-_TERMINATOR = re.compile(r"[.!?]+[\"')\]]*")
+# a candidate sentence end: a run of terminators and closing quotes/brackets
+# followed by whitespace and, captured, the next non-space character (a run
+# with nothing but whitespace after it needs no boundary: the text's last
+# sentence ends there anyway)
+_BOUNDARY = re.compile(r"[.!?]+[\"')\]]*(?=\s+(\S))")
+_LONGEST_ABBREVIATION = max(map(len, _ABBREVIATIONS))
+# a whole run of 2 or more ASCII letters, then at most one newline, at the end
+# of the text searched: the word before a terminator that may abbreviate
+_WORD_BEFORE = re.compile(rf"(?<![A-Za-z])[A-Za-z]{{2,{_LONGEST_ABBREVIATION}}}\n?\Z")
 
 
 def _ends_with_abbreviation(text: str, punct_start: int) -> bool:
     """Whether the ASCII letters before ``punct_start``, or before one newline
     there ("Dr\\n. Smith"), form an abbreviation; only that word is scanned."""
-    end = punct_start
-    if end and text[end - 1] == "\n":
-        end -= 1
-    start = end
-    while start and text[start - 1].isascii() and text[start - 1].isalpha():
-        start -= 1
-    word = text[start:end]
-    return len(word) > 1 and word.lower() in _ABBREVIATIONS
+    word = _WORD_BEFORE.search(text, max(0, punct_start - _LONGEST_ABBREVIATION - 1), punct_start)
+    return word is not None and word.group().rstrip("\n").lower() in _ABBREVIATIONS
 
 
 def split_sentences(text: str) -> list[str]:
@@ -60,22 +62,14 @@ def split_sentences(text: str) -> list[str]:
     input can be reconstructed from them plus the whitespace between.
     """
     sentences: list[str] = []
-    n = len(text)
     start = 0
-    for m in _TERMINATOR.finditer(text):
+    for m in _BOUNDARY.finditer(text):
+        nxt = m.group(1)
+        if not (nxt.isupper() or nxt.isdigit() or nxt in "\"'("):
+            continue
+        if text[m.start()] == "." and _ends_with_abbreviation(text, m.start()):
+            continue
         end = m.end()
-        if end < n:
-            if not text[end].isspace():
-                continue
-            k = end
-            while k < n and text[k].isspace():
-                k += 1
-            if k < n:
-                nxt = text[k]
-                if not (nxt.isupper() or nxt.isdigit() or nxt in "\"'("):
-                    continue
-            if m.group(0).startswith(".") and _ends_with_abbreviation(text, m.start()):
-                continue
         segment = text[start:end].strip()
         if segment:
             sentences.append(segment)

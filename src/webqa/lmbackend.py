@@ -89,6 +89,15 @@ def _text(obj, name: str, route: str) -> str:
     return value
 
 
+# the values a decoded response holds, which _tokens and _logprob accept as they are
+def _plain_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _plain_logprob(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Sample:
     """One completion; ``logprob`` is the model log-probability of ``text``
@@ -97,6 +106,16 @@ class Sample:
     text: str
     logprob: float
     tokens: int
+
+
+def _sample_from_json(obj) -> Sample:
+    """One sample of a ``/v1/complete`` body; a malformed one is a ``ValueError``."""
+    if type(obj) is dict:
+        text, logprob, tokens = obj.get("text"), obj.get("logprob"), obj.get("tokens")
+        if type(text) is str and _plain_logprob(logprob) and _plain_count(tokens):
+            return Sample(text, logprob, tokens)
+    route = "/v1/complete"
+    return Sample(_text(obj, "text", route), _logprob(obj, route), _tokens(obj, "tokens", route))
 
 
 @dataclass(frozen=True)
@@ -124,8 +143,7 @@ class Completion:
         samples = _field(obj, "samples", route)
         if not isinstance(samples, list):
             raise ValueError(f"{route} returned samples {samples!r}, not a list")
-        return cls(tuple(Sample(_text(s, "text", route), _logprob(s, route), _tokens(s, "tokens", route))
-                         for s in samples), _tokens(obj, "prompt_tokens", route))
+        return cls(tuple(map(_sample_from_json, samples)), _tokens(obj, "prompt_tokens", route))
 
 
 @dataclass(frozen=True)
@@ -145,6 +163,11 @@ class Score:
     @classmethod
     def from_json(cls, obj) -> "Score":
         """Decode a ``/v1/score`` body; a malformed one is a ``ValueError`` naming the route."""
+        if type(obj) is dict:
+            logprob, prompt_tokens = obj.get("logprob"), obj.get("prompt_tokens")
+            continuation_tokens = obj.get("continuation_tokens")
+            if _plain_logprob(logprob) and _plain_count(prompt_tokens) and _plain_count(continuation_tokens):
+                return cls(logprob, prompt_tokens, continuation_tokens)
         route = "/v1/score"
         return cls(_logprob(obj, route), _tokens(obj, "prompt_tokens", route),
                    _tokens(obj, "continuation_tokens", route))
@@ -386,9 +409,12 @@ class CachedBackend(LMBackend):
     refusal and raises :class:`PromptTooLong` again on each read, so an
     offline replay fits the prompt as the run that drew it did.  A prompt or
     counted text enters the key as the SHA-256 of its UTF-8 bytes, so a
-    lookup never JSON-encodes a whole prompt.  Samples and scores are keyed
-    as ``sample_with_tokens`` and ``score_with_tokens``: entries stored
-    before their responses carried token counts are never read.
+    lookup never JSON-encodes a whole prompt.  ``sample`` and ``score`` take
+    that digest as ``prompt_sha256`` from a caller that has it, such as the
+    pipeline with a rendered prompt's, and hash the text only without it.
+    Samples and scores are keyed as ``sample_with_tokens`` and
+    ``score_with_tokens``: entries stored before their responses carried
+    token counts are never read.
     """
 
     def __init__(self, inner: LMBackend, cache: RequestCache):
@@ -426,18 +452,24 @@ class CachedBackend(LMBackend):
             raise PromptTooLong(response[_REFUSED])
         return response
 
-    def sample(self, prompt: str, params: GenerationParams, seed: int) -> Completion:
+    def sample(self, prompt: str, params: GenerationParams, seed: int, *,
+               prompt_sha256: str | None = None) -> Completion:
+        """``inner``'s samples for ``prompt``, whose hex SHA-256 a caller that
+        already has it passes as ``prompt_sha256`` (it is not checked)."""
         request = {
             "op": "sample_with_tokens", "backend": self.identity,
-            "prompt_sha256": _sha256(prompt), "params": params.to_json(), "seed": seed,
+            "prompt_sha256": prompt_sha256 or _sha256(prompt), "params": params.to_json(), "seed": seed,
         }
         return Completion.from_json(
             self._refusable(request, lambda: self.inner.sample(prompt, params, seed).to_json()))
 
-    def score(self, prompt: str, continuation: str) -> Score:
+    def score(self, prompt: str, continuation: str, *, prompt_sha256: str | None = None) -> Score:
+        """``inner``'s score of ``continuation`` after ``prompt``, whose hex
+        SHA-256 a caller that already has it passes as ``prompt_sha256`` (it
+        is not checked)."""
         request = {
             "op": "score_with_tokens", "backend": self.identity,
-            "prompt_sha256": _sha256(prompt), "continuation": continuation,
+            "prompt_sha256": prompt_sha256 or _sha256(prompt), "continuation": continuation,
         }
         return Score.from_json(
             self._refusable(request, lambda: self.inner.score(prompt, continuation).to_json()))

@@ -25,19 +25,13 @@ import functools
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import chunkrank, rerank, websearch
-from .cache import (
-    RequestCache,
-    atomic_write_text,
-    canonical_json,
-    read_json_record,
-    write_json_record,
-)
+from .cache import RequestCache, atomic_write_text, read_json_record, write_json_record
 from .corpus import (
     CLASSIFICATION,
     GENERATION,
@@ -115,11 +109,11 @@ def _in_step(stage: str, fn, *args):
 @dataclass(frozen=True)
 class _Pass:
     """One question's pool build: its record, the backend scoped to its cache
-    scope, and the calls/ rows it logs."""
+    scope, and the calls/ lines it logs."""
 
     record: QuestionRecord
     backend: CachedBackend
-    log: list[dict]
+    log: list[str]
 
 
 class PartialFailure(RuntimeError):
@@ -200,6 +194,7 @@ class PipelineConfig:
 # a candidates/ row holds the fields of one pool pair: its answer's and its scores'
 _ROW_FIELDS = {cls: tuple(f.name for f in fields(cls))
                for cls in (rerank.CandidateAnswer, rerank.ScoreBundle)}
+_ANSWER_VALUES, _SCORE_VALUES = (operator.itemgetter(*names) for names in _ROW_FIELDS.values())
 
 
 def _to_row(pair: tuple[rerank.CandidateAnswer, rerank.ScoreBundle]) -> dict:
@@ -207,8 +202,21 @@ def _to_row(pair: tuple[rerank.CandidateAnswer, rerank.ScoreBundle]) -> dict:
 
 
 def _from_row(row: dict) -> tuple[rerank.CandidateAnswer, rerank.ScoreBundle]:
-    answer, bundle = (cls(*[row[name] for name in names]) for cls, names in _ROW_FIELDS.items())
-    return answer, bundle
+    return rerank.CandidateAnswer(*_ANSWER_VALUES(row)), rerank.ScoreBundle(*_SCORE_VALUES(row))
+
+
+# canonical_json of a string, with no encoder call around it
+_json_string = json.encoder.encode_basestring
+
+
+def _call_line(question_id: str, purpose: str, paragraph_index: int | None,
+               prompt_tokens: int, generated_tokens: int) -> str:
+    """One calls/ line: the canonical JSON of its row, keys in sorted order,
+    written out field by field since it is made for every model response."""
+    index = "null" if paragraph_index is None else paragraph_index
+    return (f'{{"generated_tokens":{generated_tokens},"paragraph_index":{index},'
+            f'"prompt_tokens":{prompt_tokens},"purpose":{_json_string(purpose)},'
+            f'"question_id":{_json_string(question_id)}}}\n')
 
 
 def stable_seed(*parts) -> int:
@@ -246,6 +254,11 @@ class Pipeline:
                     f"{len(missing)} records lack it, first: {missing[0]}"
                 )
         self.failed: dict[str, str] = {}
+        self._thread_pool = None
+        if config.max_workers > 1:
+            # imported here, not with the module: a one-worker run never starts a pool
+            from concurrent.futures import ThreadPoolExecutor
+            self._thread_pool = ThreadPoolExecutor
         self._banks: dict[str, PromptBank] = {}
         self.stopwords = load_stopwords()
         try:
@@ -326,10 +339,10 @@ class Pipeline:
             logger.warning("%s failed for %s: %s", failed_stage, record.id, error)
             return record.id, f"{failed_stage}: {error}"
 
-        if self.config.max_workers == 1:
+        if self._thread_pool is None:
             self.failed.update(filter(None, map(guarded, records)))
             return
-        with ThreadPoolExecutor(max_workers=self.config.max_workers) as pool:
+        with self._thread_pool(max_workers=self.config.max_workers) as pool:
             self.failed.update(filter(None, pool.map(guarded, records)))
 
     def load_failures(self) -> None:
@@ -350,39 +363,34 @@ class Pipeline:
     # --- model call helpers -------------------------------------------------
 
     def _request(self, pass_: _Pass, purpose: str, paragraph_index: int | None,
-                 prompt: RenderedPrompt, sends: list[Callable[[str], _Response]],
+                 prompt: RenderedPrompt, sends: list[Callable[[RenderedPrompt], _Response]],
                  reserve: Callable[[_Response | None], int]) -> list[_Response]:
-        """``[send(text) for send in sends]`` for the prompt text that fits the
-        context, each response logged as one calls/ row.
+        """``[send(fitted) for send in sends]`` for the rendering of ``prompt``
+        that fits the context, each response logged as one calls/ line.
 
         ``prompt`` is sent as rendered through ``sends[0]``, and its response's
         ``prompt_tokens`` decide whether it fitted ``context_tokens - reserve(response)``.
         Only when it did not, or the server refused it as too long (then
         ``reserve(None)``), is it fitted with ``count_tokens`` and sent again.
-        The other ``sends`` get the text the first one kept.  Cost and FLOPs
+        The other ``sends`` get the rendering the first one kept.  A send
+        passes the rendering's ``sha256`` on as the backend's ``prompt_sha256``,
+        so no prompt text is hashed again for its cache key.  Cost and FLOPs
         are recomputed from the rows, which log only the responses kept.
         """
         first, *rest = sends
-        text = prompt.text
         response = None
         try:
-            response = first(text)
+            response = first(prompt)
         except PromptTooLong:
             pass
         if response is None or response.prompt_tokens > self.context_tokens - reserve(response):
-            text = fit_to_context(prompt, pass_.backend.count_tokens, context_tokens=self.context_tokens,
-                                  reserved_tokens=reserve(response)).text
-            response = first(text)
-        responses = [response] + [send(text) for send in rest]
+            prompt = fit_to_context(prompt, pass_.backend.count_tokens, context_tokens=self.context_tokens,
+                                    reserved_tokens=reserve(response))
+            response = first(prompt)
+        responses = [response] + [send(prompt) for send in rest]
         for r in responses:
-            pass_.log.append({
-                "question_id": pass_.record.id,
-                "purpose": purpose,
-                "paragraph_index": paragraph_index,
-                "prompt_tokens": r.prompt_tokens,
-                "generated_tokens": r.continuation_tokens if isinstance(r, Score)
-                else sum(s.tokens for s in r),
-            })
+            generated = r.continuation_tokens if isinstance(r, Score) else sum(s.tokens for s in r)
+            pass_.log.append(_call_line(pass_.record.id, purpose, paragraph_index, r.prompt_tokens, generated))
         return responses
 
     def _score(self, pass_: _Pass, purpose: str, paragraph_index: int | None,
@@ -390,7 +398,7 @@ class Pipeline:
         """log p(continuation | prompt), with the prompt fitted around the continuation."""
         [score] = self._request(
             pass_, purpose, paragraph_index, prompt,
-            [lambda text: pass_.backend.score(text, continuation)],
+            [lambda p: pass_.backend.score(p.text, continuation, prompt_sha256=p.sha256)],
             lambda score: pass_.backend.count_tokens(continuation) if score is None
             else score.continuation_tokens,
         )
@@ -403,7 +411,8 @@ class Pipeline:
         labels = pass_.record.label_set
         scores = self._request(
             pass_, purpose, paragraph_index, prompt,
-            [lambda text, label=label: pass_.backend.score(text, " " + label) for label in labels],
+            [lambda p, label=label: pass_.backend.score(p.text, " " + label, prompt_sha256=p.sha256)
+             for label in labels],
             lambda _: self.config.max_new_tokens,
         )
         dist = softmax_scores({label: score.logprob for label, score in zip(labels, scores)})
@@ -422,7 +431,7 @@ class Pipeline:
             return self._label_log_probs(pass_, f"label_{kind}", paragraph_index, prompt)
         params = replace(self.params, n_samples=n_samples)
         [samples] = self._request(pass_, f"sample_{kind}", paragraph_index, prompt,
-                                  [lambda text: pass_.backend.sample(text, params, seed)],
+                                  [lambda p: pass_.backend.sample(p.text, params, seed, prompt_sha256=p.sha256)],
                                   lambda _: self.config.max_new_tokens)
         by_canon: dict[str, tuple[str, float]] = {}
         for s in samples:
@@ -543,8 +552,8 @@ class Pipeline:
     def _write_pool(self, source: str, record: QuestionRecord, backend: CachedBackend,
                     build) -> None:
         """Write the pool ``build(_Pass(record, backend, log))`` returns to
-        candidates/ and the rows it logs to calls/."""
-        log: list[dict] = []
+        candidates/ and the lines it logs to calls/."""
+        log: list[str] = []
         pool = build(_Pass(record, backend, log))
         write_json_record(self._qpath("candidates", source, record.id), {
             "question_id": record.id,
@@ -552,7 +561,7 @@ class Pipeline:
         })
         atomic_write_text(
             self._qpath("calls", source, record.id, ext="jsonl"),
-            "".join(canonical_json(entry) + "\n" for entry in log),
+            "".join(log),
         )
 
     def stage_answer(self, *, retrieve: bool = False) -> None:
@@ -722,13 +731,16 @@ class Pipeline:
             raise ConfigError(f"no call log for {qid} under {source!r}; run answer first")
         sums: dict[int | None, list[int]] = {}
         with open(path, encoding="utf-8") as fp:
-            for line in fp:
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                tokens = sums.setdefault(entry["paragraph_index"], [0, 0])
-                tokens[0] += int(entry["prompt_tokens"])
-                tokens[1] += int(entry["generated_tokens"])
+            lines = [line for line in fp if line.strip()]
+        # the rows decoded as one JSON array, in one call; a line that holds
+        # other than one value shows as a count that differs
+        entries = json.loads(f"[{','.join(lines)}]")
+        if len(entries) != len(lines):
+            raise ValueError(f"{path}: a line holds other than one row")
+        for entry in entries:
+            tokens = sums.setdefault(entry["paragraph_index"], [0, 0])
+            tokens[0] += int(entry["prompt_tokens"])
+            tokens[1] += int(entry["generated_tokens"])
         return sums
 
     def stage_cost(self) -> list[dict]:

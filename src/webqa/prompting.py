@@ -5,10 +5,16 @@ block that ends in a bare field label ("Answer:", "Question:", ...) as the
 generation or scoring cue.  Blocks are joined by blank lines.  The same
 renderer serves the answering prompt and all scorer prompts; the kind of
 the underlying bank decides the field order and which field is the cue.
+
+The example blocks open every prompt of a bank and make up most of its text,
+so they are rendered and SHA-256-hashed once per bank, book mode and number
+of leading examples dropped.  A prompt's digest is that prefix's hash state
+copied and updated with the target block: the SHA-256 of the prompt's UTF-8
+text, found without hashing the prefix again.
 """
 from __future__ import annotations
 
-import functools
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -21,9 +27,11 @@ class PromptBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """A prompt plus everything needed to re-render it under a tighter budget."""
+    """A prompt, the hex SHA-256 of its UTF-8 text, and everything needed to
+    re-render it under a tighter budget."""
 
     text: str
+    sha256: str
     kind: str
     closed_book: bool
     evidence: str
@@ -50,27 +58,51 @@ def _block(values: dict[str, str], fields: tuple[str, ...], cue: bool) -> str:
     return "\n".join(lines)
 
 
-# 5 kinds x open/closed book x the 16 suffixes fitting can cut 15 examples to make
-# 160 prefixes per bank set; the bound stops a process that loads many from keeping all
-@functools.lru_cache(maxsize=256)
-def _examples_prefix(kind: str, closed_book: bool, examples: tuple[FewShotExample, ...]) -> str:
-    """The example blocks, each followed by the blank line before the next
-    block; rendered once per bank and example suffix, not once per prompt."""
-    fields = _fields_for(kind, closed_book)
-    return "".join(
-        _block({name: getattr(ex, name) for name in fields}, fields, cue=False) + "\n\n"
-        for ex in examples
-    )
+class _Prefixes:
+    """The example blocks of one examples tuple in one book mode, each followed
+    by the blank line before the next block, joined and hashed once per number
+    of leading examples dropped."""
+
+    def __init__(self, kind: str, closed_book: bool, examples: tuple[FewShotExample, ...]):
+        # held, so no other tuple can take its id while this entry lives
+        self.examples = examples
+        self.fields = _fields_for(kind, closed_book)
+        # the target fields a caller supplies, and those it must leave empty
+        self.given = self.fields[:-1]
+        self.not_given = tuple(name for name in ("evidence", "question", "answer") if name not in self.given)
+        self._blocks = [_block({name: getattr(ex, name) for name in self.fields}, self.fields, cue=False)
+                        + "\n\n" for ex in examples]
+        self._by_dropped: dict[int, tuple[str, "hashlib._Hash"]] = {}
+
+    def render(self, dropped: int, target: dict[str, str]) -> tuple[str, str]:
+        """The text and hex SHA-256 of the prompt of ``examples[dropped:]`` and
+        the target block whose cue ends it."""
+        entry = self._by_dropped.get(dropped)
+        if entry is None:
+            prefix = "".join(self._blocks[dropped:])
+            entry = self._by_dropped[dropped] = (prefix, hashlib.sha256(prefix.encode("utf-8")))
+        prefix, state = entry
+        block = _block(target, self.fields, cue=True)
+        digest = state.copy()
+        digest.update(block.encode("utf-8"))
+        return prefix + block, digest.hexdigest()
 
 
-def _render_text(
-    kind: str,
-    closed_book: bool,
-    examples: tuple[FewShotExample, ...],
-    target: dict[str, str],
-) -> str:
-    return (_examples_prefix(kind, closed_book, examples)
-            + _block(target, _fields_for(kind, closed_book), cue=True))
+# keyed by the examples tuple's id, so a lookup never hashes the examples; 5 kinds
+# x open/closed book per bank set, and the bound stops a process that loads many
+# banks from keeping them all
+_PREFIXES: dict[tuple[int, str, bool], _Prefixes] = {}
+_MAX_PREFIXES = 64
+
+
+def _prefixes(kind: str, closed_book: bool, examples: tuple[FewShotExample, ...]) -> _Prefixes:
+    key = (id(examples), kind, closed_book)
+    prefixes = _PREFIXES.get(key)
+    if prefixes is None:
+        if len(_PREFIXES) >= _MAX_PREFIXES:
+            _PREFIXES.clear()
+        prefixes = _PREFIXES[key] = _Prefixes(kind, closed_book, examples)
+    return prefixes
 
 
 def render_prompt(
@@ -87,20 +119,21 @@ def render_prompt(
     the bank's kind, which is rendered as the bare cue label.  ``closed_book``
     removes the evidence line from the examples and the target alike.
     """
-    fields = _fields_for(bank.kind, closed_book)
+    prefixes = _prefixes(bank.kind, closed_book, bank.examples)
     target = {"evidence": evidence, "question": question, "answer": answer}
-    for name in fields[:-1]:
+    for name in prefixes.given:
         if not target[name]:
             raise ValueError(
                 f"prompt kind {bank.kind!r}{' (closed book)' if closed_book else ''} "
                 f"needs a target {name}"
             )
-    supplied = {n for n in ("evidence", "question", "answer") if target[n]}
-    extra = supplied - set(fields[:-1])
+    extra = [name for name in prefixes.not_given if target[name]]
     if extra:
         raise ValueError(f"prompt kind {bank.kind!r} takes no target {sorted(extra)}")
+    text, sha256 = prefixes.render(0, target)
     return RenderedPrompt(
-        text=_render_text(bank.kind, closed_book, bank.examples, target),
+        text=text,
+        sha256=sha256,
         kind=bank.kind,
         closed_book=closed_book,
         evidence=evidence,
@@ -124,14 +157,18 @@ def render_closed_book_prompt(bank: PromptBank, question: str) -> RenderedPrompt
     return render_prompt(bank, question=question, closed_book=True)
 
 
-def _refit(prompt: RenderedPrompt, examples: tuple[FewShotExample, ...], evidence: str) -> RenderedPrompt:
+def _refit(prompt: RenderedPrompt, prefixes: _Prefixes, dropped: int, evidence: str) -> RenderedPrompt:
+    """``prompt`` without its first ``dropped`` examples and with ``evidence``;
+    ``prefixes`` are those of ``prompt.examples``."""
     target = {"evidence": evidence, "question": prompt.question, "answer": prompt.answer}
+    text, sha256 = prefixes.render(dropped, target)
     return replace(
         prompt,
-        text=_render_text(prompt.kind, prompt.closed_book, examples, target),
+        text=text,
+        sha256=sha256,
         evidence=evidence,
-        examples=examples,
-        dropped_examples=prompt.dropped_examples + (len(prompt.examples) - len(examples)),
+        examples=prompt.examples[dropped:],
+        dropped_examples=prompt.dropped_examples + dropped,
         evidence_truncated=evidence != prompt.evidence or prompt.evidence_truncated,
     )
 
@@ -158,12 +195,12 @@ def fit_to_context(
     if count_tokens(prompt.text) <= budget:
         return prompt
 
-    has_evidence = "evidence" in _fields_for(prompt.kind, prompt.closed_book)[:-1]
+    prefixes = _prefixes(prompt.kind, prompt.closed_book, prompt.examples)
+    has_evidence = "evidence" in prefixes.given
     for dropped in range(len(prompt.examples) + 1):
-        examples = prompt.examples[dropped:]
         # the empty-evidence scaffold keeps its bare "Evidence: " line, so the
         # search below only ever adds evidence words to a fitting base
-        scaffold = _refit(prompt, examples, "" if has_evidence else prompt.evidence)
+        scaffold = _refit(prompt, prefixes, dropped, "" if has_evidence else prompt.evidence)
         if count_tokens(scaffold.text) <= budget:
             break
     else:
@@ -178,14 +215,14 @@ def fit_to_context(
     lo, hi = 0, len(words)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        fitted = _refit(prompt, examples, " ".join(words[:mid]))
+        fitted = _refit(prompt, prefixes, dropped, " ".join(words[:mid]))
         if count_tokens(fitted.text) <= budget:
             lo, best = mid, fitted
         else:
             hi = mid - 1
     if lo == len(words):
         # all words fit; prefer the original spacing when it also fits
-        original = _refit(prompt, examples, prompt.evidence)
+        original = _refit(prompt, prefixes, dropped, prompt.evidence)
         if count_tokens(original.text) <= budget:
             return original
     return best

@@ -1,6 +1,8 @@
+import collections
 import gzip
 import hashlib
 import json
+import random
 import re
 import shutil
 import sys
@@ -178,6 +180,53 @@ def test_json_record_roundtrip_and_layout(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert read_json_record(path) == {"a": 1, "b": 2}
+
+
+def _random_json(rng, depth=0):
+    if depth > 3 or rng.random() < 0.5:
+        return rng.choice([0, -1, 2 ** 70, 1.5, -0.0, 1e300, 5e-324, float("nan"), float("inf"),
+                           -float("inf"), True, False, None, "", "x", 'a"b\\c\n\u2028é\x00\x1c'])
+    if rng.random() < 0.4:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if rng.random() < 0.3:
+        return tuple(_random_json(rng, depth + 1) for _ in range(rng.randrange(3)))
+    return {rng.choice(["a", "b", "é", "", "zz", "\n", '"']): _random_json(rng, depth + 1)
+            for _ in range(rng.randrange(4))}
+
+
+def test_json_encoders_write_what_json_dumps_writes(tmp_path):
+    """canonical_json and write_json_record build their encoders once, and the
+    record writer encodes each container of scalars in one call, yet their bytes
+    are json.dumps's, for every kind of value it takes."""
+    rng = random.Random(7)
+    values = [_random_json(rng) for _ in range(3000)]
+    values += [{1: "a", 2: None}, {"a": {1: "x", True: 2}}, {"a": [1, {None: 3}]}, {1.5: 2},
+               {"rows": [{"b": 1, "a": 2.5}] * 3, "id": "q"}, [], {}, [[]], {"a": {}},
+               {"k": collections.OrderedDict(b=1, a=2)}, {"k": _Text("subclass")}]
+    path = tmp_path / "r.json"
+    for value in values:
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, ensure_ascii=False,
+                                                   separators=(",", ":")), value
+        write_json_record(path, value)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            value, sort_keys=True, ensure_ascii=False, indent=1) + "\n", value
+
+
+class _Text(str):
+    """A str subclass, which json.dumps writes as a string."""
+
+
+def test_pack_line_with_more_than_one_value_is_unreadable(tmp_path):
+    cache = RequestCache(tmp_path)
+    key = CacheKey.for_request("lm", {"op": "x"})
+    cache.put(key, {"a": 1})
+    packs = cache._load("lm")
+    packs.responses[key.digest] += " 2"
+    with pytest.raises(ValueError, match="unreadable cache entry"):
+        cache.get(key)
+    packs.responses[key.digest] = " " + canonical_json({"a": 1})
+    with pytest.raises(ValueError):
+        cache.get(key)
 
 
 def test_concurrent_put_same_key(tmp_path):
@@ -641,10 +690,47 @@ def test_offline_replay_never_encodes_a_prompt(tmp_path, qa_dataset_path, banks_
         return text
 
     monkeypatch.setattr(cache_module, "canonical_json", measuring)
-    monkeypatch.setattr(pipeline_module, "canonical_json", measuring)
     replay = CachedBackend(_bare(MockBackend()), RequestCache(tmp_path / "cache", offline=True))
     Pipeline(_gold_config(qa_dataset_path, tmp_path, banks_dir, max_workers=1), replay).run()
     assert 0 < longest < shortest
+
+
+def test_warm_replay_hashes_no_prompt_text_and_renders_a_given_p_once_per_paragraph(
+        tmp_path, qa_dataset_path, banks_dir, monkeypatch):
+    """A prompt's digest comes with its rendering, from its bank prefix's hash
+    state: a warm replay runs SHA-256 over no whole prompt text, and renders
+    the a|p prompt, which every answer of a paragraph is scored against, once
+    per paragraph."""
+    _gold_run(qa_dataset_path, tmp_path, banks_dir, MockBackend(), max_workers=1)
+    hashed, prompts, a_p_renders = [], set(), []
+    sha256 = hashlib.sha256
+
+    def recording_sha256(*args, **kwargs):
+        hashed.append(bytes(args[0]) if args else b"")
+        return sha256(*args, **kwargs)
+
+    def recording(render):
+        def rendering(*args, **kwargs):
+            prompt = render(*args, **kwargs)
+            prompts.add(prompt.text)
+            if prompt.kind == "a_given_p":
+                a_p_renders.append(prompt.evidence)
+            return prompt
+        return rendering
+
+    for name in ("render_prompt", "render_qa_prompt", "render_closed_book_prompt", "fit_to_context"):
+        monkeypatch.setattr(pipeline_module, name, recording(getattr(pipeline_module, name)))
+    monkeypatch.setattr(hashlib, "sha256", recording_sha256)
+    replay = CachedBackend(_bare(MockBackend()), RequestCache(tmp_path / "cache", offline=True))
+    Pipeline(_gold_config(qa_dataset_path, tmp_path, banks_dir, max_workers=1), replay).run()
+    monkeypatch.undo()
+
+    assert prompts and hashed
+    assert [data for data in hashed if data.decode("utf-8", "replace") in prompts] == []
+    paragraphs = {(path.stem, row["paragraph_index"])
+                  for path in (tmp_path / "candidates" / GOLD).glob("*.json")
+                  for row in read_json_record(path)["pool"]}
+    assert len(a_p_renders) == len(paragraphs) > 0
 
 
 def test_pipeline_is_offline_exactly_when_its_backend_is(tmp_path, qa_dataset_path):

@@ -32,6 +32,52 @@ def _oracle_split(text, monkeypatch):
         return split_sentences(text)
 
 
+_WALK_TERMINATOR = re.compile(r"[.!?]+[\"')\]]*")
+
+
+def _walk_ends_with_abbreviation(text, punct_start):
+    """The abbreviation check that walked back one character at a time."""
+    end = punct_start
+    if end and text[end - 1] == "\n":
+        end -= 1
+    start = end
+    while start and text[start - 1].isascii() and text[start - 1].isalpha():
+        start -= 1
+    word = text[start:end]
+    return len(word) > 1 and word.lower() in chunkrank._ABBREVIATIONS
+
+
+def _walk_split(text):
+    """The splitter that found every terminator run and then looked at the
+    characters after it one at a time: the oracle of the one that finds only
+    the candidate boundaries."""
+    sentences = []
+    n = len(text)
+    start = 0
+    for m in _WALK_TERMINATOR.finditer(text):
+        end = m.end()
+        if end < n:
+            if not text[end].isspace():
+                continue
+            k = end
+            while k < n and text[k].isspace():
+                k += 1
+            if k < n:
+                nxt = text[k]
+                if not (nxt.isupper() or nxt.isdigit() or nxt in "\"'("):
+                    continue
+            if m.group(0).startswith(".") and _walk_ends_with_abbreviation(text, m.start()):
+                continue
+        segment = text[start:end].strip()
+        if segment:
+            sentences.append(segment)
+        start = end
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
 _PIECES = ["Dr", "dr", "etc", "Mr", "no", "St", "x", "A", "Smith", "é", "3",
            ".", ".", "!", "?", '"', ")", " ", " ", "\n", "\t"]
 
@@ -105,6 +151,29 @@ class TestSplitSentences:
         assert split_sentences(edge[0]) == ["Dr\n. Smith went home.", "He slept."]
         assert split_sentences(edge[2]) == ["x" * 47 + "etc.", "Then more."]
         assert split_sentences(edge[3]) == ["éMr. Smith arrived.", "He sat."]
+
+    def test_matches_the_character_walk_splitter(self, fixtures_dir):
+        """The boundary regex and the abbreviation regex split as the splitter
+        they replaced did, on seeded random strings and every fixture page."""
+        from webqa.websearch import extract_text
+
+        pages = [extract_text(path.read_text(encoding="utf-8"))
+                 for path in sorted((fixtures_dir / "web" / "pages").glob("*.html"))]
+        alphabet = list(".!?\"')(]") + list("0123456789") + list("abcxyzABCXYZ") + \
+            ["é", " ", "\n", "\u00a0", "\x1c"]
+        words = sorted(chunkrank._ABBREVIATIONS) + ["Dr", "ST", "Approx", "approxx", "Xdr"]
+        edges = ["x approx\n. Next", "approx\n. Next", "xapprox. Next", "Sept. Next", "sept\n\n. Next",
+                 "Dr.  ", "Dr. \n", "End.", "End. ", "A. b. C.", "Mr.\u00a0Smith", "Mr.\x1cSmith"]
+        rng = random.Random(11)
+        texts = edges + pages + ["".join(rng.choice(words) if rng.random() < 0.3
+                                 else "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
+                                 for _ in range(rng.randrange(1, 12)))
+                         for _ in range(20000)]
+        for text in texts:
+            assert split_sentences(text) == _walk_split(text), text
+            for i, ch in enumerate(text):
+                if ch == ".":
+                    assert chunkrank._ends_with_abbreviation(text, i) == _walk_ends_with_abbreviation(text, i)
 
     def test_long_text_splits_in_linear_time(self):
         text = " ".join(f"Item {i} is done. Dr. Lee agrees etc. Next!" for i in range(5000))

@@ -907,6 +907,23 @@ def test_offline_run_never_loads_the_http_stack(tmp_path, qa_dataset_path, banks
     assert got == [0, []]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_thread_pool_module_loads_only_for_more_than_one_worker(tmp_path, qa_dataset_path, banks_dir,
+                                                                workers):
+    """A one-worker run starts no pool, so it never imports the thread pool
+    module; with more workers it is imported while the pipeline is built."""
+    flags = ["run", "--dataset", str(qa_dataset_path), "--dataset-id", "fixtureqa",
+             "--workdir", str(tmp_path / "w"), "--evidence", "gold", "--banks-dir", str(banks_dir),
+             "--max-workers", str(workers)]
+    got = _fresh_python("from webqa import cli\n"
+                        f"config = cli.effective_config(cli.build_parser().parse_args({flags!r}))\n"
+                        "pipeline = cli.make_pipeline(config)\n"
+                        "built = 'concurrent.futures' in sys.modules\n"
+                        "pipeline.run()\n"
+                        "print(json.dumps([built, 'concurrent.futures' in sys.modules]))")
+    assert got == [workers > 1] * 2
+
+
 def test_online_search_client_loads_the_http_stack_in_setup(tmp_path, qa_dataset_path):
     """A run that can search imports the HTTP stack while its pipeline is
     built, so the import counts as setup, not as its first search."""

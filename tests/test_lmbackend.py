@@ -324,6 +324,29 @@ class TestCachedBackend:
         assert cached.count_tokens("a b c") == 3
         assert cached.count_tokens("a b c") == 3
 
+    def test_a_given_digest_writes_the_packs_the_text_does(self, tmp_path):
+        """A caller's ``prompt_sha256`` keys a sample or score as hashing the
+        prompt would, so both write the same pack bytes and read each other's."""
+        prompt = "Evidence: Café — 東京\nQuestion: where\nAnswer:"
+        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        params = GenerationParams(n_samples=3)
+        trees = []
+        for name, given in (("hashed", {}), ("given", {"prompt_sha256": digest})):
+            inner = _RecordingMock()
+            cache = RequestCache(tmp_path / name)
+            with cache.question_scope("q1") as scope:
+                cached = CachedBackend(inner, cache).scoped(scope)
+                cached.score(prompt, " Zürich", **given)
+                cached.sample(prompt, params, 5, **given)
+            with cache.question_scope("q1") as scope:
+                cached = CachedBackend(inner, cache).scoped(scope)
+                assert cached.score(prompt, " Zürich") == cached.score(prompt, " Zürich", prompt_sha256=digest)
+                assert cached.sample(prompt, params, 5) == cached.sample(prompt, params, 5, prompt_sha256=digest)
+            assert inner.methods == ["score", "sample"]
+            trees.append({path.relative_to(tmp_path / name): path.read_bytes()
+                          for path in (tmp_path / name).rglob("*") if path.is_file()})
+        assert trees[0] == trees[1] and len(trees[0]) == 1
+
 
 # a well-formed response on each LM route
 _GOOD_BODIES = {

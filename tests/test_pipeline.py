@@ -8,7 +8,7 @@ import pytest
 from conftest import cached_backend
 
 from webqa import pipeline as pipeline_module
-from webqa.cache import RequestCache
+from webqa.cache import RequestCache, canonical_json
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, MockBackend, extractive_completion
@@ -457,13 +457,13 @@ class _CountingBackend(CachedBackend):
         self._count("count_tokens")
         return super().count_tokens(text)
 
-    def sample(self, prompt, params, seed):
+    def sample(self, prompt, params, seed, **digest):
         self._count("sample")
-        return super().sample(prompt, params, seed)
+        return super().sample(prompt, params, seed, **digest)
 
-    def score(self, prompt, continuation):
+    def score(self, prompt, continuation, **digest):
         self._count("score")
-        return super().score(prompt, continuation)
+        return super().score(prompt, continuation, **digest)
 
 
 def _artifact_digest(workdir, tops=("candidates", "calls", "predictions"), base_url=None) -> str:
@@ -633,6 +633,28 @@ def test_cost_loads_each_pool_once(gold_run, monkeypatch):
     assert {qid for source, qid in loads if source == GOLD} == {r.id for r in pipeline.main_records}
     assert len(loads) == len(set(loads))
     assert cost_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("question_id", ["q01", 'q"\\\n\u2028é', ""])
+@pytest.mark.parametrize("paragraph_index", [None, 0, 12])
+def test_call_line_is_the_canonical_json_of_its_row(question_id, paragraph_index):
+    row = {"question_id": question_id, "purpose": "score_q_given_ap", "paragraph_index": paragraph_index,
+           "prompt_tokens": 1734, "generated_tokens": 0}
+    assert pipeline_module._call_line(question_id, "score_q_given_ap", paragraph_index, 1734, 0) == \
+        canonical_json(row) + "\n"
+
+
+def test_cost_refuses_a_call_line_with_two_rows(gold_run):
+    pipeline, _, workdir = gold_run
+    path = workdir / "calls" / GOLD / f"{pipeline.main_records[0].id}.jsonl"
+    before = path.read_text(encoding="utf-8")
+    lines = before.splitlines()
+    try:
+        path.write_text("\n".join([f"{lines[0]},{lines[1]}", *lines[2:]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="a line holds other than one row"):
+            pipeline.stage_cost()
+    finally:
+        path.write_text(before, encoding="utf-8")
 
 
 def test_cost_without_call_log_is_refused(tmp_path, qa_dataset_path, banks_dir):

@@ -1,6 +1,11 @@
+import hashlib
+import sys
+import threading
+from importlib import resources
+
 import pytest
 
-from webqa.corpus import FewShotExample, PromptBank, load_bundled_bank
+from webqa.corpus import BANK_FIELDS, FewShotExample, PromptBank, load_bundled_bank
 from webqa.prompting import (
     PromptBudgetError,
     fit_to_context,
@@ -153,3 +158,99 @@ class TestFitToContext:
         fitted = fit_to_context(p, _word_counter, context_tokens=budget)
         assert fitted.dropped_examples > 0
         assert "Evidence:" not in fitted.text
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# (dataset id, kind) of every bank the package ships, from <dataset_id>_<kind>.txt
+BUNDLED_BANKS = sorted(tuple(path.name.removesuffix(".txt").split("_", 1))
+                       for path in resources.files("webqa").joinpath("assets/prompts").iterdir()
+                       if path.name.endswith(".txt"))
+# non-ASCII target values, so the digest covers the UTF-8 bytes
+TARGET = {"evidence": "Café — 東京 tower, 310 m.", "question": "where is it ✓", "answer": "Zürich"}
+
+
+class TestDigest:
+    """A rendered prompt's sha256 is made from its bank prefix's hash state,
+    never from its text, yet is always the SHA-256 of that text."""
+
+    @pytest.mark.parametrize("closed_book", [False, True])
+    @pytest.mark.parametrize("dataset_id, kind", BUNDLED_BANKS)
+    def test_every_bundled_bank(self, dataset_id, kind, closed_book):
+        bank = load_bundled_bank(dataset_id, kind)
+        fields = [f for f in BANK_FIELDS[kind] if not (closed_book and f == "evidence")]
+        prompt = render_prompt(bank, closed_book=closed_book, **{f: TARGET[f] for f in fields[:-1]})
+        assert prompt.sha256 == _sha256(prompt.text)
+        if fields[:-1]:  # a prompt whose target is its bare cue has one rendering
+            again = render_prompt(bank, closed_book=closed_book, **{f: TARGET[f] + "!" for f in fields[:-1]})
+            assert again.sha256 == _sha256(again.text) != prompt.sha256
+
+    def test_every_fit_outcome(self):
+        kept = render_qa_prompt(_bank(k=2), "q here", "short evidence")
+        assert fit_to_context(kept, _word_counter, context_tokens=10_000) is kept
+
+        evidence = " ".join(f"wörd{i}" for i in range(200))
+        p = render_qa_prompt(_bank(k=2), "q here", evidence)
+        truncated = fit_to_context(p, _word_counter, context_tokens=_word_counter(p.text) - 100)
+        assert truncated.evidence_truncated and not truncated.dropped_examples
+
+        dropped = fit_to_context(render_qa_prompt(_bank(k=8), "q here", "ev here"), _word_counter,
+                                 context_tokens=7 + 2 * 14)
+        assert dropped.dropped_examples == 6 and not dropped.evidence_truncated
+
+        closed = render_closed_book_prompt(_bank(k=8), "q here")
+        closed_fit = fit_to_context(closed, _word_counter, context_tokens=_word_counter(closed.text) - 5)
+        assert closed_fit.dropped_examples > 0
+
+        # character budgets: one that only dropping an example meets, after
+        # which the original spacing fits too; one that the single-spaced
+        # evidence meets but the original does not
+        spaced = render_qa_prompt(_bank(k=2), "q", "a  b   c")
+        kept_spacing = fit_to_context(spaced, len, context_tokens=len(spaced.text) - len("a  b   c") - 1)
+        assert kept_spacing.dropped_examples == 1 and not kept_spacing.evidence_truncated
+        assert kept_spacing.evidence == "a  b   c"
+        single_spaced = fit_to_context(spaced, len, context_tokens=len(spaced.text) - 3)
+        assert single_spaced.evidence == "a b c" and single_spaced.evidence_truncated
+        assert not single_spaced.dropped_examples
+
+        refit = fit_to_context(dropped, _word_counter, context_tokens=7 + 14)
+        assert refit.dropped_examples == 7
+
+        for fitted in (truncated, dropped, closed_fit, kept_spacing, single_spaced, refit):
+            assert fitted.sha256 == _sha256(fitted.text)
+
+    def test_threads_rendering_and_fitting_at_once_get_their_own_digests(self):
+        """Pool threads share the prefixes memo; renders and fits made at once
+        each carry the SHA-256 of their own text."""
+        banks = [_bank(k=8), _bank(k=8, kind="q_given_ap")]
+        failures = []
+
+        def work(seed):
+            for i in range(150):
+                bank = banks[(seed + i) % 2]
+                target = {"evidence": f"ev {seed} {i} " * (i % 7 + 1), "question": f"q {seed}", "answer": f"a {i}"}
+                fields = BANK_FIELDS[bank.kind][:-1]
+                try:
+                    prompt = render_prompt(bank, **{f: target[f] for f in fields})
+                    fitted = fit_to_context(prompt, _word_counter, context_tokens=20 + (i * 7) % 120)
+                except ValueError as exc:
+                    failures.append((seed, i, exc))
+                    continue
+                for p in (prompt, fitted):
+                    if p.sha256 != _sha256(p.text):
+                        failures.append((seed, i, p.text))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
