@@ -5,8 +5,9 @@ Points the retrieval stack at a directory instead of the live web: a
 paths, and the pages themselves live beside it as files.  The LM routes
 serve a ``MockBackend``, so one URL is both ``--search-endpoint`` and
 ``--backend``; they answer 413 to a request that would overflow the mock's
-context, as a real server does.  Run standalone with ``python -m webqa.fixtures --root DIR``
-or embed :class:`FixtureServer` in a test.
+context, as a real server does.  It speaks HTTP/1.1, so a client can send
+many requests over one connection.  Run standalone with
+``python -m webqa.fixtures --root DIR`` or embed :class:`FixtureServer` in a test.
 """
 from __future__ import annotations
 
@@ -60,6 +61,10 @@ _LM_POSTS = {
 
 
 class _FixtureHandler(BaseHTTPRequestHandler):
+    # keep-alive, as a live server does; every response sends Content-Length.  Nagle's
+    # algorithm would hold the body back behind the headers until the client's delayed ACK
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     root: Path
     index: dict[str, list[str]]
     backend: LMBackend = MockBackend()  # stateless, so servers can share it

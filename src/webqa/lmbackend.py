@@ -410,8 +410,9 @@ class CachedBackend(LMBackend):
     offline replay fits the prompt as the run that drew it did.  A prompt or
     counted text enters the key as the SHA-256 of its UTF-8 bytes, so a
     lookup never JSON-encodes a whole prompt.  ``sample`` and ``score`` take
-    that digest as ``prompt_sha256`` from a caller that has it, such as the
-    pipeline with a rendered prompt's, and hash the text only without it.
+    that digest as ``prompt_sha256``, and ``count_tokens`` as ``text_sha256``,
+    from a caller that has it, such as the pipeline with a rendered prompt's,
+    and hash the text only without it.
     Samples and scores are keyed as ``sample_with_tokens`` and
     ``score_with_tokens``: entries stored before their responses carried
     token counts are never read.
@@ -474,7 +475,9 @@ class CachedBackend(LMBackend):
         return Score.from_json(
             self._refusable(request, lambda: self.inner.score(prompt, continuation).to_json()))
 
-    def count_tokens(self, text: str) -> int:
-        request = {"op": "count_tokens", "backend": self.identity, "text_sha256": _sha256(text)}
+    def count_tokens(self, text: str, *, text_sha256: str | None = None) -> int:
+        """``inner``'s token count of ``text``, whose hex SHA-256 a caller that
+        already has it passes as ``text_sha256`` (it is not checked)."""
+        request = {"op": "count_tokens", "backend": self.identity, "text_sha256": text_sha256 or _sha256(text)}
         response = self.cache.get_or_fetch("lm", request, lambda: self.inner.count_tokens(text))
         return int(response)

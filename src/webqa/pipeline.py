@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from . import chunkrank, rerank, websearch
+from . import chunkrank, net, rerank, websearch
 from .cache import RequestCache, atomic_write_text, read_json_record, write_json_record
 from .corpus import (
     CLASSIFICATION,
@@ -374,8 +374,9 @@ class Pipeline:
         ``reserve(None)``), is it fitted with ``count_tokens`` and sent again.
         The other ``sends`` get the rendering the first one kept.  A send
         passes the rendering's ``sha256`` on as the backend's ``prompt_sha256``,
-        so no prompt text is hashed again for its cache key.  Cost and FLOPs
-        are recomputed from the rows, which log only the responses kept.
+        and a count as its ``text_sha256``, so no prompt text is hashed again
+        for its cache key.  Cost and FLOPs are recomputed from the rows, which
+        log only the responses kept.
         """
         first, *rest = sends
         response = None
@@ -384,8 +385,8 @@ class Pipeline:
         except PromptTooLong:
             pass
         if response is None or response.prompt_tokens > self.context_tokens - reserve(response):
-            prompt = fit_to_context(prompt, pass_.backend.count_tokens, context_tokens=self.context_tokens,
-                                    reserved_tokens=reserve(response))
+            prompt = fit_to_context(prompt, lambda p: pass_.backend.count_tokens(p.text, text_sha256=p.sha256),
+                                    context_tokens=self.context_tokens, reserved_tokens=reserve(response))
             response = first(prompt)
         responses = [response] + [send(prompt) for send in rest]
         for r in responses:
@@ -452,7 +453,8 @@ class Pipeline:
             raise ConfigError("search evidence mode needs a search client")
 
         def worker(record: QuestionRecord) -> None:
-            with self.cache.question_scope(record.id) as scope:
+            # the question's search, fetches and LM requests share one connection per host
+            with net.session(), self.cache.question_scope(record.id) as scope:
                 work(record, scope)
 
         self._map_questions(self._active(self.records), worker, stage)

@@ -175,11 +175,14 @@ def _refit(prompt: RenderedPrompt, prefixes: _Prefixes, dropped: int, evidence: 
 
 def fit_to_context(
     prompt: RenderedPrompt,
-    count_tokens: Callable[[str], int],
+    count_tokens: Callable[[RenderedPrompt], int],
     context_tokens: int,
     reserved_tokens: int = 0,
 ) -> RenderedPrompt:
     """Shrink ``prompt`` until it fits ``context_tokens - reserved_tokens``.
+
+    ``count_tokens`` counts a rendering's text; it gets the rendering, so a
+    cached counter can key the count by its ``sha256`` without hashing the text.
 
     Examples are dropped from the front only as far as needed for the prompt
     to fit with no evidence text at all; the whole remaining budget then goes
@@ -192,7 +195,7 @@ def fit_to_context(
         raise PromptBudgetError(
             f"no room to generate: context {context_tokens} minus reserved {reserved_tokens}"
         )
-    if count_tokens(prompt.text) <= budget:
+    if count_tokens(prompt) <= budget:
         return prompt
 
     prefixes = _prefixes(prompt.kind, prompt.closed_book, prompt.examples)
@@ -201,7 +204,7 @@ def fit_to_context(
         # the empty-evidence scaffold keeps its bare "Evidence: " line, so the
         # search below only ever adds evidence words to a fitting base
         scaffold = _refit(prompt, prefixes, dropped, "" if has_evidence else prompt.evidence)
-        if count_tokens(scaffold.text) <= budget:
+        if count_tokens(scaffold) <= budget:
             break
     else:
         raise PromptBudgetError(
@@ -216,13 +219,13 @@ def fit_to_context(
     while lo < hi:
         mid = (lo + hi + 1) // 2
         fitted = _refit(prompt, prefixes, dropped, " ".join(words[:mid]))
-        if count_tokens(fitted.text) <= budget:
+        if count_tokens(fitted) <= budget:
             lo, best = mid, fitted
         else:
             hi = mid - 1
     if lo == len(words):
         # all words fit; prefer the original spacing when it also fits
         original = _refit(prompt, prefixes, dropped, prompt.evidence)
-        if count_tokens(original.text) <= budget:
+        if count_tokens(original) <= budget:
             return original
     return best

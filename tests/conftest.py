@@ -60,11 +60,13 @@ class _LocalHandler(BaseHTTPRequestHandler):
         pass
 
     def reply(self, status: int, body: bytes = b"", content_type: str = "text/plain",
-              length: int | None = None) -> None:
-        """Send ``body``; a ``length`` above ``len(body)`` makes a truncated response."""
+              length: int | None = None, headers: dict | None = None) -> None:
+        """Send ``body`` after ``headers``; a ``length`` above ``len(body)`` makes a truncated response."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body) if length is None else length))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -72,11 +74,13 @@ class _LocalHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def serve():
     """``serve(respond)`` starts a loopback server that answers each request
-    with ``respond(handler)`` and returns its base URL."""
+    with ``respond(handler)`` and returns its base URL; ``protocol="HTTP/1.1"``
+    keeps each connection open for the client's next request."""
     servers = []
 
-    def start(respond) -> str:
-        handler = type("Handler", (_LocalHandler,), {"respond": staticmethod(respond)})
+    def start(respond, protocol: str = "HTTP/1.0") -> str:
+        handler = type("Handler", (_LocalHandler,), {"respond": staticmethod(respond),
+                                                     "protocol_version": protocol})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         servers.append(server)

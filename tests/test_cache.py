@@ -733,6 +733,37 @@ def test_warm_replay_hashes_no_prompt_text_and_renders_a_given_p_once_per_paragr
     assert len(a_p_renders) == len(paragraphs) > 0
 
 
+def test_warm_replay_fits_prompts_without_hashing_their_text(
+        tmp_path, qa_dataset_path, banks_dir, monkeypatch):
+    """A count made while fitting a prompt is keyed by the rendering's digest:
+    a warm replay at a 60-token context fits prompts and runs SHA-256 over the
+    text of none of the renderings it counts."""
+    _gold_run(qa_dataset_path, tmp_path, banks_dir, MockBackend(), max_workers=1, context_tokens=60)
+    hashed, counted = [], set()
+    sha256 = hashlib.sha256
+
+    def recording_sha256(*args, **kwargs):
+        hashed.append(bytes(args[0]) if args else b"")
+        return sha256(*args, **kwargs)
+
+    def recording_fit(fit):
+        def fitting(prompt, count_tokens, **kwargs):
+            def counting(rendering):
+                counted.add(rendering.text)
+                return count_tokens(rendering)
+            return fit(prompt, counting, **kwargs)
+        return fitting
+
+    monkeypatch.setattr(pipeline_module, "fit_to_context", recording_fit(pipeline_module.fit_to_context))
+    monkeypatch.setattr(hashlib, "sha256", recording_sha256)
+    replay = CachedBackend(_bare(MockBackend()), RequestCache(tmp_path / "cache", offline=True))
+    Pipeline(_gold_config(qa_dataset_path, tmp_path, banks_dir, max_workers=1, context_tokens=60), replay).run()
+    monkeypatch.undo()
+
+    assert counted and hashed
+    assert [data for data in hashed if data.decode("utf-8", "replace") in counted] == []
+
+
 def test_pipeline_is_offline_exactly_when_its_backend_is(tmp_path, qa_dataset_path):
     """A pipeline has one cache, its backend's: over an offline backend whose
     cache holds only the describe entry, retrieval misses on the first search

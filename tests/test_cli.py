@@ -698,6 +698,24 @@ class TestHTTPBackendRun:
             cache_files = [p for p in (workdir / "cache").rglob("*") if p.is_file()]
             assert cache_files and all(p.name.endswith(PACK_SUFFIX) for p in cache_files)
 
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_one_connection_per_question_pass(self, tmp_path, qa_dataset_path, banks_dir, web_root,
+                                              monkeypatch, workers):
+        """Each question's search, page fetches and LM requests to the one
+        server share a connection; ``describe`` at setup opens one more."""
+        accepted = []
+        accept = fixtures._Server.get_request
+
+        def counting_accept(server):
+            accepted.append(None)
+            return accept(server)
+
+        monkeypatch.setattr(fixtures._Server, "get_request", counting_accept)
+        with FixtureServer(web_root) as server:
+            assert self._run(tmp_path / "w", qa_dataset_path, banks_dir, server, server.base_url,
+                             "--max-workers", workers) == 0
+        assert len(accepted) == len(load_dataset(qa_dataset_path)) + 1
+
     def test_server_never_answering_one_question_is_tolerated(
             self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, no_backoff):
         record = load_dataset(qa_dataset_path)[0]
@@ -706,9 +724,11 @@ class TestHTTPBackendRun:
         def silent_for_one_question(handler):
             body = handler.rfile.read(int(handler.headers["Content-Length"]))
             if record.question in body.decode("utf-8"):
-                return  # close the connection without a response
-            handler.rfile = io.BytesIO(body)
+                handler.close_connection = True  # close the connection without a response
+                return
+            rfile, handler.rfile = handler.rfile, io.BytesIO(body)
             answer(handler)
+            handler.rfile = rfile  # where the connection's next request arrives
 
         monkeypatch.setattr(fixtures._FixtureHandler, "do_POST", silent_for_one_question)
         with FixtureServer(web_root) as server:
@@ -729,8 +749,9 @@ class TestHTTPBackendRun:
             if handler.path == "/v1/score" and record.question in body.decode("utf-8"):
                 handler._send(200, "application/json", b'{"logprob": -Infinity}')
                 return
-            handler.rfile = io.BytesIO(body)
+            rfile, handler.rfile = handler.rfile, io.BytesIO(body)
             answer(handler)
+            handler.rfile = rfile  # where the connection's next request arrives
 
         monkeypatch.setattr(fixtures._FixtureHandler, "do_POST", infinite_for_one_question)
         workdir = tmp_path / "w"

@@ -453,9 +453,9 @@ class _CountingBackend(CachedBackend):
         with self._lock:
             self.requests[op] += 1
 
-    def count_tokens(self, text):
+    def count_tokens(self, text, **digest):
         self._count("count_tokens")
-        return super().count_tokens(text)
+        return super().count_tokens(text, **digest)
 
     def sample(self, prompt, params, seed, **digest):
         self._count("sample")

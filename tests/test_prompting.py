@@ -109,17 +109,26 @@ def _word_counter(text: str) -> int:
     return len(text.split())
 
 
+def _count_words(prompt) -> int:
+    """The counter ``fit_to_context`` takes: a rendering's whitespace words."""
+    return _word_counter(prompt.text)
+
+
+def _count_chars(prompt) -> int:
+    return len(prompt.text)
+
+
 class TestFitToContext:
     def test_untouched_when_within_budget(self):
         p = render_qa_prompt(_bank(k=2), "q here", "short evidence")
-        fitted = fit_to_context(p, _word_counter, context_tokens=10_000)
+        fitted = fit_to_context(p, _count_words, context_tokens=10_000)
         assert fitted is p
 
     def test_truncates_evidence_first(self):
         evidence = " ".join(f"w{i}" for i in range(200))
         p = render_qa_prompt(_bank(k=2), "q here", evidence)
         budget = _word_counter(p.text) - 100
-        fitted = fit_to_context(p, _word_counter, context_tokens=budget)
+        fitted = fit_to_context(p, _count_words, context_tokens=budget)
         assert fitted.dropped_examples == 0
         assert fitted.evidence_truncated
         assert _word_counter(fitted.text) <= budget
@@ -132,7 +141,7 @@ class TestFitToContext:
         # each toy example costs exactly 14 words, the k=0 scaffold 7,
         # so this budget has room for exactly two examples
         p = render_qa_prompt(_bank(k=8), "q here", "ev here")
-        fitted = fit_to_context(p, _word_counter, context_tokens=7 + 2 * 14)
+        fitted = fit_to_context(p, _count_words, context_tokens=7 + 2 * 14)
         assert fitted.dropped_examples == 6
         assert len(fitted.examples) == 2
         assert _word_counter(fitted.text) <= 35
@@ -143,19 +152,19 @@ class TestFitToContext:
     def test_reserved_tokens_tighten_budget(self):
         p = render_qa_prompt(_bank(k=2), "q here", "a b c d e f g h")
         total = _word_counter(p.text)
-        fitted = fit_to_context(p, _word_counter, context_tokens=total,
+        fitted = fit_to_context(p, _count_words, context_tokens=total,
                                 reserved_tokens=4)
         assert _word_counter(fitted.text) <= total - 4
 
     def test_impossible_budget_raises(self):
         p = render_qa_prompt(_bank(k=1), "q here", "ev")
         with pytest.raises(PromptBudgetError):
-            fit_to_context(p, _word_counter, context_tokens=2)
+            fit_to_context(p, _count_words, context_tokens=2)
 
     def test_closed_book_fitting_drops_examples(self):
         p = render_closed_book_prompt(_bank(k=8), "q here")
         budget = _word_counter(p.text) - 5
-        fitted = fit_to_context(p, _word_counter, context_tokens=budget)
+        fitted = fit_to_context(p, _count_words, context_tokens=budget)
         assert fitted.dropped_examples > 0
         assert "Evidence:" not in fitted.text
 
@@ -189,33 +198,33 @@ class TestDigest:
 
     def test_every_fit_outcome(self):
         kept = render_qa_prompt(_bank(k=2), "q here", "short evidence")
-        assert fit_to_context(kept, _word_counter, context_tokens=10_000) is kept
+        assert fit_to_context(kept, _count_words, context_tokens=10_000) is kept
 
         evidence = " ".join(f"wörd{i}" for i in range(200))
         p = render_qa_prompt(_bank(k=2), "q here", evidence)
-        truncated = fit_to_context(p, _word_counter, context_tokens=_word_counter(p.text) - 100)
+        truncated = fit_to_context(p, _count_words, context_tokens=_word_counter(p.text) - 100)
         assert truncated.evidence_truncated and not truncated.dropped_examples
 
-        dropped = fit_to_context(render_qa_prompt(_bank(k=8), "q here", "ev here"), _word_counter,
+        dropped = fit_to_context(render_qa_prompt(_bank(k=8), "q here", "ev here"), _count_words,
                                  context_tokens=7 + 2 * 14)
         assert dropped.dropped_examples == 6 and not dropped.evidence_truncated
 
         closed = render_closed_book_prompt(_bank(k=8), "q here")
-        closed_fit = fit_to_context(closed, _word_counter, context_tokens=_word_counter(closed.text) - 5)
+        closed_fit = fit_to_context(closed, _count_words, context_tokens=_word_counter(closed.text) - 5)
         assert closed_fit.dropped_examples > 0
 
         # character budgets: one that only dropping an example meets, after
         # which the original spacing fits too; one that the single-spaced
         # evidence meets but the original does not
         spaced = render_qa_prompt(_bank(k=2), "q", "a  b   c")
-        kept_spacing = fit_to_context(spaced, len, context_tokens=len(spaced.text) - len("a  b   c") - 1)
+        kept_spacing = fit_to_context(spaced, _count_chars, context_tokens=len(spaced.text) - len("a  b   c") - 1)
         assert kept_spacing.dropped_examples == 1 and not kept_spacing.evidence_truncated
         assert kept_spacing.evidence == "a  b   c"
-        single_spaced = fit_to_context(spaced, len, context_tokens=len(spaced.text) - 3)
+        single_spaced = fit_to_context(spaced, _count_chars, context_tokens=len(spaced.text) - 3)
         assert single_spaced.evidence == "a b c" and single_spaced.evidence_truncated
         assert not single_spaced.dropped_examples
 
-        refit = fit_to_context(dropped, _word_counter, context_tokens=7 + 14)
+        refit = fit_to_context(dropped, _count_words, context_tokens=7 + 14)
         assert refit.dropped_examples == 7
 
         for fitted in (truncated, dropped, closed_fit, kept_spacing, single_spaced, refit):
@@ -234,7 +243,7 @@ class TestDigest:
                 fields = BANK_FIELDS[bank.kind][:-1]
                 try:
                     prompt = render_prompt(bank, **{f: target[f] for f in fields})
-                    fitted = fit_to_context(prompt, _word_counter, context_tokens=20 + (i * 7) % 120)
+                    fitted = fit_to_context(prompt, _count_words, context_tokens=20 + (i * 7) % 120)
                 except ValueError as exc:
                     failures.append((seed, i, exc))
                     continue
