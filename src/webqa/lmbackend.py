@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import math
 import random
 from abc import ABC, abstractmethod
@@ -353,8 +354,11 @@ class HTTPBackend(LMBackend):
     """Client for a completion server.
 
     Endpoints: POST /v1/complete, /v1/score, /v1/count_tokens; GET /v1/model.
+    Each request goes through :func:`webqa.net.request`, so it shares the
+    connection of the question's pass that sends it, or opens one for itself.
     A 413 status, the server refusing a prompt longer than its context, is
-    :class:`PromptTooLong`.  Its ``identity`` is the URL as given.
+    :class:`PromptTooLong`; any other status but 200 is a
+    :class:`webqa.net.NetError`.  Its ``identity`` is the URL as given.
     """
 
     def __init__(self, base_url: str):
@@ -362,12 +366,13 @@ class HTTPBackend(LMBackend):
         self.base_url = base_url.rstrip("/")
 
     def _request(self, path: str, payload: dict | None = None):
-        try:
-            return net.request_json(f"{self.base_url}{path}", payload, timeout=LM_TIMEOUT_SECONDS)
-        except net.HTTPStatusError as exc:
-            if exc.status == 413:
-                raise PromptTooLong(f"{path} refused the prompt as longer than the model context") from None
-            raise
+        url = f"{self.base_url}{path}"
+        status, _, body = net.request(url, payload, timeout=LM_TIMEOUT_SECONDS)
+        if status == 413:
+            raise PromptTooLong(f"{path} refused the prompt as longer than the model context")
+        if status != 200:
+            raise net.NetError(f"HTTP {status} from {url}")
+        return json.loads(body)
 
     def describe(self) -> BackendDescriptor:
         return BackendDescriptor.from_json(self._request("/v1/model"))

@@ -11,13 +11,15 @@ hops, past which the request is a :class:`NetError`.  Requests carry urllib's
 ``User-Agent`` and ``Accept-Encoding: identity``, and go through the proxy
 that the environment (``http_proxy``, ``https_proxy``, ``no_proxy``) names.
 
-Inside :func:`session` a thread keeps one ``http.client`` connection per
-(scheme, host, port) open and sends each of its requests to that host over
-it, until the block exits.  Outside one, a request opens a connection, asks
-the server to close it (``Connection: close``) and closes it.  A response that
-says ``Connection: close``, or an HTTP/1.0 one, drops its connection.  A kept
-connection that the server closed while it sat idle is reopened once, at
-once: that is not an attempt and sleeps no backoff.
+Every request runs in a :func:`session`, in which a thread keeps one
+``http.client`` connection per (scheme, host, port) open and sends each of
+its requests to that host over it, until the block exits.  A request made
+inside a caller's session, such as a question's pass, shares that session's
+connections; one made outside any is a session of its own, which its
+redirects share and which closes when it returns.  A response that asks to
+close its connection, or an HTTP/1.0 one, drops it.  A kept connection that
+the server closed while it sat idle is reopened once, at once: that is not
+an attempt and sleeps no backoff.
 
 Importing this module loads only its light parts: the errors, :func:`quote_url`,
 the retry policy and :func:`session`, which imports and opens nothing until
@@ -57,15 +59,7 @@ _local = threading.local()  # .pool: this thread's session, {(scheme, host, port
 
 class NetError(OSError):
     """A request failed on every attempt, was redirected too often, its URL is
-    not http(s), or a JSON call got an error status."""
-
-
-class HTTPStatusError(NetError):
-    """A JSON call got a status other than 200."""
-
-    def __init__(self, status: int, url: str):
-        super().__init__(f"HTTP {status} from {url}")
-        self.status = status
+    not http(s), or an LM server answered with an error status."""
 
 
 def quote_url(url: str) -> str:
@@ -133,10 +127,9 @@ class _Connection:
             self.http = http.client.HTTPConnection(where.hostname, where.port, timeout=timeout)
             self.absolute, self.headers = True, auth
 
-    def exchange(self, method: str, url: str, body: bytes | None, timeout: float, keep: bool):
+    def exchange(self, method: str, url: str, body: bytes | None, timeout: float):
         """Send one request and read its whole response; returns (status,
-        headers, body, whether the connection stays usable).  ``keep=False``
-        asks the server to close the connection.  Any error closes it."""
+        headers, body, whether the connection stays usable).  Any error closes it."""
         parts = urlsplit(url)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         if self.absolute:
@@ -144,8 +137,6 @@ class _Connection:
         headers = {"User-Agent": _USER_AGENT, **self.headers}
         if body is not None:
             headers["Content-Type"] = "application/json"
-        if not keep:
-            headers["Connection"] = "close"
         self.http.timeout = timeout
         if self.http.sock is not None:
             self.http.sock.settimeout(timeout)
@@ -156,26 +147,25 @@ class _Connection:
         except BaseException:
             self.http.close()
             raise
-        return resp.status, resp.headers, data, keep and not resp.will_close
+        return resp.status, resp.headers, data, not resp.will_close
 
 
 def _exchange(method: str, url: str, body: bytes | None, timeout: float):
-    """One request and response over this thread's kept connection to the
+    """One request and response over the session's kept connection to the
     host, else a new one; returns (status, headers, body)."""
     parts = urlsplit(url)
     key = (parts.scheme, parts.hostname, parts.port)
-    pool = getattr(_local, "pool", None)
-    conn = None if pool is None else pool.pop(key, None)
+    conn = _local.pool.pop(key, None)
     if conn is not None:
         try:
-            status, headers, data, kept = conn.exchange(method, url, body, timeout, keep=True)
+            status, headers, data, kept = conn.exchange(method, url, body, timeout)
         except ConnectionError:  # closed by the server while idle: reopen once, at once
             conn = None
     if conn is None:
         conn = _Connection(parts.scheme, parts.hostname, parts.port, timeout)
-        status, headers, data, kept = conn.exchange(method, url, body, timeout, keep=pool is not None)
+        status, headers, data, kept = conn.exchange(method, url, body, timeout)
     if kept:
-        pool[key] = conn
+        _local.pool[key] = conn
     else:
         conn.http.close()
     return status, headers, data
@@ -222,27 +212,21 @@ def _with_retries(method: str, url: str, body: bytes | None, timeout: float, sho
 
 
 def request(url: str, payload=None, timeout: float = WEB_TIMEOUT_SECONDS) -> tuple[int, HTTPMessage, bytes]:
-    """GET ``url``, or POST ``payload`` as JSON; returns (status, headers, body)
-    of the response that ends its redirects."""
+    """GET ``url``, or POST ``payload`` as JSON, in this thread's session or
+    one of its own; returns (status, headers, body) of the response that ends
+    its redirects."""
     method = "GET" if payload is None else "POST"
     body = None if payload is None else json.dumps(payload).encode("utf-8")
     target = quote_url(url)
-    for _ in range(MAX_REDIRECTS + 1):
-        status, headers, data = _with_retries(method, target, body, timeout, url)
-        location = headers.get("Location") if status in _REDIRECTS else None
-        if location is None or (method == "POST" and status > 303):
-            return status, headers, data
-        following = urljoin(target, location)
-        if urlsplit(following).scheme not in ("http", "https"):
-            return status, headers, data  # urllib does not follow it either
-        target = quote_url(following)
-        method, body = "GET", None  # a GET stays one; a 301, 302 or 303 turns a POST into one
+    with session():
+        for _ in range(MAX_REDIRECTS + 1):
+            status, headers, data = _with_retries(method, target, body, timeout, url)
+            location = headers.get("Location") if status in _REDIRECTS else None
+            if location is None or (method == "POST" and status > 303):
+                return status, headers, data
+            following = urljoin(target, location)
+            if urlsplit(following).scheme not in ("http", "https"):
+                return status, headers, data  # urllib does not follow it either
+            target = quote_url(following)
+            method, body = "GET", None  # a GET stays one; a 301, 302 or 303 turns a POST into one
     raise NetError(f"{url} redirected more than {MAX_REDIRECTS} times")
-
-
-def request_json(url: str, payload=None, timeout: float = WEB_TIMEOUT_SECONDS):
-    """Like :func:`request`, but returns the parsed body of a 200 response."""
-    status, _, body = request(url, payload, timeout)
-    if status != 200:
-        raise HTTPStatusError(status, url)
-    return json.loads(body)

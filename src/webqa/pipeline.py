@@ -571,9 +571,13 @@ class Pipeline:
         with ``retrieve``, else read from paragraphs/), its open-book pool from
         them, then its closed-book pool (only that under closed evidence).  A
         failure names its step: ``retrieve``, ``answer`` or ``closed``."""
-        # banks load before the first question, so one that cannot be used stops
-        # the run here instead of failing every question
+        # banks load, and paragraphs/ is looked for, before the first question, so
+        # an unusable bank or a missing retrieve stops the run here instead of
+        # failing every question
         open_banks = () if self.config.evidence == CLOSED else tuple(map(self.bank, OPEN_BANK_KINDS))
+        paragraphs = self.workdir / "paragraphs" / self.config.evidence
+        if not (retrieve or self.config.evidence == CLOSED or paragraphs.is_dir()):
+            raise ConfigError(f"no paragraphs/{self.config.evidence}/ in the workdir; run retrieve first")
         closed_build = functools.partial(self._closed_pool_for, qa_bank=self.bank("qa"))
 
         def work(record: QuestionRecord, scope: RequestCache) -> None:

@@ -411,6 +411,21 @@ class TestMainExitCodes:
         assert not (workdir / "candidates").exists()
         assert not (workdir / "failures.json").exists()
 
+    def test_answer_before_retrieve_is_1_before_any_question(self, tmp_path, qa_dataset_path,
+                                                             banks_dir, capsys):
+        """``answer`` in a workdir with no paragraphs/ for its evidence stops
+        before its first question; closed evidence reads no paragraphs."""
+        workdir = tmp_path / "w"
+        flags = ["--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                 "--banks-dir", str(banks_dir), "--closed-book-samples", "4", "--max-new-tokens", "16"]
+        assert cli.main(["answer", "--evidence", "gold", *flags]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == "error: no paragraphs/gold/ in the workdir; run retrieve first"
+        assert not (workdir / "candidates").exists()
+        assert not (workdir / "failures.json").exists()
+        assert cli.main(["answer", "--evidence", "closed", *flags]) == 0
+        assert json.loads((workdir / "failures.json").read_text(encoding="utf-8")) == {}
+
     def test_unreachable_backend_is_1(self, tmp_path, qa_dataset_path, banks_dir,
                                       no_backoff, capsys):
         rc = cli.main(["run", "--dataset", str(qa_dataset_path),

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from webqa import fixtures, lmbackend
+from webqa import fixtures, lmbackend, net
 from webqa.cache import CacheKey, RequestCache
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import (
@@ -530,6 +530,29 @@ class TestHTTPBackend:
                     send(cached)
         assert posts == ["/v1/score", "/v1/complete"]
         assert len(list((tmp_path / "lm" / "shared").iterdir())) == 2
+
+    def test_posts_json_and_reads_the_status(self, serve):
+        """A POST body arrives as JSON; a 413 is :class:`PromptTooLong`, and any
+        other status but 200 is a :class:`webqa.net.NetError` naming it and the URL."""
+        posts = []
+
+        def respond(handler):
+            posts.append((handler.headers["Content-Type"],
+                          json.loads(handler.rfile.read(int(handler.headers["Content-Length"])))))
+            status = {"/v1/count_tokens": 200, "/v1/score": 413}.get(handler.path, 400)
+            handler.reply(status, b'{"tokens": 3}', "application/json")
+
+        url = serve(respond)
+        http = HTTPBackend(url)
+        assert http.count_tokens("Müller page") == 3
+        with pytest.raises(PromptTooLong, match="^/v1/score refused the prompt"):
+            http.score(self.PROMPT, " Aurora Falls")
+        with pytest.raises(net.NetError, match=f"^HTTP 400 from {re.escape(url)}/v1/complete$"):
+            http.sample(self.PROMPT, GenerationParams(), 7)
+        assert [body for _, body in posts[:2]] == [
+            {"text": "Müller page"}, {"prompt": self.PROMPT, "continuation": " Aurora Falls"}]
+        assert posts[2][1]["prompt"] == self.PROMPT
+        assert {content_type for content_type, _ in posts} == {"application/json"}
 
     def test_two_servers_never_share_cached_responses(self, serve, tmp_path):
         """Each server's score is read back through one cache, also offline."""

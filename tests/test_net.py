@@ -1,5 +1,4 @@
 import email.utils
-import json
 import sys
 
 import pytest
@@ -93,20 +92,6 @@ def test_connection_refused_raises_net_error(no_backoff):
         net.request("http://127.0.0.1:1/x")
 
 
-def test_request_json_posts_and_parses(serve):
-    def respond(handler):
-        payload = json.loads(handler.rfile.read(int(handler.headers["Content-Length"])))
-        if handler.path == "/echo":
-            handler.reply(200, json.dumps({"got": payload}).encode(), "application/json")
-        else:
-            handler.reply(400, b"bad request")
-
-    base = serve(respond)
-    assert net.request_json(f"{base}/echo", {"text": "ü"}) == {"got": {"text": "ü"}}
-    with pytest.raises(net.NetError, match="HTTP 400"):
-        net.request_json(f"{base}/other", {})
-
-
 def test_requests_carry_the_headers_urllib_sent(serve):
     seen = []
 
@@ -120,7 +105,7 @@ def test_requests_carry_the_headers_urllib_sent(serve):
     for headers in seen:
         assert headers["User-Agent"] == "Python-urllib/%d.%d" % sys.version_info[:2]
         assert headers["Accept-Encoding"] == "identity"
-        assert headers["Connection"] == "close"  # outside a session
+        assert "Connection" not in headers  # a connection stays open until its session ends
     assert seen[1]["Content-Type"] == "application/json"
 
 
@@ -204,6 +189,22 @@ def test_redirects_are_followed_as_urllib_follows_them(serve, path, payload, sta
     got, _, _ = net.request(f"{serve(_redirecting(seen))}{path}", payload)
     assert got == status
     assert seen[1:] == followed
+
+
+def test_a_same_host_redirect_outside_a_session_shares_one_connection(serve):
+    """A request outside any session is a session of its own: its redirect
+    to the same host goes over the connection it opened, which it closes."""
+    seen, peers = [], []
+    redirecting = _redirecting(seen)
+
+    def respond(handler):
+        peers.append(handler.client_address)
+        redirecting(handler)
+
+    assert net.request(f"{serve(respond, protocol='HTTP/1.1')}/pages/old")[2] == b"landed"
+    assert [path for _, path, _ in seen] == ["/pages/old", "/pages/new?x=1"]
+    assert len(set(peers)) == 1
+    assert net._local.pool is None
 
 
 def test_a_redirect_loop_raises_net_error(serve):

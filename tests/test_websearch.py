@@ -376,7 +376,7 @@ class TestRetrieveDocuments:
         assert [d.rank for d in docs] == [1, 2, 3]
         assert any("Aurora Falls" in d.clean_text for d in docs)
 
-    def test_unfetchable_url_becomes_empty_document(self, server, tmp_path):
+    def test_unfetchable_url_becomes_empty_document(self, server, tmp_path, no_backoff):
         """One dead URL must not sink the question."""
         cache = RequestCache(tmp_path)
 
