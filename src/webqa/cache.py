@@ -292,10 +292,6 @@ def atomic_write_text(path: Path, text: str) -> None:
     _write_then_rename(path.parent, write)
 
 
-class _NotPlain(Exception):
-    """A value :func:`_indented` leaves to ``json.dumps``."""
-
-
 @functools.lru_cache(maxsize=None)  # one per nesting depth of an artifact
 def _indented_encoder(pad: str):
     """Encodes a container of scalars as ``json.dumps(indent=1)`` would at
@@ -307,14 +303,18 @@ def _indented_encoder(pad: str):
 def _indented(obj, pad: str, out: list[str]) -> None:
     """Append the text of ``json.dumps(obj, sort_keys=True, ensure_ascii=False,
     indent=1)`` at depth ``len(pad)`` to ``out``: a container of scalars in
-    one call of the C encoder, not one Python step per token.  Any value but
-    a plain dict, list, tuple or scalar, or a non-string key outside such a
-    container, raises :class:`_NotPlain`."""
+    one call of the C encoder, not one Python step per token.
+
+    ``obj`` must be plain JSON: a ``dict`` with ``str`` keys, a ``list`` or
+    ``tuple``, a ``str``, ``int``, ``float``, ``bool`` or None, each of exactly
+    that type.  Anything else, such as a dict or str subclass, is a ``TypeError``
+    (a dict of scalars with non-string keys is written with them as
+    ``json.dumps`` writes them)."""
     kind = type(obj)
     if kind in _SCALARS:
         out.append(canonical_json(obj))
     elif kind is not dict and kind is not list and kind is not tuple:
-        raise _NotPlain
+        raise TypeError(f"not plain JSON: {kind.__name__} {obj!r:.80}")
     elif not obj:
         out.append("{}" if kind is dict else "[]")
     elif _SCALARS.issuperset(map(type, obj.values() if kind is dict else obj)):
@@ -327,7 +327,7 @@ def _indented(obj, pad: str, out: list[str]) -> None:
             out.append("{")
             for key in sorted(obj):
                 if type(key) is not str:
-                    raise _NotPlain
+                    raise TypeError(f"not plain JSON: {type(key).__name__} key {key!r:.80}")
                 out.append(f"{separator}{canonical_json(key)}: ")
                 _indented(obj[key], inner, out)
                 separator = ",\n" + inner
@@ -344,14 +344,11 @@ def _indented(obj, pad: str, out: list[str]) -> None:
 def write_json_record(path: Path, obj) -> None:
     """Persist a stage artifact as pretty, key-sorted JSON (stable bytes): the
     bytes of ``json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)``
-    and a newline."""
+    and a newline.  ``obj`` must be plain JSON (see :func:`_indented`); any
+    other value is a ``TypeError`` and writes nothing."""
     out: list[str] = []
-    try:
-        _indented(obj, "", out)
-        text = "".join(out)
-    except _NotPlain:
-        text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
-    atomic_write_text(path, text + "\n")
+    _indented(obj, "", out)
+    atomic_write_text(path, "".join(out) + "\n")
 
 
 def read_json_record(path: Path):

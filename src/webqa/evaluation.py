@@ -14,6 +14,7 @@ import string
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .chunkrank import tokenize
 from .corpus import CLASSIFICATION, GENERATION, QuestionRecord
 from .numeric import left_sum
 
@@ -57,14 +58,14 @@ def answer_recall(answers: tuple[str, ...] | list[str], paragraph_texts: list[st
 
 
 def load_stopwords() -> frozenset[str]:
-    """Stopword entries pass through the same tokenizer as the scored text,
-    so contractions contribute both their stem and suffix fragments."""
+    """Stopword entries pass through :func:`webqa.chunkrank.tokenize`, as the
+    scored text does, so contractions contribute both their stem and suffix fragments."""
     raw = resources.files("webqa").joinpath("assets/stopwords.txt").read_text(encoding="utf-8")
-    return frozenset(re.findall(r"[a-z0-9]+", raw.lower()))
+    return frozenset(tokenize(raw))
 
 
 def content_words(text: str, stopwords: frozenset[str]) -> set[str]:
-    return {w for w in re.findall(r"[a-z0-9]+", text.lower()) if w not in stopwords}
+    return {w for w in tokenize(text) if w not in stopwords}
 
 
 def max_word_overlap(reference: str, paragraph_texts: list[str], stopwords: frozenset[str]) -> float:

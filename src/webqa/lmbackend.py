@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -61,42 +62,40 @@ class GenerationParams:
 
 def _field(obj, name: str, route: str):
     """``obj[name]``; a server response that is not an object or lacks the field is a ``ValueError``."""
-    if not isinstance(obj, dict) or name not in obj:
+    if type(obj) is not dict or name not in obj:
         raise ValueError(f"{route} returned no {name!r}")
     return obj[name]
 
 
+# Each checker below reads one field of a decoded response, fresh from a server or
+# read back from the cache, and raises a ValueError naming the route unless it holds
+# exactly what json.loads gives for a valid value.
+
 def _tokens(obj, name: str, route: str) -> int:
-    """``obj[name]`` as a token count; anything but a non-negative integer is a ``ValueError``."""
+    """``obj[name]`` as a token count: an ``int`` (not a ``bool``) of at least 0."""
     value = _field(obj, name, route)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{route} returned {name} {value!r}, not a non-negative integer")
-    return value
+    if type(value) is int and value >= 0:
+        return value
+    raise ValueError(f"{route} returned {name} {value!r}, not a non-negative integer")
 
 
 def _logprob(obj, route: str) -> float:
-    """``obj["logprob"]`` as a float; a server's missing or non-finite value is a ``ValueError``."""
-    value = obj.get("logprob") if isinstance(obj, dict) else None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{route} returned logprob {value!r}, not a finite number")
-    return float(value)
+    """``obj["logprob"]``: a finite ``float``, or an ``int`` that one can hold made
+    one; a missing one shows as None."""
+    value = obj.get("logprob") if type(obj) is dict else None
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int and abs(value) <= sys.float_info.max:  # float() of a larger one overflows
+        return float(value)
+    raise ValueError(f"{route} returned logprob {value!r}, not a finite number")
 
 
 def _text(obj, name: str, route: str) -> str:
-    """``obj[name]``; anything but a string is a ``ValueError``."""
+    """``obj[name]``: a ``str``."""
     value = _field(obj, name, route)
-    if not isinstance(value, str):
-        raise ValueError(f"{route} returned {name} {value!r}, not a string")
-    return value
-
-
-# the values a decoded response holds, which _tokens and _logprob accept as they are
-def _plain_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-def _plain_logprob(value) -> bool:
-    return type(value) is float and math.isfinite(value)
+    if type(value) is str:
+        return value
+    raise ValueError(f"{route} returned {name} {value!r}, not a string")
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,6 @@ class Sample:
 
 def _sample_from_json(obj) -> Sample:
     """One sample of a ``/v1/complete`` body; a malformed one is a ``ValueError``."""
-    if type(obj) is dict:
-        text, logprob, tokens = obj.get("text"), obj.get("logprob"), obj.get("tokens")
-        if type(text) is str and _plain_logprob(logprob) and _plain_count(tokens):
-            return Sample(text, logprob, tokens)
     route = "/v1/complete"
     return Sample(_text(obj, "text", route), _logprob(obj, route), _tokens(obj, "tokens", route))
 
@@ -164,11 +159,6 @@ class Score:
     @classmethod
     def from_json(cls, obj) -> "Score":
         """Decode a ``/v1/score`` body; a malformed one is a ``ValueError`` naming the route."""
-        if type(obj) is dict:
-            logprob, prompt_tokens = obj.get("logprob"), obj.get("prompt_tokens")
-            continuation_tokens = obj.get("continuation_tokens")
-            if _plain_logprob(logprob) and _plain_count(prompt_tokens) and _plain_count(continuation_tokens):
-                return cls(logprob, prompt_tokens, continuation_tokens)
         route = "/v1/score"
         return cls(_logprob(obj, route), _tokens(obj, "prompt_tokens", route),
                    _tokens(obj, "continuation_tokens", route))
@@ -193,7 +183,7 @@ class BackendDescriptor:
     def from_json(cls, obj) -> "BackendDescriptor":
         """Decode a ``/v1/model`` body; a malformed one is a ``ValueError`` naming the route."""
         route = "/v1/model"
-        can_score = obj.get("can_score", True) if isinstance(obj, dict) else True
+        can_score = obj.get("can_score", True) if type(obj) is dict else True
         if not isinstance(can_score, bool):
             raise ValueError(f"{route} returned can_score {can_score!r}, not true or false")
         name, param_count = _text(obj, "name", route), _tokens(obj, "param_count", route)
@@ -358,7 +348,8 @@ class HTTPBackend(LMBackend):
     connection of the question's pass that sends it, or opens one for itself.
     A 413 status, the server refusing a prompt longer than its context, is
     :class:`PromptTooLong`; any other status but 200 is a
-    :class:`webqa.net.NetError`.  Its ``identity`` is the URL as given.
+    :class:`webqa.net.NetError`, and a 200 body that is not JSON a
+    ``ValueError`` naming the route and URL.  Its ``identity`` is the URL as given.
     """
 
     def __init__(self, base_url: str):
@@ -372,7 +363,10 @@ class HTTPBackend(LMBackend):
             raise PromptTooLong(f"{path} refused the prompt as longer than the model context")
         if status != 200:
             raise net.NetError(f"HTTP {status} from {url}")
-        return json.loads(body)
+        try:
+            return json.loads(body)
+        except ValueError as exc:  # also a body that is not UTF-8
+            raise ValueError(f"{path} returned a body that is not JSON from {url}: {exc}") from None
 
     def describe(self) -> BackendDescriptor:
         return BackendDescriptor.from_json(self._request("/v1/model"))
@@ -409,7 +403,8 @@ class CachedBackend(LMBackend):
     cache key.  ``identity`` is ``inner``'s, read once when this backend is
     built, so two models never share a response, and a backend without one
     cannot be cached.  Only the response is stored: a completion or score with
-    its token counts, a token count or the model descriptor.  A sample or
+    its token counts, a token count or the model descriptor.  A response read
+    back goes through the same checks as one fresh from ``inner``.  A sample or
     score whose prompt the backend refused as too long is stored as that
     refusal and raises :class:`PromptTooLong` again on each read, so an
     offline replay fits the prompt as the run that drew it did.  A prompt or
@@ -485,4 +480,4 @@ class CachedBackend(LMBackend):
         already has it passes as ``text_sha256`` (it is not checked)."""
         request = {"op": "count_tokens", "backend": self.identity, "text_sha256": text_sha256 or _sha256(text)}
         response = self.cache.get_or_fetch("lm", request, lambda: self.inner.count_tokens(text))
-        return int(response)
+        return _tokens({"tokens": response}, "tokens", "/v1/count_tokens")  # checked as a fresh body is

@@ -280,6 +280,25 @@ def extract_text(html: str) -> str:
     return "\n".join(filter(None, [" ".join(line.split()) for line in lines]))
 
 
+def _search_list(body: bytes, endpoint: str, query: str, field: str, valid, default=None) -> list:
+    """The list ``field`` of the JSON object ``body`` (``default`` if absent),
+    each of whose entries passes ``valid``; any other body is a
+    :class:`SearchError` naming ``endpoint`` and ``query``."""
+    try:
+        obj = json.loads(body)
+    except ValueError:
+        obj = None
+    entries = obj.get(field, default) if type(obj) is dict else None
+    if type(entries) is not list or not all(map(valid, entries)):
+        raise SearchError(f"{endpoint} returned no list of {field} for {query!r}")
+    return entries
+
+
+def _is_item(item) -> bool:
+    """A search API result: an object with a string ``link`` and, if any, a string ``title``."""
+    return type(item) is dict and type(item.get("link")) is str and type(item.get("title", "")) is str
+
+
 class GoogleCustomSearchClient:
     """Programmable Search Engine JSON API client (10 results per request)."""
 
@@ -301,7 +320,7 @@ class GoogleCustomSearchClient:
             }))
             if status != 200:
                 raise SearchError(f"search returned HTTP {status} for {query!r}")
-            items = json.loads(body).get("items", [])
+            items = _search_list(body, GOOGLE_CSE_ENDPOINT, query, "items", _is_item, default=[])
             if not items:
                 break
             for item in items:
@@ -323,7 +342,7 @@ class FixtureSearchClient:
         status, _, body = net.request(f"{self.base_url}/search?" + urlencode({"q": query, "num": num}))
         if status != 200:
             raise SearchError(f"fixture search returned HTTP {status} for {query!r}")
-        urls = json.loads(body)["results"]
+        urls = _search_list(body, f"{self.base_url}/search", query, "results", lambda url: type(url) is str)
         return [SearchResult(url=u, rank=i + 1) for i, u in enumerate(urls[:num])]
 
 

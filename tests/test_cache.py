@@ -197,12 +197,12 @@ def _random_json(rng, depth=0):
 def test_json_encoders_write_what_json_dumps_writes(tmp_path):
     """canonical_json and write_json_record build their encoders once, and the
     record writer encodes each container of scalars in one call, yet their bytes
-    are json.dumps's, for every kind of value it takes."""
+    are json.dumps's for every plain JSON value.  Any other value is a TypeError
+    from the record writer, which then writes nothing."""
     rng = random.Random(7)
     values = [_random_json(rng) for _ in range(3000)]
     values += [{1: "a", 2: None}, {"a": {1: "x", True: 2}}, {"a": [1, {None: 3}]}, {1.5: 2},
-               {"rows": [{"b": 1, "a": 2.5}] * 3, "id": "q"}, [], {}, [[]], {"a": {}},
-               {"k": collections.OrderedDict(b=1, a=2)}, {"k": _Text("subclass")}]
+               {"rows": [{"b": 1, "a": 2.5}] * 3, "id": "q"}, [], {}, [[]], {"a": {}}]
     path = tmp_path / "r.json"
     for value in values:
         assert canonical_json(value) == json.dumps(value, sort_keys=True, ensure_ascii=False,
@@ -210,10 +210,17 @@ def test_json_encoders_write_what_json_dumps_writes(tmp_path):
         write_json_record(path, value)
         assert path.read_text(encoding="utf-8") == json.dumps(
             value, sort_keys=True, ensure_ascii=False, indent=1) + "\n", value
+    not_plain = [collections.OrderedDict(b=1, a=2), {"k": collections.OrderedDict(b=1, a=2)},
+                 _Text("subclass"), {"k": _Text("subclass")}, [1, _Text("x")], {_Text("k"): [1]},
+                 {1: [2]}, {"a": {None: {}}}, {"a": [{2: [3]}]}, {"k": b"x"}, [{1, 2}], object()]
+    for value in not_plain:
+        with pytest.raises(TypeError, match="^not plain JSON: "):
+            write_json_record(tmp_path / "not_plain.json", value)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 class _Text(str):
-    """A str subclass, which json.dumps writes as a string."""
+    """A str subclass, which json.dumps writes as a string but an artifact may not hold."""
 
 
 def test_pack_line_with_more_than_one_value_is_unreadable(tmp_path):

@@ -9,11 +9,12 @@ import re
 import shutil
 import subprocess
 import sys
+from urllib.parse import urlencode
 
 import pytest
 
 import webqa
-from webqa import cli, fixtures
+from webqa import cli, fixtures, net
 from webqa.cache import PACK_SUFFIX, gunzip_bytes
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
@@ -584,6 +585,25 @@ class TestFailureTolerance:
                          0, SearchError("provider down"), failing_ids=(qid,)) == 0
         for artifact in ("predictions", "reports", "cost"):
             assert _files(staged / artifact) == _files(tmp_path / "run" / "w" / artifact), artifact
+
+    def test_malformed_search_body_fails_one_question(self, tmp_path, qa_dataset_path, banks_dir,
+                                                      web_root, monkeypatch):
+        """A search body without a list of results fails its question, not the run."""
+        first = load_dataset(qa_dataset_path)[0]
+        request = net.request
+
+        def answering(url, *args, **kwargs):
+            if urlencode({"q": first.question}) + "&" in url:
+                return 200, {}, b"{}"
+            return request(url, *args, **kwargs)
+
+        monkeypatch.setattr(net, "request", answering)
+        assert self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+                         0, SearchError("unused")) == 0
+        [(qid, message)] = self._failures(tmp_path).items()
+        assert qid == first.id
+        assert re.fullmatch(rf"retrieve: http://127\.0\.0\.1:\d+/search returned no list of results "
+                            rf"for {re.escape(repr(first.question))}", message)
 
     def test_worker_type_error_is_raised(self, tmp_path, qa_dataset_path, banks_dir,
                                          web_root, monkeypatch):

@@ -291,6 +291,8 @@ class TestCachedBackend:
         ("sample_with_tokens", {"samples": [], "prompt_tokens": -1},
          "/v1/complete returned prompt_tokens -1, not a non-negative integer"),
         ("describe", {"name": "mock"}, "/v1/model returned no 'param_count'"),
+        *[("count_tokens", bad, f"/v1/count_tokens returned tokens {bad!r}, not a non-negative integer")
+          for bad in ("7", 7.5, True, -1)],
     ])
     def test_malformed_cached_response_is_a_value_error(self, tmp_path, op, response, message):
         prompt_sha256 = hashlib.sha256(b"p").hexdigest()
@@ -299,6 +301,7 @@ class TestCachedBackend:
             "sample_with_tokens": {"prompt_sha256": prompt_sha256,
                                    "params": GenerationParams().to_json(), "seed": 7},
             "describe": {},
+            "count_tokens": {"text_sha256": prompt_sha256},
         }[op]
         cache = RequestCache(tmp_path)
         cache.put(CacheKey.for_request("lm", {"op": op, "backend": "mock", **request}), response)
@@ -307,7 +310,7 @@ class TestCachedBackend:
         cached = CachedBackend(inner, cache)
         call = {"score_with_tokens": lambda: cached.score("p", " c"),
                 "sample_with_tokens": lambda: cached.sample("p", GenerationParams(), 7),
-                "describe": cached.describe}[op]
+                "describe": cached.describe, "count_tokens": lambda: cached.count_tokens("p")}[op]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -448,6 +451,7 @@ class TestHTTPBackend:
 
     @pytest.mark.parametrize("body", [
         b'{"logprob": -Infinity}', b'{"logprob": NaN}', b'{}', b'{"logprob": "-1.5"}', b'[]',
+        b'{"logprob": -1' + b"0" * 400 + b"}",
     ])
     def test_bad_score_is_a_value_error_and_never_cached(self, serve, tmp_path, body):
         cached = CachedBackend(HTTPBackend(serve(_answering(200, body))), RequestCache(tmp_path))
@@ -553,6 +557,15 @@ class TestHTTPBackend:
             {"text": "Müller page"}, {"prompt": self.PROMPT, "continuation": " Aurora Falls"}]
         assert posts[2][1]["prompt"] == self.PROMPT
         assert {content_type for content_type, _ in posts} == {"application/json"}
+
+    @pytest.mark.parametrize("body", [b"not json", b"", b'{"logprob": -1.5', b'{"logprob": "\x80"}'])
+    def test_body_that_is_not_json_is_a_value_error_naming_route_and_url(self, serve, tmp_path, body):
+        url = serve(_answering(200, body))
+        cached = CachedBackend(HTTPBackend(url), RequestCache(tmp_path))
+        with pytest.raises(ValueError, match=f"^/v1/score returned a body that is not JSON "
+                                             f"from {re.escape(url)}/v1/score: "):
+            cached.score(self.PROMPT, " Aurora Falls")
+        assert list(tmp_path.iterdir()) == []
 
     def test_two_servers_never_share_cached_responses(self, serve, tmp_path):
         """Each server's score is read back through one cache, also offline."""

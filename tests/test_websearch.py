@@ -330,6 +330,39 @@ class TestGoogleCustomSearchClient:
         assert seen == [(1, 5)]
 
 
+class TestMalformedSearchBody:
+    """A search body the client cannot read is a SearchError naming the
+    endpoint and the query, which fails that one question."""
+
+    @staticmethod
+    def _answer(monkeypatch, body: bytes) -> list:
+        """Make every request answer 200 with ``body``; returns the URLs requested."""
+        urls = []
+        monkeypatch.setattr(net, "request", lambda url, *args, **kwargs: urls.append(url) or (200, {}, body))
+        return urls
+
+    @pytest.mark.parametrize("body", [b"{}", b"[]", b'{"results": "http://x/a"}', b'{"results": [7]}',
+                                      b'{"results": null}', b"not json", b'{"results": ["\x80"]}'])
+    def test_fixture_client(self, monkeypatch, body):
+        urls = self._answer(monkeypatch, body)
+        with pytest.raises(SearchError, match=r"^http://x:1/search returned no list of results for 'a query'$"):
+            FixtureSearchClient("http://x:1/").search("a query", 5)
+        assert len(urls) == 1
+
+    @pytest.mark.parametrize("body", [b"[]", b'{"items": {}}', b'{"items": [{"title": "t"}]}',
+                                      b'{"items": ["http://x/a"]}', b'{"items": [{"link": 7}]}',
+                                      b'{"items": [{"link": "http://x/a", "title": null}]}', b"not json"])
+    def test_google_client(self, monkeypatch, body):
+        self._answer(monkeypatch, body)
+        with pytest.raises(SearchError) as raised:
+            GoogleCustomSearchClient("secret-key", "cx").search("a query", 5)
+        assert str(raised.value) == f"{websearch.GOOGLE_CSE_ENDPOINT} returned no list of items for 'a query'"
+
+    def test_google_body_without_items_is_no_results(self, monkeypatch):
+        self._answer(monkeypatch, b'{"searchInformation": {}}')
+        assert GoogleCustomSearchClient("k", "cx").search("a query", 5) == []
+
+
 class TestCachedAccess:
     QUERY = "what is the tallest waterfall in meridia"
 
