@@ -403,19 +403,19 @@ class CachedBackend(LMBackend):
     cache key.  ``identity`` is ``inner``'s, read once when this backend is
     built, so two models never share a response, and a backend without one
     cannot be cached.  Only the response is stored: a completion or score with
-    its token counts, a token count or the model descriptor.  A response read
-    back goes through the same checks as one fresh from ``inner``.  A sample or
-    score whose prompt the backend refused as too long is stored as that
-    refusal and raises :class:`PromptTooLong` again on each read, so an
-    offline replay fits the prompt as the run that drew it did.  A prompt or
-    counted text enters the key as the SHA-256 of its UTF-8 bytes, so a
-    lookup never JSON-encodes a whole prompt.  ``sample`` and ``score`` take
-    that digest as ``prompt_sha256``, and ``count_tokens`` as ``text_sha256``,
-    from a caller that has it, such as the pipeline with a rendered prompt's,
-    and hash the text only without it.
-    Samples and scores are keyed as ``sample_with_tokens`` and
-    ``score_with_tokens``: entries stored before their responses carried
-    token counts are never read.
+    its token counts, a token count or the model descriptor.  A response fresh
+    from ``inner`` goes through the checks of one read back before it is
+    stored, so one that fails them is never stored.  A request the backend
+    refused as too long is stored as that refusal and raises
+    :class:`PromptTooLong` again on each read, so an offline replay fits the
+    prompt as the run that drew it did.  A prompt or counted text enters the
+    key as the SHA-256 of its UTF-8 bytes, so a lookup never JSON-encodes a
+    whole prompt.  ``sample`` and ``score`` take that digest as
+    ``prompt_sha256``, and ``count_tokens`` as ``text_sha256``, from a caller
+    that has it, such as the pipeline with a rendered prompt's, and hash the
+    text only without it.  Samples and scores are keyed as
+    ``sample_with_tokens`` and ``score_with_tokens``: entries stored before
+    their responses carried token counts are never read.
     """
 
     def __init__(self, inner: LMBackend, cache: RequestCache):
@@ -430,28 +430,28 @@ class CachedBackend(LMBackend):
         backend.cache = cache
         return backend
 
-    def describe(self) -> BackendDescriptor:
-        def fetch():
-            response = self.inner.describe().to_json()
-            BackendDescriptor.from_json(response)  # a description that cannot be read is never stored
-            return response
+    def _cached(self, request: dict, fetch, read):
+        """``read(response)`` for ``request``, fetched by ``fetch()`` on a miss and
+        read before it is stored; a refusal as too long is stored unread and
+        raised as :class:`PromptTooLong` on each read."""
+        fresh = []
 
-        request = {"op": "describe", "backend": self.identity}
-        return BackendDescriptor.from_json(self.cache.get_or_fetch("lm", request, fetch))
-
-    def _refusable(self, request: dict, fetch):
-        """The response to ``request``, whose refusal as too long is cached
-        like an answer and raised as :class:`PromptTooLong` on each read."""
-        def fetch_or_refusal():
+        def fetch_read():
             try:
-                return fetch()
+                response = fetch()
             except PromptTooLong as exc:
                 return {_REFUSED: str(exc)}
+            fresh.append(read(response))
+            return response
 
-        response = self.cache.get_or_fetch("lm", request, fetch_or_refusal)
-        if isinstance(response, dict) and _REFUSED in response:
+        response = self.cache.get_or_fetch("lm", request, fetch_read)
+        if type(response) is dict and _REFUSED in response:
             raise PromptTooLong(response[_REFUSED])
-        return response
+        return fresh[0] if fresh else read(response)
+
+    def describe(self) -> BackendDescriptor:
+        return self._cached({"op": "describe", "backend": self.identity},
+                            lambda: self.inner.describe().to_json(), BackendDescriptor.from_json)
 
     def sample(self, prompt: str, params: GenerationParams, seed: int, *,
                prompt_sha256: str | None = None) -> Completion:
@@ -461,8 +461,8 @@ class CachedBackend(LMBackend):
             "op": "sample_with_tokens", "backend": self.identity,
             "prompt_sha256": prompt_sha256 or _sha256(prompt), "params": params.to_json(), "seed": seed,
         }
-        return Completion.from_json(
-            self._refusable(request, lambda: self.inner.sample(prompt, params, seed).to_json()))
+        return self._cached(request, lambda: self.inner.sample(prompt, params, seed).to_json(),
+                            Completion.from_json)
 
     def score(self, prompt: str, continuation: str, *, prompt_sha256: str | None = None) -> Score:
         """``inner``'s score of ``continuation`` after ``prompt``, whose hex
@@ -472,12 +472,11 @@ class CachedBackend(LMBackend):
             "op": "score_with_tokens", "backend": self.identity,
             "prompt_sha256": prompt_sha256 or _sha256(prompt), "continuation": continuation,
         }
-        return Score.from_json(
-            self._refusable(request, lambda: self.inner.score(prompt, continuation).to_json()))
+        return self._cached(request, lambda: self.inner.score(prompt, continuation).to_json(), Score.from_json)
 
     def count_tokens(self, text: str, *, text_sha256: str | None = None) -> int:
         """``inner``'s token count of ``text``, whose hex SHA-256 a caller that
         already has it passes as ``text_sha256`` (it is not checked)."""
         request = {"op": "count_tokens", "backend": self.identity, "text_sha256": text_sha256 or _sha256(text)}
-        response = self.cache.get_or_fetch("lm", request, lambda: self.inner.count_tokens(text))
-        return _tokens({"tokens": response}, "tokens", "/v1/count_tokens")  # checked as a fresh body is
+        return self._cached(request, lambda: self.inner.count_tokens(text),
+                            lambda tokens: _tokens({"tokens": tokens}, "tokens", "/v1/count_tokens"))

@@ -162,7 +162,8 @@ class PipelineConfig:
                                   "calling thread and starts no thread")
     cost_points: tuple[int, ...] = setting(
         DEFAULT_COST_POINTS,
-        "comma-separated paragraph counts for the cost sweep; counts above --paragraphs are left out")
+        "comma-separated paragraph counts for the cost sweep; counts above --paragraphs are left out, "
+        "and a sweep left with none is refused")
     context_tokens: int | None = setting(None, "prompt budget override (default: backend context size)")
     recall_ks: tuple[int, ...] = setting(DEFAULT_RECALL_KS, "comma-separated cut-offs for answer recall")
     banks_dir: str | None = setting(None, "directory with <dataset_id>_<kind>.txt prompt banks")
@@ -182,6 +183,8 @@ class PipelineConfig:
             raise ConfigError("recall_ks entries must be >= 1")
         if any(m < 0 for m in self.cost_points):
             raise ConfigError("cost_points entries must be >= 0")
+        if self.evidence != CLOSED and not any(m <= self.top_paragraphs for m in self.cost_points):
+            raise ConfigError(f"cost_points has no entry of at most {self.top_paragraphs} paragraphs")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must be in (0, 1)")
         if self.poe_weights is not None:

@@ -353,7 +353,15 @@ def cached_search(cache: RequestCache, client, query: str, num: int) -> list[Sea
         return [{"url": r.url, "rank": r.rank, "title": r.title} for r in client.search(query, num)]
 
     response = cache.get_or_fetch("search", request, fetch)
-    return [SearchResult(url=r["url"], rank=int(r["rank"]), title=r.get("title", "")) for r in response]
+    if type(response) is not list or not all(map(_is_row, response)):
+        raise SearchError(f"unreadable search results for {query!r}")
+    return [SearchResult(r["url"], r["rank"], r["title"]) for r in response]
+
+
+def _is_row(row) -> bool:
+    """A stored search result: a string ``url``, an ``int`` ``rank`` of at least 1 and a string ``title``."""
+    return (type(row) is dict and type(row.get("url")) is str and type(row.get("title")) is str
+            and type(row.get("rank")) is int and row["rank"] >= 1)
 
 
 def fetch_page(url: str) -> dict:
@@ -377,8 +385,14 @@ def fetch_page(url: str) -> dict:
 
 
 def cached_fetch(cache: RequestCache, url: str) -> dict:
-    """Like :func:`fetch_page` but cached; network errors are never cached."""
-    return cache.get_or_fetch("fetch", {"op": "fetch", "url": url}, lambda: fetch_page(url))
+    """Like :func:`fetch_page` but cached; network errors are never cached.  A
+    page without an ``int`` status and a string content type and body is a
+    ``ValueError`` naming ``url``."""
+    page = cache.get_or_fetch("fetch", {"op": "fetch", "url": url}, lambda: fetch_page(url))
+    if (type(page) is not dict or type(page.get("status")) is not int
+            or type(page.get("content_type")) is not str or type(page.get("body")) is not str):
+        raise ValueError(f"unreadable page for {url}")
+    return page
 
 
 def retrieve_documents(
@@ -400,9 +414,9 @@ def retrieve_documents(
         except net.NetError as exc:
             logger.warning("dropping %s: %s", result.url, exc)
         else:
-            if int(page["status"]) == 200:
+            if page["status"] == 200:
                 text = extract_text(page["body"])
             else:
-                logger.warning("dropping %s: HTTP %d", result.url, int(page["status"]))
+                logger.warning("dropping %s: HTTP %d", result.url, page["status"])
         documents.append(WebDocument(url=result.url, rank=result.rank, clean_text=text))
     return documents

@@ -15,7 +15,7 @@ import pytest
 
 import webqa
 from webqa import cli, fixtures, net
-from webqa.cache import PACK_SUFFIX, gunzip_bytes
+from webqa.cache import PACK_SUFFIX, CacheKey, RequestCache, gunzip_bytes
 from webqa.corpus import load_dataset
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import CachedBackend, HTTPBackend, MockBackend, PromptTooLong
@@ -334,6 +334,16 @@ class TestMainExitCodes:
         assert "cost_points entries must be >= 0" in capsys.readouterr().err
         assert not workdir.exists()
 
+    def test_cost_sweep_with_no_point_in_range_is_1_before_any_work(self, tmp_path, qa_dataset_path,
+                                                                    banks_dir, capsys):
+        workdir = tmp_path / "w"
+        rc = cli.main(["run", "--dataset", str(qa_dataset_path), "--workdir", str(workdir),
+                       "--evidence", "gold", "--banks-dir", str(banks_dir), "--paragraphs", "2",
+                       "--cost-points", "7,9"])
+        assert rc == 1
+        assert "cost_points has no entry of at most 2 paragraphs" in capsys.readouterr().err
+        assert not workdir.exists()
+
     @pytest.mark.parametrize("command", ["run", "answer"])
     @pytest.mark.parametrize("flags, context", [
         (["--context-tokens", "16", "--max-new-tokens", "16"], 16),
@@ -495,6 +505,10 @@ class TestMainExitCodes:
         assert report["n_questions"] == 9
 
 
+# a loopback URL that no server listens on
+_CLOSED_URL = "http://127.0.0.1:1/x"
+
+
 class TestFailureTolerance:
     """Up to 10% of the questions may fail with an expected per-question
     error; more exits 2, and any other exception is a bug that propagates."""
@@ -604,6 +618,25 @@ class TestFailureTolerance:
         assert qid == first.id
         assert re.fullmatch(rf"retrieve: http://127\.0\.0\.1:\d+/search returned no list of results "
                             rf"for {re.escape(repr(first.question))}", message)
+
+    @pytest.mark.parametrize("rows, page, message", [
+        ([{"url": 7, "rank": "3", "title": None}], None, "unreadable search results for {question!r}"),
+        ([{"url": _CLOSED_URL, "rank": True, "title": ""}], None, "unreadable search results for {question!r}"),
+        ([{"url": _CLOSED_URL, "rank": 1, "title": ""}],
+         {"status": "200", "content_type": "text/html", "body": 7}, f"unreadable page for {_CLOSED_URL}"),
+    ], ids=["rows", "rank", "page"])
+    def test_malformed_cached_search_or_page_fails_one_question(
+            self, tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch, rows, page, message):
+        """Search rows or a page read back from a question's packs that this
+        program could not have stored fail that question under ``retrieve``."""
+        first = load_dataset(qa_dataset_path)[0]
+        with RequestCache(tmp_path / "w" / "cache").question_scope(first.id) as scope:
+            scope.put(CacheKey.for_request("search", {"op": "search", "query": first.question, "num": 3}), rows)
+            if page is not None:
+                scope.put(CacheKey.for_request("fetch", {"op": "fetch", "url": _CLOSED_URL}), page)
+        assert self._run(tmp_path, qa_dataset_path, banks_dir, web_root, monkeypatch,
+                         0, SearchError("unused")) == 0
+        assert self._failures(tmp_path) == {first.id: "retrieve: " + message.format(question=first.question)}
 
     def test_worker_type_error_is_raised(self, tmp_path, qa_dataset_path, banks_dir,
                                          web_root, monkeypatch):

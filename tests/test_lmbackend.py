@@ -12,10 +12,12 @@ from webqa.cache import CacheKey, RequestCache
 from webqa.fixtures import FixtureServer
 from webqa.lmbackend import (
     CachedBackend,
+    Completion,
     GenerationParams,
     HTTPBackend,
     MockBackend,
     PromptTooLong,
+    Sample,
     Score,
     extractive_completion,
     flops_for_tokens,
@@ -320,6 +322,34 @@ class TestCachedBackend:
         assert not (tmp_path / "lm" / "shared").exists()
         same_identity = CachedBackend(MockBackend(), RequestCache(tmp_path))
         assert same_identity.describe() == MockBackend().describe()
+
+    @pytest.mark.parametrize("op, message", [
+        ("score", "/v1/score returned logprob nan, not a finite number"),
+        ("sample", "/v1/complete returned tokens -1, not a non-negative integer"),
+        ("count_tokens", "/v1/count_tokens returned tokens -1, not a non-negative integer"),
+    ])
+    def test_fresh_response_that_cannot_be_read_is_never_stored(self, tmp_path, op, message):
+        """An in-process backend's response fails the checks a cached one
+        goes through, so it is refused before it is stored, and a readable
+        backend of the same identity is then asked."""
+        class Unreadable(MockBackend):
+            def score(self, prompt, continuation):
+                return Score(math.nan, 1, 1)
+
+            def sample(self, prompt, params, seed):
+                return Completion((Sample("a", -1.0, -1),), 1)
+
+            def count_tokens(self, text):
+                return -1
+
+        calls = {"score": lambda backend: backend.score("p", " c"),
+                 "sample": lambda backend: backend.sample("p", GenerationParams(), 7),
+                 "count_tokens": lambda backend: backend.count_tokens("p")}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[op](CachedBackend(Unreadable(), RequestCache(tmp_path)))
+        assert not (tmp_path / "lm").exists()
+        assert calls[op](CachedBackend(MockBackend(), RequestCache(tmp_path))) == calls[op](MockBackend())
+        assert len(list((tmp_path / "lm" / "shared").iterdir())) == 1
 
     def test_count_tokens_cached(self, tmp_path):
         inner = MockBackend()

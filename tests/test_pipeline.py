@@ -85,6 +85,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _config(qa_dataset_path, tmp_path, heldout_fraction=1.0)
 
+    def test_cost_sweep_with_no_point_in_range(self, qa_dataset_path, tmp_path):
+        """Counts above ``top_paragraphs`` are left out; with none left under
+        open-book evidence the sweep is refused, closed book sweeps only 0."""
+        assert _config(qa_dataset_path, tmp_path, cost_points=(1, 9)).cost_points == (1, 9)
+        for evidence in (GOLD, SEARCH):
+            with pytest.raises(ConfigError, match="^cost_points has no entry of at most 4 paragraphs$"):
+                _config(qa_dataset_path, tmp_path, evidence=evidence, cost_points=(7, 9))
+        _config(qa_dataset_path, tmp_path, evidence=CLOSED, scorer="answer_prob", cost_points=(7, 9))
+
     def test_missing_dataset_file(self, tmp_path):
         config = _config(tmp_path / "absent.jsonl", tmp_path)
         with pytest.raises(ConfigError):

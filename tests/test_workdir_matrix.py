@@ -1,8 +1,10 @@
 """Whole fixture workdirs, cache/ included, match the digests pinned in
 tests/golden/workdir_digests.json, whether one ``run`` or the staged
 commands wrote them, and an ``--offline`` re-run of each changes no byte and
-replaces no file: every file keeps its ``st_ino`` and ``st_mtime_ns`` (see
-``workdir_matrix`` for the configs)."""
+replaces no file: every file keeps its ``st_ino`` and ``st_mtime_ns``.  The
+staged ``rerank``, ``eval`` and ``cost`` of each scorer variant write the
+artifacts pinned in tests/golden/scorer_digests.json (see ``workdir_matrix``
+for the configs and variants)."""
 import json
 import os
 
@@ -10,6 +12,7 @@ import pytest
 import workdir_matrix
 
 DIGESTS = json.loads(workdir_matrix.DIGESTS_PATH.read_text(encoding="utf-8"))
+SCORER_DIGESTS = json.loads(workdir_matrix.SCORER_DIGESTS_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,21 @@ def test_staged_commands_write_the_pinned_workdir(matrix_servers, tmp_path, name
     for command in ("retrieve", "answer", "tune-weights", "rerank", "eval", "cost"):
         assert workdir_matrix.cli.main(workdir_matrix.flags(name, workdir, command)) == 0, command
     assert workdir_matrix.workdir_digest(workdir) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("dataset", workdir_matrix.DATASETS)
+def test_staged_scorers_write_the_pinned_artifacts(tmp_path, dataset):
+    """``--scorer answer_prob``, ``rag`` and ``noisy_channel`` and fixed
+    ``--weights``, each on its own copy of the gold mock workdir."""
+    pinned = {f"{dataset}-{variant}": SCORER_DIGESTS[f"{dataset}-{variant}"]
+              for variant in workdir_matrix.SCORER_VARIANTS}
+    assert workdir_matrix.scorer_digests(dataset, tmp_path) == pinned
+
+
+def test_scorer_table_covers_every_dataset_and_variant():
+    assert sorted(SCORER_DIGESTS) == sorted(f"{dataset}-{variant}" for dataset in workdir_matrix.DATASETS
+                                            for variant in workdir_matrix.SCORER_VARIANTS)
+    assert len(set(SCORER_DIGESTS.values())) == len(SCORER_DIGESTS)
 
 
 def test_a_file_the_offline_rerun_replaces_with_equal_bytes_fails(matrix_servers, tmp_path,
